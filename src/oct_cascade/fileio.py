@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 
 import numpy as np
@@ -84,25 +85,31 @@ def read_volume(path: str) -> GridValue:
     invariants are re-validated so a corrupt payload cannot leak out.
     """
     base = _base_path(path)
+    name = base + ".json"
     try:
-        with open(base + ".json") as fh:
+        with open(name) as fh:
             header = json.load(fh)
     except OSError as exc:
-        raise CorruptFileError(f"cannot read grid header {base + '.json'!r}: {exc}") from exc
+        raise CorruptFileError(f"cannot read grid header {name!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise CorruptFileError(f"malformed grid header {base + '.json'!r}: {exc}") from exc
+        raise CorruptFileError(f"malformed grid header {name!r}: {exc}") from exc
 
-    if header.get("format") != _FORMAT:
-        raise CorruptFileError(f"{base + '.json'!r} is not a grid container header")
+    if not isinstance(header, dict) or header.get("format") != _FORMAT:
+        raise CorruptFileError(f"{name!r} is not a grid container header")
     kind = header.get("kind")
-    dims = tuple(int(d) for d in header.get("dims", ()))
+    dims = header.get("dims")
+    # JSON integers load as int; bool, float and str dims are corrupt.
+    if not (isinstance(dims, list) and len(dims) in (2, 3)
+            and all(type(d) is int and d >= 0 for d in dims)):
+        raise CorruptFileError(f"{name!r}: dims {dims!r} are not 2 or 3 non-negative integers")
+    dims = tuple(dims)
     dtype = header.get("dtype")
     if header.get("byte_order") != "little":
         raise CorruptFileError(f"unsupported byte order {header.get('byte_order')!r}")
     if kind not in ("intensity", "probability", "mask") or dtype not in ("float32", "uint8"):
         raise CorruptFileError(f"unsupported kind/dtype {kind!r}/{dtype!r} in {base!r}")
 
-    n_expected = int(np.prod(dims)) if dims else 0
+    n_expected = math.prod(dims)
     itemsize = 4 if dtype == "float32" else 1
     try:
         with open(base + ".raw", "rb") as fh:
@@ -157,14 +164,26 @@ def read_boundaries(path: str) -> BoundarySet:
             header = next(reader, None)
             if header != ["boundary", "slice", "column", "depth"]:
                 raise CorruptFileError(f"{path!r}: unexpected boundary CSV header {header}")
+
+            def bad_row(message: str) -> CorruptFileError:
+                return CorruptFileError(f"{path!r} row {reader.line_num}: {message}")
+
             for row in reader:
                 if not row:
                     continue
                 if len(row) != 4:
-                    raise CorruptFileError(f"{path!r}: malformed row {row}")
-                name, s, x, depth = row[0], int(row[1]), int(row[2]), float(row[3])
+                    raise bad_row(f"malformed row {row}")
+                try:
+                    name, s, x, depth = row[0], int(row[1]), int(row[2]), float(row[3])
+                except ValueError:
+                    raise bad_row(
+                        f"slice and column must be integers and depth a number, got {row}"
+                    ) from None
+                # A negative index would silently address a cell from the end.
+                if s < 0 or x < 0:
+                    raise bad_row(f"negative slice or column in {row}")
                 if name not in cells:
-                    raise CorruptFileError(f"{path!r}: unknown boundary {name!r}")
+                    raise bad_row(f"unknown boundary {name!r}")
                 cells[name][(s, x)] = depth
     except OSError as exc:
         raise CorruptFileError(f"cannot read boundaries {path!r}: {exc}") from exc

@@ -1,9 +1,11 @@
 """Segmentation evaluation metrics and the polynomial LR schedule utility.
 
 All metrics are defined on exact integer confusion counts over pooled
-voxels. ROC area is computed by sweeping every distinct score as a
-threshold and integrating with the trapezoidal rule, which equals the
-pairwise ranking statistic with ties counted half.
+voxels. ROC area sweeps every distinct score as a threshold and integrates
+with the trapezoidal rule, which equals the pairwise ranking statistic with
+ties counted half. The counts at each threshold come from one sort of the
+score values and a binary search of each distinct value among the sorted
+positive scores, so no permutation of the voxels is built.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeMismatchError, UndefinedAucError
+from .errors import ConfigError, ShapeMismatchError, UndefinedAucError, ValidationError
 from .model import ProbabilityMap3D, VoxelMask, require_same_dims
 
 
@@ -130,8 +132,13 @@ def auc(
     """ROC area of the scores against a binary ground truth.
 
     Thresholds sweep every distinct score value inside `region` (the whole
-    grid when absent). Raises UndefinedAucError when the ground truth is
-    single-class there.
+    grid when absent); at each, voxels scoring at or above it count as
+    positive. The sorted scores give each threshold's run start, hence how
+    many voxels reach it, and a binary search among the sorted positive
+    scores gives how many of those are true positives. The trapezoidal area
+    equals the pairwise ranking statistic with ties counted half. Raises
+    UndefinedAucError when the ground truth is single-class there and
+    ValidationError when a score is not finite.
     """
     s = scores.data if isinstance(scores, ProbabilityMap3D) else np.asarray(scores)
     g = gt.data if isinstance(gt, VoxelMask) else np.asarray(gt, dtype=bool)
@@ -144,7 +151,11 @@ def auc(
             )
         s = s[region.data]
         g = g[region.data]
-    s = np.asarray(s, dtype=np.float64).ravel()
+    # float32 widens to float64 exactly, so it is ranked as is; any other
+    # dtype is ranked as float64.
+    if s.dtype != np.float32:
+        s = s.astype(np.float64, copy=False)
+    s = s.ravel()
     g = np.asarray(g, dtype=bool).ravel()
 
     n_pos = int(g.sum())
@@ -154,16 +165,17 @@ def auc(
             f"ROC area undefined: ground truth has {n_pos} positives and {n_neg} negatives"
         )
 
-    order = np.argsort(-s, kind="stable")
-    s_sorted = s[order]
-    g_sorted = g[order]
-    # Collapse ties: ROC points only at the last element of each score run.
-    distinct = np.nonzero(np.diff(s_sorted))[0]
-    run_ends = np.concatenate([distinct, [s.size - 1]])
-    tp = np.cumsum(g_sorted)[run_ends]
-    fp = (run_ends + 1) - tp
-    tpr = np.concatenate([[0.0], tp / n_pos])
-    fpr = np.concatenate([[0.0], fp / n_neg])
+    asc = np.sort(s)
+    # NaN sorts last and infinities sit at the ends.
+    if not (np.isfinite(asc[0]) and np.isfinite(asc[-1])):
+        raise ValidationError("ROC area needs finite scores")
+    run_start = np.flatnonzero(np.concatenate([[True], asc[1:] != asc[:-1]]))
+    run_value = asc[run_start]
+    tp = n_pos - np.searchsorted(np.sort(s[g]), run_value, side="left")
+    fp = (s.size - run_start) - tp
+    # Descending thresholds: the curve starts at (0, 0).
+    tpr = np.concatenate([[0.0], tp[::-1] / n_pos])
+    fpr = np.concatenate([[0.0], fp[::-1] / n_neg])
     # accumulated rounding can land an ulp outside [0, 1]
     return float(min(max(np.trapezoid(tpr, fpr), 0.0), 1.0))
 

@@ -101,7 +101,7 @@ class PipelineConfig:
             kwargs["gt_mask_path"] = inp.get("ground_truth_mask")
 
         for key, stage in (("boundaries", "boundary source"), ("shadows", "shadow source")):
-            sec = d.pop(key, None) or {"source": "classical"}
+            sec = _section(d, key, stage)
             source = sec.get("source", "classical")
             prefix = "boundary" if key == "boundaries" else "shadow"
             kwargs[f"{prefix}_source"] = source
@@ -120,7 +120,7 @@ class PipelineConfig:
             kwargs["infusion"] = InfusionConfig.from_dict(d.pop("infusion"))
         if "output_dir" in d:
             kwargs["output_dir"] = d.pop("output_dir")
-        report = d.pop("report", {})
+        report = _section(d, "report", "report")
         kwargs["overlays"] = bool(report.get("overlays", True))
         kwargs["montage"] = bool(report.get("montage", False))
         if d:
@@ -145,6 +145,16 @@ class PipelineConfig:
 
     def with_output_dir(self, out: str) -> "PipelineConfig":
         return _replace(self, output_dir=out)
+
+
+def _section(d: dict, key: str, stage: str) -> dict:
+    """Pop an optional config section; present and not null, it must be an object."""
+    sec = d.pop(key, None)
+    if sec is None:
+        return {}
+    if not isinstance(sec, dict):
+        raise StageError(stage, f"'{key}' section must be a JSON object, got {sec!r}")
+    return sec
 
 
 def _replace(cfg: PipelineConfig, **changes) -> PipelineConfig:

@@ -10,6 +10,7 @@ import pytest
 from oct_cascade import cli
 from oct_cascade.fileio import read_volume, write_volume
 from oct_cascade.model import OctVolume, PixelMask, ProbabilityMap3D, VoxelMask
+from oct_cascade.pipeline import PipelineConfig, StageError
 
 
 def run_cli(args):
@@ -138,6 +139,48 @@ def test_missing_backend_import_names_stage(tmp_path, capsys):
     path.write_text(json.dumps(cfg_dict))
     assert run_cli(["run", "--config", path]) == 2
     assert "backend" in capsys.readouterr().err
+
+
+def test_malformed_inputs_exit_2_without_traceback(tmp_path):
+    """A bad report section, a list grid header and a non-integer boundary
+    cell each stop `run` with exit code 2 and a one-line error."""
+    cfg = json.loads(pipeline_config(tmp_path).read_text())
+    cfg["report"] = "yes"
+    with pytest.raises(StageError, match="report"):
+        PipelineConfig.from_dict(cfg)
+    bad_report = tmp_path / "bad_report.json"
+    bad_report.write_text(json.dumps(cfg))
+
+    (tmp_path / "vol.json").write_text("[1, 2, 3]")
+    (tmp_path / "vol.raw").write_bytes(b"")
+    bad_header = tmp_path / "bad_header.json"
+    bad_header.write_text(json.dumps(
+        {"input": {"volume": str(tmp_path / "vol")}, "output_dir": str(tmp_path / "o1")}
+    ))
+
+    write_volume(OctVolume(np.zeros((1, 16, 8), dtype=np.float32)), str(tmp_path / "flat"))
+    csv_path = tmp_path / "b.csv"
+    csv_path.write_text("boundary,slice,column,depth\nILM,zero,0,2.0\n")
+    bad_csv = tmp_path / "bad_csv.json"
+    bad_csv.write_text(json.dumps({
+        "input": {"volume": str(tmp_path / "flat")},
+        "boundaries": {"source": "import", "path": str(csv_path)},
+        "output_dir": str(tmp_path / "o2"),
+    }))
+
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    for config, stage, culprit in (
+        (bad_report, "report", "'yes'"),
+        (bad_header, "", "vol.json"),
+        (bad_csv, "boundary source", "b.csv' row 2"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "oct_cascade", "run", "--config", str(config)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert stage in proc.stderr and culprit in proc.stderr
 
 
 def test_eval_identical_masks(tmp_path):

@@ -128,6 +128,62 @@ def test_boundaries_missing_surface_rows(tmp_path):
         read_boundaries(str(path))
 
 
+def boundary_rows(n_slices=2, width=2):
+    rows = ["boundary,slice,column,depth"]
+    for name, depth in (("ILM", 2.0), ("INL_LOWER", 4.0), ("RPE_UPPER", 8.0), ("BM", 11.0)):
+        for s in range(n_slices):
+            for x in range(width):
+                rows.append(f"{name},{s},{x},{depth}")
+    return rows
+
+
+@pytest.mark.parametrize(
+    "cell, value, message",
+    [
+        (1, "0.5", "must be integers"),
+        (2, "x", "must be integers"),
+        (3, "deep", "a number"),
+        (1, "-1", "negative"),
+        (2, "-2", "negative"),
+    ],
+)
+def test_boundaries_bad_cell_is_corrupt_and_names_row(tmp_path, cell, value, message):
+    path = tmp_path / "b.csv"
+    rows = boundary_rows()
+    # The last ILM row, (slice 1, column 1), is line 5; slice -1 or column -2
+    # would otherwise index that same cell from the end and read back whole.
+    fields = rows[4].split(",")
+    fields[cell] = value
+    rows[4] = ",".join(fields)
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(CorruptFileError, match=rf"b\.csv' row 5: .*{message}"):
+        read_boundaries(str(path))
+
+
+@pytest.mark.parametrize("header", [[1, 2, 3], "oct-cascade-grid", 7, None])
+def test_header_that_is_not_an_object_is_corrupt(tmp_path, header):
+    (tmp_path / "vol.json").write_text(json.dumps(header))
+    with pytest.raises(CorruptFileError, match=r"vol\.json"):
+        read_volume(str(tmp_path / "vol"))
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [None, "2x8x8", {"y": 2}, [2, -8, 8], [2.0, 8, 8], [True, 8, 8], [2, "8", 8], [], [128],
+     [1, 2, 8, 8]],
+)
+def test_header_dims_must_be_non_negative_integers(tmp_path, dims):
+    write_volume(OctVolume(np.zeros((2, 8, 8), dtype=np.float32)), str(tmp_path / "vol"))
+    header = json.loads((tmp_path / "vol.json").read_text())
+    if dims is None:
+        del header["dims"]
+    else:
+        header["dims"] = dims
+    (tmp_path / "vol.json").write_text(json.dumps(header))
+    with pytest.raises(CorruptFileError, match=r"vol\.json.*dims"):
+        read_volume(str(tmp_path / "vol"))
+
+
 def test_missing_and_malformed_headers(tmp_path):
     with pytest.raises(CorruptFileError, match="cannot read"):
         read_volume(str(tmp_path / "nothing"))

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from mpmath import mp, mpf
 
-from oct_cascade.errors import ConfigError, ShapeMismatchError, UndefinedAucError
+from oct_cascade.errors import ConfigError, ShapeMismatchError, UndefinedAucError, ValidationError
 from oct_cascade.metrics import (
     ConfusionCounts,
     ScheduleParams,
@@ -123,6 +126,83 @@ def test_auc_region_restriction():
     sub = auc(ProbabilityMap3D(scores), VoxelMask(labels), VoxelMask(region))
     assert sub == 1.0
     assert full == 0.75
+
+
+def argsort_auc(scores, labels):
+    """The earlier implementation: a stable descending argsort of float64
+    scores, labels gathered through it, ROC points at the ends of tie runs."""
+    s = np.asarray(scores, dtype=np.float64).ravel()
+    g = np.asarray(labels, dtype=bool).ravel()
+    n_pos = int(g.sum())
+    n_neg = g.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise UndefinedAucError("single class")
+    order = np.argsort(-s, kind="stable")
+    s_sorted = s[order]
+    g_sorted = g[order]
+    distinct = np.nonzero(np.diff(s_sorted))[0]
+    run_ends = np.concatenate([distinct, [s.size - 1]])
+    tp = np.cumsum(g_sorted)[run_ends]
+    fp = (run_ends + 1) - tp
+    tpr = np.concatenate([[0.0], tp / n_pos])
+    fpr = np.concatenate([[0.0], fp / n_neg])
+    return float(min(max(np.trapezoid(tpr, fpr), 0.0), 1.0))
+
+
+@st.composite
+def auc_cases(draw):
+    """Scores (float32 or float64), labels and an optional region.
+
+    Score kinds: fine-grained values, a coarse grid that forces heavy ties,
+    one repeated value, signed zeros, and values multiplied by a 0/1 mask as
+    infusion leaves them (mostly exact zeros).
+    """
+    n = draw(st.integers(2, 300))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    width = 32 if dtype == np.float32 else 64
+    fine = hnp.arrays(dtype, n, elements=st.floats(0, 1, width=width))
+    kind = draw(st.sampled_from(["fine", "coarse", "equal", "signed_zero", "masked"]))
+    if kind == "fine":
+        s = draw(fine)
+    elif kind == "coarse":
+        k = draw(st.integers(1, 8))
+        s = (draw(hnp.arrays(np.int64, n, elements=st.integers(0, k))) / k).astype(dtype)
+    elif kind == "equal":
+        s = np.full(n, draw(st.floats(0, 1, width=width)), dtype=dtype)
+    elif kind == "signed_zero":
+        s = draw(hnp.arrays(dtype, n, elements=st.sampled_from([-0.0, 0.0, 0.25])))
+    else:
+        s = draw(fine) * draw(hnp.arrays(bool, n))
+    labels = draw(hnp.arrays(bool, n))
+    region = draw(st.none() | hnp.arrays(bool, n))
+    return s, labels, region
+
+
+@settings(max_examples=400, deadline=None)
+@given(auc_cases())
+def test_auc_equals_argsort_oracle_exactly(case):
+    s, labels, region = case
+    shape = (1, 1, s.size)
+    scores = ProbabilityMap3D(s.reshape(shape)) if s.dtype == np.float32 else s.reshape(shape)
+    gt = VoxelMask(labels.reshape(shape))
+    keep = np.ones(s.size, dtype=bool) if region is None else region
+    roi = None if region is None else VoxelMask(region.reshape(shape))
+    try:
+        want = argsort_auc(s[keep], labels[keep])
+    except UndefinedAucError:
+        with pytest.raises(UndefinedAucError):
+            auc(scores, gt, roi)
+        return
+    assert auc(scores, gt, roi) == want
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_auc_rejects_non_finite_scores(bad, dtype):
+    scores = np.array([0.1, bad, 0.5, bad, 0.3], dtype=dtype).reshape(1, 1, 5)
+    labels = np.array([0, 1, 1, 0, 1], dtype=bool).reshape(1, 1, 5)
+    with pytest.raises(ValidationError, match="finite"):
+        auc(scores, labels)
 
 
 def test_auc_single_class_is_undefined():
