@@ -22,11 +22,16 @@ class ConfigError(OctCascadeError, ValueError):
 
 
 class InfeasibleBandError(OctCascadeError, RuntimeError):
-    """No path through the search band exists under the jump constraint."""
+    """No path through the search band exists under the jump constraint.
 
-    def __init__(self, column: int, message: str | None = None):
+    `slice` names the B-scan when the DP ran over a stack of them.
+    """
+
+    def __init__(self, column: int, message: str | None = None, slice: int | None = None):
         self.column = column
-        super().__init__(message or f"no feasible boundary path at column {column}")
+        self.slice = slice
+        where = f"column {column}" if slice is None else f"column {column} of slice {slice}"
+        super().__init__(message or f"no feasible boundary path at {where}")
 
 
 class UndefinedAucError(OctCascadeError, ValueError):

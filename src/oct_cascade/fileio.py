@@ -103,6 +103,12 @@ def read_volume(path: str) -> GridValue:
             and all(type(d) is int and d >= 0 for d in dims)):
         raise CorruptFileError(f"{name!r}: dims {dims!r} are not 2 or 3 non-negative integers")
     dims = tuple(dims)
+    spacing = header.get("spacing")
+    if spacing is not None and not (
+        isinstance(spacing, list) and len(spacing) == 3
+        and all(type(v) in (int, float) for v in spacing)
+    ):
+        raise CorruptFileError(f"{name!r}: spacing {spacing!r} is neither null nor 3 numbers")
     dtype = header.get("dtype")
     if header.get("byte_order") != "little":
         raise CorruptFileError(f"unsupported byte order {header.get('byte_order')!r}")
@@ -138,8 +144,7 @@ def read_volume(path: str) -> GridValue:
         return ProbabilityMap3D(data)
     if data.ndim == 2:
         return EnFaceImage(data)
-    spacing = header.get("spacing")
-    return OctVolume(data, spacing=tuple(spacing) if spacing else None)
+    return OctVolume(data, spacing=None if spacing is None else tuple(spacing))
 
 
 def write_boundaries(b: BoundarySet, path: str) -> None:

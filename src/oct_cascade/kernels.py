@@ -2,8 +2,9 @@
 tube/shadow pass, in numpy.
 
 `dp_trace` is the per-B-scan reference of the boundary DP; `dp_trace_batch`
-runs the same floating point operations in the same order over a stack of
-B-scans at once, so its paths equal `dp_trace` on every slice bit for bit.
+runs it over a stack of B-scans at once, forming the same float64 sums and
+picking each step by running minima instead of a strict "<" scan, so its
+paths equal `dp_trace` on every slice bit for bit.
 """
 
 from __future__ import annotations
@@ -102,46 +103,54 @@ def dp_trace(cost, band_lo, band_hi, lam, max_jump):
 def dp_trace_batch(cost, band_lo, band_hi, lam, max_jump):
     """`dp_trace` on every image of a (slices, height, width) cost stack.
 
-    Bands are (slices, width). The suffix costs run column by column over
-    (slices, height) arrays with the floating point operations of
-    `_dp_suffix_numpy`, in the same order and with the same tie-break
-    toward the smallest depth. Only the winning step of each state is kept,
-    as the smallest signed integer type that holds max_jump; it is the step
-    `_reconstruct`'s strict "<" scan picks from that state, so row s of the
-    returned (slices, width) paths equals `dp_trace` on slice s bit for bit.
-    An infeasible band raises InfeasibleBandError for the first such slice,
-    naming the column `dp_trace` names for it.
+    Bands are (slices, width). The costs are laid out once as
+    (width, slices, height) with +inf outside each column's band, so a
+    column of suffix costs is one sum over (slices, height). The previous
+    column is padded with max_jump rows of +inf on each side, and its 2J+1
+    shifted candidates col[z + k] + lam * |k| are folded in ascending k as
+    running minima. The number of running minima still above the final one
+    is the index of the first, smallest-depth minimum, so a state's step is
+    that count minus J: the step `_reconstruct`'s strict "<" scan picks.
+    Each candidate is the float64 sum `_dp_suffix_numpy` forms and a
+    minimum is exact, so row s of the returned (slices, width) paths equals
+    `dp_trace` on slice s bit for bit. Only the counts are kept, as the
+    smallest unsigned integer type that holds 2J. An infeasible band raises
+    InfeasibleBandError for the first such slice, naming it and the column
+    `dp_trace` names for it.
     """
     cost = np.asarray(cost, dtype=np.float64)
     n_slices, height, width = cost.shape
-    lo = np.asarray(band_lo, dtype=np.int64)[:, :, None]
-    hi = np.asarray(band_hi, dtype=np.int64)[:, :, None]
-    lam, max_jump = float(lam), int(max_jump)
+    lo = np.asarray(band_lo, dtype=np.int64).T[:, :, None]
+    hi = np.asarray(band_hi, dtype=np.int64).T[:, :, None]
+    lam, jump = float(lam), int(max_jump)
     z = np.arange(height)
+    banded = np.where((z >= lo) & (z <= hi), cost.transpose(2, 0, 1), np.inf)
 
-    steps = np.zeros((width - 1, n_slices, height), dtype=np.min_scalar_type(-max_jump))
-    last = width - 1
-    col = np.where((z >= lo[:, last]) & (z <= hi[:, last]), cost[:, :, last], np.inf)
-    fail = np.full(n_slices, -1)
-    best = np.empty((n_slices, height))
+    n = 2 * jump + 1
+    penalty = lam * np.abs(np.arange(-jump, jump + 1))
+    steps = np.empty((width - 1, n_slices, height), dtype=np.min_scalar_type(n - 1))
+    mins = np.empty((width, n_slices))
+    padded = np.full((n_slices, height + 2 * jump), np.inf)
+    col = padded[:, jump : jump + height]
+    col[...] = banded[width - 1]
+    mins[width - 1] = col.min(axis=1)
+    runs = np.empty((n, n_slices, height))
     for x in range(width - 2, -1, -1):
-        best.fill(np.inf)
-        step = steps[x]
-        for k in range(-max_jump, max_jump + 1):
-            if abs(k) >= height:
-                continue
-            # best[:, z] against col[:, z + k], over the depths where z + k exists
-            cand = col[:, max(k, 0) : height + min(k, 0)] + lam * abs(k)
-            dst = best[:, max(-k, 0) : height - max(k, 0)]
-            take = cand < dst
-            np.copyto(dst, cand, where=take)
-            np.copyto(step[:, max(-k, 0) : height - max(k, 0)], k, where=take)
-        sel = (z >= lo[:, x]) & (z <= hi[:, x]) & np.isfinite(best)
-        col = np.where(sel, cost[:, :, x] + best, np.inf)
-        fail[(fail < 0) & ~np.isfinite(col).any(axis=1)] = x
-    fail[(fail < 0) & ~np.isfinite(col).any(axis=1)] = 0
-    if (fail >= 0).any():
-        raise InfeasibleBandError(int(fail[np.argmax(fail >= 0)]))
+        for i in range(n):
+            np.add(padded[:, i : i + height], penalty[i], out=runs[i])
+        for i in range(1, n):
+            np.minimum(runs[i - 1], runs[i], out=runs[i])
+        best = runs[-1]
+        np.sum(runs[:-1] > best, axis=0, dtype=steps.dtype, out=steps[x])
+        np.add(banded[x], best, out=col)
+        mins[x] = col.min(axis=1)
+
+    # a column with no finite state leaves every column to its left without
+    # one; dp_trace names the rightmost
+    dead = np.isinf(mins)
+    if dead.any():
+        s = int(np.argmax(dead.any(axis=0)))
+        raise InfeasibleBandError(int(width - 1 - np.argmax(dead[::-1, s])), slice=s)
 
     # argmin takes the first minimum, as _reconstruct's scan of column 0 does;
     # every state on an optimal path has a finite successor, so its step is set
@@ -149,7 +158,7 @@ def dp_trace_batch(cost, band_lo, band_hi, lam, max_jump):
     path = np.empty((n_slices, width), dtype=np.int64)
     path[:, 0] = np.argmin(col, axis=1)
     for x in range(width - 1):
-        path[:, x + 1] = path[:, x] + steps[x][rows, path[:, x]]
+        path[:, x + 1] = path[:, x] + steps[x][rows, path[:, x]] - jump
     return path
 
 

@@ -3,8 +3,9 @@
 Each B-scan is handled independently: a cost image is built from the
 intensity or its vertical gradient, and the minimum-cost left-to-right
 path through a per-column search band gives one boundary. The DP runs
-over a stack of B-scans at once and gives each the path `trace_boundary`
-gives it alone. The four boundaries are traced sequentially (ILM, then
+over a stack of B-scans at once, on the rows its bands reach, and gives
+each the path `trace_boundary` gives it alone on the full-height cost
+image. The four boundaries are traced sequentially (ILM, then
 RPE upper, then BM, then INL lower), each band positioned relative to the
 boundaries already found, which guarantees the anatomical ordering by
 construction.
@@ -92,24 +93,32 @@ def trace_boundary(cost, band_lo, band_hi, smoothness=0.5, max_jump=2):
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
         raise ShapeMismatchError(f"cost must be 2D, got ndim={cost.ndim}")
-    lo, hi = _checked_bands(cost, band_lo, band_hi)
+    if not np.isfinite(cost).all():
+        raise ValidationError("cost image contains non-finite values")
+    lo, hi = _checked_bands(cost.shape, band_lo, band_hi)
     return dp_trace(cost, lo, hi, smoothness, max_jump)
 
 
-def _trace_stack(cost, band_lo, band_hi, smoothness, max_jump):
-    """trace_boundary on every image of a (slices, height, width) stack at
-    once; bands broadcast to (slices, width)."""
-    lo, hi = _checked_bands(cost, band_lo, band_hi)
-    return dp_trace_batch(cost, lo, hi, smoothness, max_jump)
+def _trace_stack(bscans, kind, band_lo, band_hi, smoothness, max_jump):
+    """trace_boundary on the `kind` cost image of every B-scan of a
+    (slices, height, width) stack at once; bands broadcast to (slices, width).
+
+    Only rows [min lo, max hi] over all slices and columns enter the DP. A
+    row outside every band is a +inf state that never wins, so the paths
+    are those of the full-height images. The B-scans are a volume's [0, 1]
+    intensities, so the costs are finite.
+    """
+    lo, hi = _checked_bands(bscans.shape, band_lo, band_hi)
+    top, bottom = int(lo.min()), int(hi.max()) + 1
+    cost = _cost_stack(bscans, kind, top, bottom)
+    return dp_trace_batch(cost, lo - top, hi - top, smoothness, max_jump) + top
 
 
-def _checked_bands(cost, band_lo, band_hi):
-    """Check a float64 cost image or stack and its inclusive per-column
-    bands; return the bands broadcast to the cost's (..., width) columns."""
-    if not np.isfinite(cost).all():
-        raise ValidationError("cost image contains non-finite values")
-    height = cost.shape[-2]
-    columns = cost.shape[:-2] + cost.shape[-1:]
+def _checked_bands(shape, band_lo, band_hi):
+    """Check the inclusive per-column bands of a cost image or stack of
+    `shape`; return them broadcast to its (..., width) columns."""
+    height = shape[-2]
+    columns = shape[:-2] + shape[-1:]
     lo = np.broadcast_to(np.asarray(band_lo, dtype=np.int64), columns)
     hi = np.broadcast_to(np.asarray(band_hi, dtype=np.int64), columns)
     if (lo > hi).any():
@@ -128,12 +137,16 @@ def _cost_image(bscan: np.ndarray, kind: str) -> np.ndarray:
     return -grad if kind == "negative_vertical_gradient" else grad
 
 
-def _cost_stack(bscans: np.ndarray, kind: str) -> np.ndarray:
-    """float64 cost images of a (slices, height, width) stack, built one
-    B-scan at a time so no float64 copy of the whole stack is held."""
-    cost = np.empty(bscans.shape)
+def _cost_stack(bscans: np.ndarray, kind: str, top: int, bottom: int) -> np.ndarray:
+    """float64 cost images of rows [top, bottom) of a (slices, height, width)
+    stack. Each is built from one more row on either side where the B-scan
+    has one, so the gradient's central differences equal the full-height
+    values; one B-scan at a time, so no float64 copy of the stack is held."""
+    start, stop = max(top - 1, 0), min(bottom + 1, bscans.shape[1])
+    rows = slice(top - start, bottom - start)
+    cost = np.empty((bscans.shape[0], bottom - top, bscans.shape[2]))
     for s, bscan in enumerate(bscans):
-        cost[s] = _cost_image(bscan.astype(np.float64), kind)
+        cost[s] = _cost_image(bscan[start:stop].astype(np.float64), kind)[rows]
     return cost
 
 
@@ -150,25 +163,23 @@ def _segment_stack(bscans: np.ndarray, cfg: DpConfig):
     k_ilm, k_inl, k_rpe, k_bm = cfg.cost_kinds
 
     ilm_lo, ilm_frac = cfg.ilm_band
-    ilm = _trace_stack(
-        _cost_stack(bscans, k_ilm), ilm_lo, int(ilm_frac * height), lam, jump
-    )
+    ilm = _trace_stack(bscans, k_ilm, ilm_lo, int(ilm_frac * height), lam, jump)
 
     rpe_hi = height - cfg.rpe_band[1]
     rpe_lo = np.minimum(ilm + _rows(cfg.rpe_band[0], height, 4), rpe_hi - 1)
-    rpe = _trace_stack(_cost_stack(bscans, k_rpe), rpe_lo, rpe_hi, lam, jump)
+    rpe = _trace_stack(bscans, k_rpe, rpe_lo, rpe_hi, lam, jump)
     rpe = np.maximum(rpe, ilm)
 
     bm_lo = np.minimum(rpe + _rows(cfg.bm_band[0], height), height - 2)
     bm_hi = np.minimum(rpe + _rows(cfg.bm_band[1], height, 2), height - 2)
-    bm = _trace_stack(_cost_stack(bscans, k_bm), bm_lo, np.maximum(bm_hi, bm_lo), lam, jump)
+    bm = _trace_stack(bscans, k_bm, bm_lo, np.maximum(bm_hi, bm_lo), lam, jump)
     bm = np.maximum(bm, rpe)
 
     inl_lo = ilm + _rows(cfg.inl_band[0], height, 2)
     inl_hi = np.maximum(rpe - _rows(cfg.inl_band[1], height, 4), inl_lo)
     inl_lo = np.minimum(inl_lo, height - 1)
     inl_hi = np.minimum(inl_hi, height - 1)
-    inl = _trace_stack(_cost_stack(bscans, k_inl), inl_lo, inl_hi, lam, jump)
+    inl = _trace_stack(bscans, k_inl, inl_lo, inl_hi, lam, jump)
     inl = np.clip(inl, ilm, rpe)
 
     return ilm, inl, rpe, bm
@@ -178,8 +189,8 @@ def segment_boundaries(volume: OctVolume, cfg: DpConfig | None = None) -> Bounda
     """Trace all four boundaries on every slice of a volume.
 
     Slices are independent; each boundary is traced over all of them with
-    one batched DP call, which equals the per-slice `trace_boundary` bit
-    for bit.
+    one batched DP call on the rows its bands reach, which equals the
+    per-slice `trace_boundary` on the full-height cost image bit for bit.
     """
     surfaces = _segment_stack(volume.data, cfg or DpConfig())
     return BoundarySet(dict(zip(("ILM", "INL_LOWER", "RPE_UPPER", "BM"), surfaces)))

@@ -95,7 +95,7 @@ class PipelineConfig:
         if ("phantom" in inp) == ("volume" in inp):
             raise StageError("input", "input must contain exactly one of 'phantom' or 'volume'")
         if "phantom" in inp:
-            kwargs["phantom"] = PhantomConfig.from_dict(inp["phantom"])
+            kwargs["phantom"] = PhantomConfig.from_dict(_object(inp["phantom"], "phantom", "input"))
         else:
             kwargs["volume_path"] = inp["volume"]
             kwargs["gt_mask_path"] = inp.get("ground_truth_mask")
@@ -110,14 +110,12 @@ class PipelineConfig:
             elif set(sec) - {"source", "config", "dp"}:
                 raise StageError(stage, f"unknown keys {sorted(set(sec) - {'source', 'config', 'dp'})}")
             if key == "boundaries" and "dp" in sec:
-                kwargs["dp"] = DpConfig.from_dict(sec["dp"])
+                kwargs["dp"] = DpConfig.from_dict(_object(sec["dp"], "dp", stage))
             if key == "shadows" and "config" in sec:
-                kwargs["shadow"] = ShadowConfig.from_dict(sec["config"])
+                kwargs["shadow"] = ShadowConfig.from_dict(_object(sec["config"], "config", stage))
 
-        if "backend" in d:
-            kwargs["backend"] = VesselBackendConfig.from_dict(d.pop("backend"))
-        if "infusion" in d:
-            kwargs["infusion"] = InfusionConfig.from_dict(d.pop("infusion"))
+        kwargs["backend"] = VesselBackendConfig.from_dict(_section(d, "backend", "backend"))
+        kwargs["infusion"] = InfusionConfig.from_dict(_section(d, "infusion", "infusion"))
         if "output_dir" in d:
             kwargs["output_dir"] = d.pop("output_dir")
         report = _section(d, "report", "report")
@@ -150,8 +148,10 @@ class PipelineConfig:
 def _section(d: dict, key: str, stage: str) -> dict:
     """Pop an optional config section; present and not null, it must be an object."""
     sec = d.pop(key, None)
-    if sec is None:
-        return {}
+    return {} if sec is None else _object(sec, key, stage)
+
+
+def _object(sec, key: str, stage: str) -> dict:
     if not isinstance(sec, dict):
         raise StageError(stage, f"'{key}' section must be a JSON object, got {sec!r}")
     return sec
@@ -176,20 +176,26 @@ def write_metrics_csv(path: str, reports: list[MetricsReport]) -> None:
             )
 
 
+def _read_grid(path: str, stage: str):
+    """read_volume with a missing or corrupt file reported as `stage`'s."""
+    if not os.path.exists(path) and not os.path.exists(path + ".json"):
+        raise StageError(stage, f"no such file {path!r}")
+    try:
+        return read_volume(path)
+    except OctCascadeError as exc:
+        raise StageError(stage, str(exc)) from exc
+
+
 def _resolve_input(cfg: PipelineConfig) -> tuple[OctVolume, PhantomGroundTruth | None, VoxelMask | None]:
     if cfg.phantom is not None:
         volume, gt = generate(cfg.phantom)
         return volume, gt, gt.vessel_mask
-    if not os.path.exists(cfg.volume_path) and not os.path.exists(cfg.volume_path + ".json"):
-        raise StageError("input volume", f"no such file {cfg.volume_path!r}")
-    value = read_volume(cfg.volume_path)
+    value = _read_grid(cfg.volume_path, "input volume")
     if not isinstance(value, OctVolume):
         raise StageError("input volume", f"{cfg.volume_path!r} is not an intensity volume")
     gt_mask = None
     if cfg.gt_mask_path:
-        if not os.path.exists(cfg.gt_mask_path) and not os.path.exists(cfg.gt_mask_path + ".json"):
-            raise StageError("ground truth", f"no such file {cfg.gt_mask_path!r}")
-        gt_value = read_volume(cfg.gt_mask_path)
+        gt_value = _read_grid(cfg.gt_mask_path, "ground truth")
         if not isinstance(gt_value, VoxelMask):
             raise StageError("ground truth", f"{cfg.gt_mask_path!r} is not a voxel mask")
         gt_mask = gt_value
@@ -214,9 +220,7 @@ def _resolve_shadow_mask(cfg: PipelineConfig) -> PixelMask | None:
     if cfg.shadow_source != "import":
         return None
     path = cfg.shadow_import_path
-    if not os.path.exists(path) and not os.path.exists(path + ".json"):
-        raise StageError("shadow source", f"no such file {path!r}")
-    value = read_volume(path)
+    value = _read_grid(path, "shadow source")
     if not isinstance(value, PixelMask):
         raise StageError("shadow source", f"{path!r} is not a 2D mask")
     return value

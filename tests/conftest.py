@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from oct_cascade import phantom
+
+# The same examples on every run, so a property failure reproduces; example
+# counts stay as each test sets them.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 def clean_config(seed: int = 0) -> phantom.PhantomConfig:

@@ -142,14 +142,28 @@ def test_missing_backend_import_names_stage(tmp_path, capsys):
 
 
 def test_malformed_inputs_exit_2_without_traceback(tmp_path):
-    """A bad report section, a list grid header and a non-integer boundary
-    cell each stop `run` with exit code 2 and a one-line error."""
-    cfg = json.loads(pipeline_config(tmp_path).read_text())
-    cfg["report"] = "yes"
-    with pytest.raises(StageError, match="report"):
-        PipelineConfig.from_dict(cfg)
-    bad_report = tmp_path / "bad_report.json"
-    bad_report.write_text(json.dumps(cfg))
+    """A config section that is not an object, a corrupt grid header for
+    the volume, ground truth or shadow mask, and a non-integer boundary cell
+    each stop `run` with exit code 2 and a one-line error naming the stage
+    and the culprit."""
+    good = json.loads(pipeline_config(tmp_path).read_text())
+    bad_sections = []
+    for i, (change, stage, culprit) in enumerate((
+        (lambda c: c.update(report="yes"), "report", "'report' section"),
+        (lambda c: c.update(backend="x"), "backend", "'backend' section"),
+        (lambda c: c.update(infusion=3), "infusion", "'infusion' section"),
+        (lambda c: c["input"].update(phantom="x"), "input", "'phantom' section"),
+        (lambda c: c.update(boundaries={"dp": "x"}), "boundary source", "'dp' section"),
+        (lambda c: c.update(shadows={"config": 5}), "shadow source", "'config' section"),
+    )):
+        cfg = json.loads(json.dumps(good))
+        change(cfg)
+        with pytest.raises(StageError, match=culprit) as err:
+            PipelineConfig.from_dict(cfg)
+        assert err.value.stage == stage
+        path = tmp_path / f"bad_section_{i}.json"
+        path.write_text(json.dumps(cfg))
+        bad_sections.append((path, stage, culprit))
 
     (tmp_path / "vol.json").write_text("[1, 2, 3]")
     (tmp_path / "vol.raw").write_bytes(b"")
@@ -168,12 +182,31 @@ def test_malformed_inputs_exit_2_without_traceback(tmp_path):
         "output_dir": str(tmp_path / "o2"),
     }))
 
+    # spacing that is not 3 numbers, on a ground truth and a shadow mask
+    write_volume(VoxelMask(np.zeros((1, 16, 8), dtype=bool)), str(tmp_path / "gt"))
+    write_volume(PixelMask(np.zeros((1, 8), dtype=bool)), str(tmp_path / "shadow"))
+    for name in ("gt", "shadow"):
+        header = json.loads((tmp_path / f"{name}.json").read_text())
+        (tmp_path / f"{name}.json").write_text(json.dumps({**header, "spacing": "abc"}))
+    bad_gt = tmp_path / "bad_gt.json"
+    bad_gt.write_text(json.dumps({
+        "input": {"volume": str(tmp_path / "flat"), "ground_truth_mask": str(tmp_path / "gt")},
+        "output_dir": str(tmp_path / "o3"),
+    }))
+    bad_shadow = tmp_path / "bad_shadow.json"
+    bad_shadow.write_text(json.dumps({
+        "input": {"volume": str(tmp_path / "flat")},
+        "shadows": {"source": "import", "path": str(tmp_path / "shadow")},
+        "output_dir": str(tmp_path / "o4"),
+    }))
+
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    for config, stage, culprit in (
-        (bad_report, "report", "'yes'"),
-        (bad_header, "", "vol.json"),
+    for config, stage, culprit in bad_sections + [
+        (bad_header, "input volume", "vol.json"),
         (bad_csv, "boundary source", "b.csv' row 2"),
-    ):
+        (bad_gt, "ground truth", "gt.json': spacing"),
+        (bad_shadow, "shadow source", "shadow.json': spacing"),
+    ]:
         proc = subprocess.run(
             [sys.executable, "-m", "oct_cascade", "run", "--config", str(config)],
             env=env, capture_output=True, text=True,

@@ -184,6 +184,21 @@ def test_header_dims_must_be_non_negative_integers(tmp_path, dims):
         read_volume(str(tmp_path / "vol"))
 
 
+@pytest.mark.parametrize(
+    "spacing", ["abc", 5, [1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [1, "2", 3], [True, 1, 1], {"dy": 1}, []],
+)
+def test_header_spacing_must_be_null_or_three_numbers(tmp_path, spacing):
+    write_volume(OctVolume(np.zeros((2, 8, 8), dtype=np.float32)), str(tmp_path / "vol"))
+    header = json.loads((tmp_path / "vol.json").read_text())
+    header["spacing"] = spacing
+    (tmp_path / "vol.json").write_text(json.dumps(header))
+    with pytest.raises(CorruptFileError, match=r"vol\.json.*spacing"):
+        read_volume(str(tmp_path / "vol"))
+    header["spacing"] = [30, 4.5, 11]
+    (tmp_path / "vol.json").write_text(json.dumps(header))
+    assert read_volume(str(tmp_path / "vol")).spacing == (30.0, 4.5, 11.0)
+
+
 def test_missing_and_malformed_headers(tmp_path):
     with pytest.raises(CorruptFileError, match="cannot read"):
         read_volume(str(tmp_path / "nothing"))

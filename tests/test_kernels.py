@@ -3,10 +3,13 @@ reference `dp_trace`, and so must the layer tracer built on it."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from oct_cascade import kernels, layers
 from oct_cascade.errors import InfeasibleBandError
-from oct_cascade.layers import segment_boundaries
+from oct_cascade.layers import segment_boundaries, trace_boundary
 from oct_cascade.model import OctVolume
 from oct_cascade.phantom import default_config, generate
 
@@ -55,6 +58,105 @@ def test_backends_agree_bit_for_bit(monkeypatch):
         alone = segment_boundaries(OctVolume(volume.data[s : s + 1]))
         for name, surface in whole.surfaces.items():
             assert np.array_equal(surface[s : s + 1], alone.surfaces[name]), (s, name)
+
+
+@st.composite
+def dp_stacks(draw, min_height=1):
+    """Small cost stacks with per-slice bands that are wide or narrow and
+    drift by up to 4 rows per column, so some outrun max_jump and leave no
+    feasible path."""
+    n_slices, width = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    height = draw(st.integers(min_height, 10))
+    max_jump = draw(st.integers(1, 3))
+    lam = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+    shape = (n_slices, height, width)
+    if draw(st.booleans()):
+        # sixteenths, as in test_dp.dyadic_costs: many exactly equal paths
+        cost = draw(hnp.arrays(np.int64, shape, elements=st.integers(0, 15))) / 8.0
+    else:
+        cost = draw(hnp.arrays(np.float64, shape, elements=st.floats(-1, 1)))
+    columns = (n_slices, width)
+    start = draw(hnp.arrays(np.int64, (n_slices, 1), elements=st.integers(0, height - 1)))
+    drift = draw(hnp.arrays(np.int64, (n_slices, 1), elements=st.integers(-4, 4)))
+    jitter = draw(hnp.arrays(np.int64, columns, elements=st.integers(0, 1)))
+    span = draw(hnp.arrays(np.int64, (n_slices, 1), elements=st.integers(0, height - 1)))
+    lo = np.clip(start + drift * np.arange(width) + jitter, 0, height - 1)
+    hi = np.minimum(lo + span, height - 1)
+    return cost, lo, hi, lam, max_jump
+
+
+def assert_matches_per_slice(batched, per_slice, n_slices):
+    """batched() equals per_slice(s) stacked over the slices, or both fail:
+    batched() at the first slice per_slice fails on, and at its column."""
+    paths = []
+    for s in range(n_slices):
+        try:
+            paths.append(per_slice(s))
+        except InfeasibleBandError as exc:
+            with pytest.raises(InfeasibleBandError) as err:
+                batched()
+            assert (err.value.slice, err.value.column) == (s, exc.column)
+            return
+    assert np.array_equal(batched(), np.stack(paths))
+
+
+@settings(max_examples=400)
+@given(dp_stacks())
+def test_batch_equals_per_slice_on_random_stacks(case):
+    cost, lo, hi, lam, jump = case
+    assert_matches_per_slice(
+        lambda: kernels.dp_trace_batch(cost, lo, hi, lam, jump),
+        lambda s: kernels.dp_trace(cost[s], lo[s], hi[s], lam, jump),
+        len(cost),
+    )
+
+
+@settings(max_examples=200)
+@given(dp_stacks(min_height=2), st.sampled_from(layers.COST_KINDS))
+def test_row_window_equals_full_height_trace(case, kind):
+    # _trace_stack feeds the DP only the rows its bands reach, with the cost
+    # built from one row of context on each side
+    bscans, lo, hi, lam, jump = case
+    assert_matches_per_slice(
+        lambda: layers._trace_stack(bscans, kind, lo, hi, lam, jump),
+        lambda s: trace_boundary(layers._cost_image(bscans[s], kind), lo[s], hi[s], lam, jump),
+        len(bscans),
+    )
+
+
+def test_infeasible_stack_names_slice_and_column():
+    cost = np.zeros((4, 9, 3))
+    lo = np.zeros((4, 3), dtype=np.int64)
+    hi = np.full((4, 3), 8, dtype=np.int64)
+    lo[2], hi[2] = [0, 0, 8], [1, 1, 8]  # test_dp's infeasible band, in slice 2
+    lo[3], hi[3] = [8, 0, 0], [8, 0, 0]
+    with pytest.raises(InfeasibleBandError) as err:
+        kernels.dp_trace_batch(cost, lo, hi, 0.5, 2)
+    assert (err.value.slice, err.value.column) == (2, 1)
+    assert str(err.value) == "no feasible boundary path at column 1 of slice 2"
+    with pytest.raises(InfeasibleBandError) as alone:
+        kernels.dp_trace(cost[2], lo[2], hi[2], 0.5, 2)
+    assert alone.value.slice is None
+    assert str(alone.value) == "no feasible boundary path at column 1"
+
+
+def test_segment_boundaries_equals_full_height_trace(monkeypatch):
+    volume, _ = generate(default_config("desk", seed=3))
+    windowed = segment_boundaries(volume)
+
+    def full_height(bscans, kind, band_lo, band_hi, smoothness, max_jump):
+        columns = (bscans.shape[0], bscans.shape[2])
+        return np.stack([
+            trace_boundary(layers._cost_image(bscan.astype(np.float64), kind), lo, hi,
+                           smoothness, max_jump)
+            for bscan, lo, hi in zip(bscans, np.broadcast_to(band_lo, columns),
+                                     np.broadcast_to(band_hi, columns))
+        ])
+
+    monkeypatch.setattr(layers, "_trace_stack", full_height)
+    reference = segment_boundaries(volume)
+    for name, surface in windowed.surfaces.items():
+        assert np.array_equal(surface, reference.surfaces[name]), name
 
 
 def test_numpy_fallback_in_process():
