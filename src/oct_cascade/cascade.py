@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
+from .config import FromDict
 from .enface import ShadowConfig, project_rpe, segment_shadows
 from .errors import ConfigError, ShapeMismatchError
 from .fileio import read_volume
@@ -37,8 +38,10 @@ from .model import (
 
 
 @dataclass(frozen=True)
-class InfusionConfig:
+class InfusionConfig(FromDict):
     """Which priors to apply and how the final mask is extracted."""
+
+    section = "infusion"
 
     use_longitudinal: bool = True
     use_transverse: bool = True
@@ -57,16 +60,9 @@ class InfusionConfig:
         if self.connectivity not in (6, 26):
             raise ConfigError("connectivity must be 6 or 26")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "InfusionConfig":
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown infusion config fields {sorted(unknown)}")
-        return cls(**d)
-
 
 @dataclass(frozen=True)
-class VesselBackendConfig:
+class VesselBackendConfig(FromDict):
     """Source of the per-voxel vessel probability map.
 
     kind='classical' scores voxels as w_intensity * normalized intensity
@@ -78,6 +74,8 @@ class VesselBackendConfig:
     kind='import' reads a ProbabilityMap3D container from import_path,
     which is how externally trained networks plug in.
     """
+
+    section = "backend"
 
     kind: str = "classical"
     import_path: str | None = None
@@ -99,10 +97,7 @@ class VesselBackendConfig:
         d = dict(d)
         if "path" in d:  # alias matching the other import sections
             d["import_path"] = d.pop("path")
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown backend config fields {sorted(unknown)}")
-        return cls(**d)
+        return super().from_dict(d)
 
 
 def longitudinal_mask(boundaries: BoundarySet, dims: tuple[int, int, int]) -> VoxelMask:
@@ -152,17 +147,16 @@ def vessel_probability(
         return value
 
     boundaries.check_against(volume.dims)
-    data = volume.data.astype(np.float64)
-    _, height, _ = volume.dims
+    n_slices, height, width = volume.dims
     z = np.arange(height)[None, :, None]
     band = (z >= np.ceil(boundaries["ILM"])[:, None, :]) & (
         z <= np.floor(boundaries["BM"])[:, None, :]
     )
     if not band.any():
-        band = np.ones_like(band)
-    band_vals = data[band]
-    vmin = float(band_vals.min())
-    vmax = float(band_vals.max())
+        band = True  # empty band: normalize over the whole volume
+    # The float32 range is exactly the range of its float64 widening.
+    vmin = float(volume.data.min(where=band, initial=np.inf))
+    vmax = float(volume.data.max(where=band, initial=-np.inf))
     if vmax - vmin < 1e-9:
         warnings.warn(
             "degenerate intensity normalization (constant ILM-BM band); "
@@ -171,22 +165,33 @@ def vessel_probability(
             stacklevel=2,
         )
         return ProbabilityMap3D(np.zeros(volume.dims, dtype=np.float32))
-    intensity = np.clip((data - vmin) / (vmax - vmin), 0.0, 1.0)
 
-    score = cfg.w_intensity * intensity
+    shadow = None
     if cfg.w_shadow > 0.0:
         if shadow_contrast is None:
             raise ConfigError("w_shadow > 0 requires a shadow_contrast map")
         c = np.asarray(shadow_contrast, dtype=np.float64)
-        if c.shape != (volume.n_slices, volume.width):
+        if c.shape != (n_slices, width):
             raise ShapeMismatchError(
-                f"shadow contrast shape {c.shape} != {(volume.n_slices, volume.width)}"
+                f"shadow contrast shape {c.shape} != {(n_slices, width)}"
             )
         cmin, cmax = float(c.min()), float(c.max())
         c_norm = np.zeros_like(c) if cmax - cmin < 1e-9 else (c - cmin) / (cmax - cmin)
-        score = score + cfg.w_shadow * c_norm[:, None, :]
+        shadow = cfg.w_shadow * c_norm
 
-    return ProbabilityMap3D(np.clip(score, 0.0, 1.0).astype(np.float32))
+    # One B-scan at a time in float64, so no whole-volume float64 copy is
+    # ever live; each slice's arithmetic is what the whole volume's was.
+    out = np.empty(volume.dims, dtype=np.float32)
+    for s in range(n_slices):
+        score = volume.data[s].astype(np.float64)
+        score -= vmin
+        score /= vmax - vmin
+        np.clip(score, 0.0, 1.0, out=score)
+        score *= cfg.w_intensity
+        if shadow is not None:
+            score += shadow[s]
+        out[s] = np.clip(score, 0.0, 1.0, out=score)
+    return ProbabilityMap3D(out)
 
 
 def infuse(
@@ -203,7 +208,10 @@ def infuse(
     for mask in (longitudinal, transverse):
         if mask is not None:
             require_same_dims(p, mask, "probability map vs mask")
-            out = out * mask.data
+            if out is p.data:
+                out = out * mask.data
+            else:
+                out *= mask.data
     return ProbabilityMap3D(out)
 
 
@@ -221,11 +229,15 @@ def binarize_and_label(p: ProbabilityMap3D, cfg: InfusionConfig) -> tuple[VoxelM
         if cfg.connectivity == 26
         else ndimage.generate_binary_structure(3, 1)
     )
-    labels, n = ndimage.label(binary, structure=structure)
-    sizes = np.bincount(labels.ravel())
-    keep = sizes >= cfg.min_component_vox
+    # Size and select components on the foreground voxels only: indexing
+    # with the whole int32 label volume would widen it to intp, and the
+    # label volume itself is dropped once their labels are read.
+    fg = np.flatnonzero(binary)
+    fg_labels = ndimage.label(binary, structure=structure)[0].ravel()[fg]
+    keep = np.bincount(fg_labels) >= cfg.min_component_vox
     keep[0] = False
-    return VoxelMask(keep[labels]), int(keep.sum())
+    binary.ravel()[fg] = keep[fg_labels]
+    return VoxelMask(binary), int(keep.sum())
 
 
 @dataclass(frozen=True)

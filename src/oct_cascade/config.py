@@ -1,0 +1,58 @@
+"""The checked JSON-object loader shared by the frozen config dataclasses."""
+
+from __future__ import annotations
+
+import types
+import typing
+
+from .errors import ConfigError
+
+
+class FromDict:
+    """Mixin giving a config dataclass a `from_dict` that checks its input.
+
+    An unknown field, or a value whose JSON type does not match the
+    field's annotation, raises ConfigError naming the field. A list for a
+    tuple field becomes a tuple, with int elements of float slots widened.
+    Subclasses name themselves in messages through `section`.
+    """
+
+    section = "config"
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        if not isinstance(d, dict):
+            raise ConfigError(f"{cls.section} config must be a JSON object, got {d!r}")
+        hints = typing.get_type_hints(cls)  # the dataclass fields' types
+        unknown = set(d) - set(hints)
+        if unknown:
+            raise ConfigError(f"unknown {cls.section} config fields {sorted(unknown)}")
+        return cls(**{
+            name: _checked(value, hints[name], f"{cls.section} config field {name!r}")
+            for name, value in d.items()
+        })
+
+
+def _checked(value, tp, what: str):
+    if typing.get_origin(tp) in (typing.Union, types.UnionType):
+        if value is None and type(None) in typing.get_args(tp):
+            return None
+        (tp,) = [a for a in typing.get_args(tp) if a is not type(None)]
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is tuple:
+        if isinstance(value, (list, tuple)) and len(value) == len(args):
+            return tuple(a(_checked(v, a, f"each value of {what}")) for v, a in zip(value, args))
+    elif origin is dict:
+        if isinstance(value, dict) and all(isinstance(k, str) for k in value):
+            return {k: _checked(v, args[1], f"each value of {what}") for k, v in value.items()}
+    elif type(value) is tp or (tp is float and type(value) is int):
+        return value
+    raise ConfigError(f"{what} must be {_describe(tp)}, got {value!r}")
+
+
+def _describe(tp) -> str:
+    if typing.get_origin(tp) is tuple:
+        return f"a list of {len(typing.get_args(tp))} values"
+    if typing.get_origin(tp) is dict:
+        return "a JSON object"
+    return {bool: "true or false", int: "an integer", float: "a number", str: "a string"}[tp]

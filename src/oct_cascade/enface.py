@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
+from .config import FromDict
 from .errors import ConfigError, ShapeMismatchError
 from .fileio import read_volume
 from .model import BoundarySet, EnFaceImage, OctVolume, PixelMask
@@ -22,7 +23,7 @@ _EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
 
 
 @dataclass(frozen=True)
-class ShadowConfig:
+class ShadowConfig(FromDict):
     """Shadow detector knobs.
 
     background_window is the (slices, columns) box size of the local
@@ -31,6 +32,8 @@ class ShadowConfig:
     min_component_px are discarded; dilation_radius optionally grows the
     final mask by a Chebyshev square.
     """
+
+    section = "shadow"
 
     background_window: tuple[int, int] = (9, 15)
     contrast_threshold: float = 0.15
@@ -50,16 +53,6 @@ class ShadowConfig:
         if self.dilation_radius < 0:
             raise ConfigError("dilation_radius must be >= 0")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ShadowConfig":
-        d = dict(d)
-        if "background_window" in d:
-            d["background_window"] = tuple(d["background_window"])
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown shadow config fields {sorted(unknown)}")
-        return cls(**d)
-
 
 def project_rpe(volume: OctVolume, boundaries: BoundarySet) -> EnFaceImage:
     """Mean intensity over the voxelized RPE band, per (slice, column).
@@ -68,7 +61,6 @@ def project_rpe(volume: OctVolume, boundaries: BoundarySet) -> EnFaceImage:
     empty the single voxel at round(RPE_UPPER) is used instead.
     """
     boundaries.check_against(volume.dims)
-    data = volume.data.astype(np.float64)
     n_slices, height, width = volume.dims
 
     z_lo = np.ceil(boundaries["RPE_UPPER"]).astype(np.int64)
@@ -76,12 +68,15 @@ def project_rpe(volume: OctVolume, boundaries: BoundarySet) -> EnFaceImage:
     z_lo = np.clip(z_lo, 0, height - 1)
     z_hi = np.clip(z_hi, 0, height - 1)
 
-    # Band mean via a depth prefix sum: sum over [lo, hi] = P[hi+1] - P[lo].
-    prefix = np.concatenate(
-        [np.zeros((n_slices, 1, width)), np.cumsum(data, axis=1)], axis=1
-    )
-    hi_take = np.take_along_axis(prefix, (z_hi + 1)[:, None, :], axis=1)[:, 0, :]
-    lo_take = np.take_along_axis(prefix, z_lo[:, None, :], axis=1)[:, 0, :]
+    # Band mean via a float64 depth prefix sum, one B-scan at a time:
+    # sum over [lo, hi] = P[hi+1] - P[lo].
+    prefix = np.zeros((height + 1, width))
+    hi_take = np.empty((n_slices, width))
+    lo_take = np.empty((n_slices, width))
+    for s in range(n_slices):
+        np.cumsum(volume.data[s], axis=0, dtype=np.float64, out=prefix[1:])
+        hi_take[s] = np.take_along_axis(prefix, z_hi[s][None, :] + 1, axis=0)[0]
+        lo_take[s] = np.take_along_axis(prefix, z_lo[s][None, :], axis=0)[0]
     count = z_hi - z_lo + 1
 
     empty = count < 1
@@ -90,8 +85,8 @@ def project_rpe(volume: OctVolume, boundaries: BoundarySet) -> EnFaceImage:
 
     if empty.any():
         z_fb = np.clip(np.rint(boundaries["RPE_UPPER"]).astype(np.int64), 0, height - 1)
-        fallback = np.take_along_axis(data, z_fb[:, None, :], axis=1)[:, 0, :]
-        band_mean = np.where(empty, fallback, band_mean)
+        fallback = np.take_along_axis(volume.data, z_fb[:, None, :], axis=1)[:, 0, :]
+        band_mean = np.where(empty, fallback.astype(np.float64), band_mean)
 
     return EnFaceImage(np.clip(band_mean, 0.0, 1.0))
 

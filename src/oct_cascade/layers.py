@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import FromDict
 from .errors import ConfigError, ShapeMismatchError, ValidationError
 from .fileio import read_boundaries
 from .kernels import dp_trace, dp_trace_batch
@@ -26,7 +27,7 @@ COST_KINDS = ("negative_vertical_gradient", "positive_vertical_gradient", "negat
 
 
 @dataclass(frozen=True)
-class DpConfig:
+class DpConfig(FromDict):
     """Knobs of the dynamic-programming tracer.
 
     smoothness is the cost per voxel of inter-column depth change and
@@ -35,6 +36,8 @@ class DpConfig:
     fractions of the volume height so the same config works at any
     axial resolution. `ilm_band` is (min row, fraction of height).
     """
+
+    section = "DP"
 
     smoothness: float = 0.5
     max_jump: int = 2
@@ -57,17 +60,6 @@ class DpConfig:
         for kind in self.cost_kinds:
             if kind not in COST_KINDS:
                 raise ConfigError(f"unknown cost kind {kind!r}")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DpConfig":
-        d = dict(d)
-        for key in ("ilm_band", "rpe_band", "bm_band", "inl_band", "cost_kinds"):
-            if key in d:
-                d[key] = tuple(d[key])
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown DP config fields {sorted(unknown)}")
-        return cls(**d)
 
 
 def trace_boundary(cost, band_lo, band_hi, smoothness=0.5, max_jump=2):

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import kernels
+from .config import FromDict
 from .errors import ConfigError
 from .model import BoundarySet, OctVolume, PixelMask, VoxelMask
 
@@ -54,8 +55,10 @@ _RPE_TAIL_FACTOR = 0.85
 
 
 @dataclass(frozen=True)
-class PhantomConfig:
+class PhantomConfig(FromDict):
     """Parameters of one synthetic volume. Equal configs generate equal bytes."""
+
+    section = "phantom"
 
     dims: tuple[int, int, int] = (32, 192, 160)
     n_vessels: int = 4
@@ -106,20 +109,6 @@ class PhantomConfig:
         d["dims"] = list(self.dims)
         d["vessel_depth_fraction_range"] = list(self.vessel_depth_fraction_range)
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PhantomConfig":
-        d = dict(d)
-        if "dims" in d:
-            d["dims"] = tuple(int(v) for v in d["dims"])
-        if "vessel_depth_fraction_range" in d:
-            d["vessel_depth_fraction_range"] = tuple(
-                float(v) for v in d["vessel_depth_fraction_range"]
-            )
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown phantom config fields {sorted(unknown)}")
-        return cls(**d)
 
 
 @dataclass(frozen=True)

@@ -97,8 +97,10 @@ class PipelineConfig:
         if "phantom" in inp:
             kwargs["phantom"] = PhantomConfig.from_dict(_object(inp["phantom"], "phantom", "input"))
         else:
-            kwargs["volume_path"] = inp["volume"]
-            kwargs["gt_mask_path"] = inp.get("ground_truth_mask")
+            kwargs["volume_path"] = _path(inp["volume"], "volume", "input volume")
+            kwargs["gt_mask_path"] = _path(
+                inp.get("ground_truth_mask"), "ground_truth_mask", "ground truth", optional=True
+            )
 
         for key, stage in (("boundaries", "boundary source"), ("shadows", "shadow source")):
             sec = _section(d, key, stage)
@@ -106,7 +108,7 @@ class PipelineConfig:
             prefix = "boundary" if key == "boundaries" else "shadow"
             kwargs[f"{prefix}_source"] = source
             if source == "import":
-                kwargs[f"{prefix}_import_path"] = sec.get("path")
+                kwargs[f"{prefix}_import_path"] = _path(sec.get("path"), "path", stage, optional=True)
             elif set(sec) - {"source", "config", "dp"}:
                 raise StageError(stage, f"unknown keys {sorted(set(sec) - {'source', 'config', 'dp'})}")
             if key == "boundaries" and "dp" in sec:
@@ -114,10 +116,13 @@ class PipelineConfig:
             if key == "shadows" and "config" in sec:
                 kwargs["shadow"] = ShadowConfig.from_dict(_object(sec["config"], "config", stage))
 
-        kwargs["backend"] = VesselBackendConfig.from_dict(_section(d, "backend", "backend"))
+        backend = _section(d, "backend", "backend")
+        for key in ("path", "import_path"):
+            _path(backend.get(key), key, "backend", optional=True)
+        kwargs["backend"] = VesselBackendConfig.from_dict(backend)
         kwargs["infusion"] = InfusionConfig.from_dict(_section(d, "infusion", "infusion"))
         if "output_dir" in d:
-            kwargs["output_dir"] = d.pop("output_dir")
+            kwargs["output_dir"] = _path(d.pop("output_dir"), "output_dir", "output")
         report = _section(d, "report", "report")
         kwargs["overlays"] = bool(report.get("overlays", True))
         kwargs["montage"] = bool(report.get("montage", False))
@@ -155,6 +160,15 @@ def _object(sec, key: str, stage: str) -> dict:
     if not isinstance(sec, dict):
         raise StageError(stage, f"'{key}' section must be a JSON object, got {sec!r}")
     return sec
+
+
+def _path(value, key: str, stage: str, optional: bool = False) -> str | None:
+    """A path field's value: a non-empty string, or null where optional."""
+    if value is None and optional:
+        return None
+    if not isinstance(value, str) or not value:
+        raise StageError(stage, f"'{key}' must be a path string, got {value!r}")
+    return value
 
 
 def _replace(cfg: PipelineConfig, **changes) -> PipelineConfig:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from oct_cascade import cli
+from oct_cascade.errors import ConfigError
 from oct_cascade.fileio import read_volume, write_volume
 from oct_cascade.model import OctVolume, PixelMask, ProbabilityMap3D, VoxelMask
 from oct_cascade.pipeline import PipelineConfig, StageError
@@ -142,10 +143,11 @@ def test_missing_backend_import_names_stage(tmp_path, capsys):
 
 
 def test_malformed_inputs_exit_2_without_traceback(tmp_path):
-    """A config section that is not an object, a corrupt grid header for
-    the volume, ground truth or shadow mask, and a non-integer boundary cell
-    each stop `run` with exit code 2 and a one-line error naming the stage
-    and the culprit."""
+    """A config section that is not an object, a path that is not a string,
+    a config field of the wrong type, a corrupt grid header for the volume,
+    ground truth or shadow mask, and a non-integer boundary cell each stop
+    `run` with exit code 2 and a one-line error naming the stage (or the
+    config field) and the culprit."""
     good = json.loads(pipeline_config(tmp_path).read_text())
     bad_sections = []
     for i, (change, stage, culprit) in enumerate((
@@ -155,6 +157,15 @@ def test_malformed_inputs_exit_2_without_traceback(tmp_path):
         (lambda c: c["input"].update(phantom="x"), "input", "'phantom' section"),
         (lambda c: c.update(boundaries={"dp": "x"}), "boundary source", "'dp' section"),
         (lambda c: c.update(shadows={"config": 5}), "shadow source", "'config' section"),
+        (lambda c: c.update(input={"volume": 5}), "input volume", "'volume' must be a path"),
+        (lambda c: c.update(input={"volume": "v", "ground_truth_mask": 5}),
+         "ground truth", "'ground_truth_mask' must be a path"),
+        (lambda c: c.update(output_dir=7), "output", "'output_dir' must be a path"),
+        (lambda c: c.update(boundaries={"source": "import", "path": 5}),
+         "boundary source", "'path' must be a path"),
+        (lambda c: c.update(shadows={"source": "import", "path": 5}),
+         "shadow source", "'path' must be a path"),
+        (lambda c: c.update(backend={"kind": "import", "path": 5}), "backend", "'path' must be a path"),
     )):
         cfg = json.loads(json.dumps(good))
         change(cfg)
@@ -164,6 +175,19 @@ def test_malformed_inputs_exit_2_without_traceback(tmp_path):
         path = tmp_path / f"bad_section_{i}.json"
         path.write_text(json.dumps(cfg))
         bad_sections.append((path, stage, culprit))
+
+    bad_fields = []
+    for i, (section, fields, culprit) in enumerate((
+        ("infusion", {"transverse_dilation": "x"}, "'transverse_dilation' must be an integer"),
+        ("backend", {"w_shadow": "0"}, "'w_shadow' must be a number"),
+        ("shadows", {"config": {"background_window": 9}}, "'background_window' must be a list"),
+    )):
+        cfg = {**good, section: fields}
+        with pytest.raises(ConfigError, match=culprit):
+            PipelineConfig.from_dict(cfg)
+        path = tmp_path / f"bad_field_{i}.json"
+        path.write_text(json.dumps(cfg))
+        bad_fields.append((path, "error", culprit))
 
     (tmp_path / "vol.json").write_text("[1, 2, 3]")
     (tmp_path / "vol.raw").write_bytes(b"")
@@ -201,7 +225,7 @@ def test_malformed_inputs_exit_2_without_traceback(tmp_path):
     }))
 
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    for config, stage, culprit in bad_sections + [
+    for config, stage, culprit in bad_sections + bad_fields + [
         (bad_header, "input volume", "vol.json"),
         (bad_csv, "boundary source", "b.csv' row 2"),
         (bad_gt, "ground truth", "gt.json': spacing"),
