@@ -241,17 +241,77 @@ def binarize_and_label(p: ProbabilityMap3D, cfg: InfusionConfig) -> tuple[VoxelM
 
 
 @dataclass(frozen=True)
-class CascadeResult:
-    """Final mask plus every intermediate a report might need."""
+class Prepared:
+    """The stage outputs every infusion variant of one volume shares."""
 
-    mask: VoxelMask
-    probability: ProbabilityMap3D
+    volume: OctVolume
     boundaries: BoundarySet
     enface: EnFaceImage
     shadow_mask: PixelMask
-    shadow_contrast: np.ndarray
     raw_probability: ProbabilityMap3D
+
+
+@dataclass(frozen=True)
+class CascadeResult(Prepared):
+    """The prepared stages plus one variant's infused map and final mask."""
+
+    mask: VoxelMask
+    probability: ProbabilityMap3D
     component_count: int
+
+
+def prepare(
+    volume: OctVolume,
+    boundaries: BoundarySet | None = None,
+    shadow_source: PixelMask | None = None,
+    backend_cfg: VesselBackendConfig | None = None,
+    dp_cfg: DpConfig | None = None,
+    shadow_cfg: ShadowConfig | None = None,
+) -> Prepared:
+    """Boundaries, en-face image, shadow mask and raw probability map.
+
+    Boundary and shadow sources default to the classical stages; pass
+    pre-computed values (e.g. network outputs loaded from disk) to replace
+    either. Shadows are segmented only when the mask or, for a classical
+    backend with w_shadow > 0, the soft contrast is needed.
+    """
+    backend_cfg = backend_cfg or VesselBackendConfig()
+    if boundaries is None:
+        boundaries = segment_boundaries(volume, dp_cfg)
+    else:
+        boundaries.check_against(volume.dims)
+
+    image = project_rpe(volume, boundaries)
+    if shadow_source is not None and shadow_source.shape != image.shape:
+        raise ShapeMismatchError(
+            f"shadow mask shape {shadow_source.shape} != en-face shape {image.shape}"
+        )
+    shadow_mask, contrast = shadow_source, None
+    if shadow_source is None or (backend_cfg.kind == "classical" and backend_cfg.w_shadow > 0.0):
+        segmented, contrast = segment_shadows(image, shadow_cfg)
+        shadow_mask = shadow_source if shadow_source is not None else segmented
+
+    raw = vessel_probability(volume, boundaries, contrast, backend_cfg)
+    return Prepared(volume, boundaries, image, shadow_mask, raw)
+
+
+def extract(prepared: Prepared, infusion_cfg: InfusionConfig | None = None) -> CascadeResult:
+    """Infuse the raw map with the priors the flags enable, then binarize.
+
+    Only the enabled masks are built, so one `prepare` serves every
+    variant of the ablation.
+    """
+    cfg = infusion_cfg or InfusionConfig()
+    dims = prepared.volume.dims
+    lm = longitudinal_mask(prepared.boundaries, dims) if cfg.use_longitudinal else None
+    tm = (
+        transverse_mask(prepared.shadow_mask, dims, cfg.transverse_dilation)
+        if cfg.use_transverse
+        else None
+    )
+    infused = infuse(prepared.raw_probability, lm, tm)
+    mask, n_components = binarize_and_label(infused, cfg)
+    return CascadeResult(**vars(prepared), mask=mask, probability=infused, component_count=n_components)
 
 
 def run_cascade(
@@ -263,50 +323,6 @@ def run_cascade(
     dp_cfg: DpConfig | None = None,
     shadow_cfg: ShadowConfig | None = None,
 ) -> CascadeResult:
-    """Execute the full three-part pipeline on one volume.
-
-    Boundary and shadow sources default to the classical stages; pass
-    pre-computed values (e.g. network outputs loaded from disk) to replace
-    either. The infusion flags decide which priors multiply the
-    probability map before binarization.
-    """
-    infusion_cfg = infusion_cfg or InfusionConfig()
-    backend_cfg = backend_cfg or VesselBackendConfig()
-
-    if boundaries is None:
-        boundaries = segment_boundaries(volume, dp_cfg)
-    else:
-        boundaries.check_against(volume.dims)
-
-    image = project_rpe(volume, boundaries)
-    if shadow_source is None:
-        shadow_mask, contrast = segment_shadows(image, shadow_cfg)
-    else:
-        if shadow_source.shape != image.shape:
-            raise ShapeMismatchError(
-                f"shadow mask shape {shadow_source.shape} != en-face shape {image.shape}"
-            )
-        shadow_mask = shadow_source
-        _, contrast = segment_shadows(image, shadow_cfg)
-
-    raw = vessel_probability(volume, boundaries, contrast, backend_cfg)
-
-    lm = longitudinal_mask(boundaries, volume.dims) if infusion_cfg.use_longitudinal else None
-    tm = (
-        transverse_mask(shadow_mask, volume.dims, infusion_cfg.transverse_dilation)
-        if infusion_cfg.use_transverse
-        else None
-    )
-    infused = infuse(raw, lm, tm)
-    mask, n_components = binarize_and_label(infused, infusion_cfg)
-
-    return CascadeResult(
-        mask=mask,
-        probability=infused,
-        boundaries=boundaries,
-        enface=image,
-        shadow_mask=shadow_mask,
-        shadow_contrast=contrast,
-        raw_probability=raw,
-        component_count=n_components,
-    )
+    """Execute the full three-part pipeline on one volume: `prepare`, then `extract`."""
+    prepared = prepare(volume, boundaries, shadow_source, backend_cfg, dp_cfg, shadow_cfg)
+    return extract(prepared, infusion_cfg)

@@ -16,20 +16,13 @@ import numpy as np
 
 from .cascade import VesselBackendConfig, vessel_probability
 from .enface import ShadowConfig, project_rpe, segment_shadows
-from .errors import OctCascadeError, UndefinedAucError
-from .fileio import (
-    ensure_dir,
-    read_boundaries,
-    read_volume,
-    write_boundaries,
-    write_pgm,
-    write_volume,
-)
+from .errors import OctCascadeError
+from .fileio import ensure_dir, read_boundaries, write_boundaries, write_pgm, write_volume
 from .layers import DpConfig, segment_boundaries
-from .metrics import auc, build_report, confusion
+from .metrics import score
 from .model import EnFaceImage, OctVolume, ProbabilityMap3D, VoxelMask
 from .phantom import PhantomConfig, default_config, generate
-from .pipeline import PipelineConfig, StageError, ablate, run_to_files, write_metrics_csv
+from .pipeline import PipelineConfig, ablate, read_json, read_typed, run_to_files, write_metrics_csv
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -48,21 +41,9 @@ def _parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def _load_json(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def _read_typed(path: str, want, what: str):
-    value = read_volume(path)
-    if not isinstance(value, want):
-        raise StageError(what, f"{path!r} does not contain a {want.__name__}")
-    return value
-
-
 def cmd_phantom_gen(args) -> int:
     if args.config:
-        cfg = PhantomConfig.from_dict(_load_json(args.config))
+        cfg = PhantomConfig.from_dict(read_json(args.config, "phantom config"))
     else:
         cfg = default_config(args.scale)
     overrides = cfg.to_dict()
@@ -118,16 +99,10 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    pred = _read_typed(args.pred, VoxelMask, "prediction")
-    gt = _read_typed(args.gt, VoxelMask, "ground truth")
-    auc_value = None
-    if args.prob:
-        prob = _read_typed(args.prob, ProbabilityMap3D, "probability map")
-        try:
-            auc_value = auc(prob, gt)
-        except UndefinedAucError:
-            auc_value = None
-    report = build_report("eval", confusion(pred, gt), auc_value)
+    pred = read_typed(args.pred, VoxelMask, "prediction")
+    gt = read_typed(args.gt, VoxelMask, "ground truth")
+    prob = read_typed(args.prob, ProbabilityMap3D, "probability map") if args.prob else None
+    report = score("eval", pred, prob, gt)
     ensure_dir(args.out)
     path = os.path.join(args.out, "metrics.csv")
     write_metrics_csv(path, [report])
@@ -136,8 +111,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_layers(args) -> int:
-    volume = _read_typed(args.infile, OctVolume, "input volume")
-    dp = DpConfig.from_dict(_load_json(args.config)) if args.config else DpConfig()
+    dp = DpConfig.from_dict(read_json(args.config, "DP config") if args.config else {})
+    volume = read_typed(args.infile, OctVolume, "input volume")
     boundaries = segment_boundaries(volume, dp)
     write_boundaries(boundaries, args.out)
     print(f"boundaries: {args.out}")
@@ -145,7 +120,7 @@ def cmd_layers(args) -> int:
 
 
 def cmd_enface(args) -> int:
-    volume = _read_typed(args.infile, OctVolume, "input volume")
+    volume = read_typed(args.infile, OctVolume, "input volume")
     boundaries = read_boundaries(args.boundaries)
     image = project_rpe(volume, boundaries)
     write_volume(image, args.out)
@@ -156,8 +131,8 @@ def cmd_enface(args) -> int:
 
 
 def cmd_shadows(args) -> int:
-    image = _read_typed(args.infile, EnFaceImage, "en-face image")
-    cfg = ShadowConfig.from_dict(_load_json(args.config)) if args.config else ShadowConfig()
+    cfg = ShadowConfig.from_dict(read_json(args.config, "shadow config") if args.config else {})
+    image = read_typed(args.infile, EnFaceImage, "en-face image")
     mask, contrast = segment_shadows(image, cfg)
     write_volume(mask, args.out)
     if args.contrast:
@@ -167,12 +142,12 @@ def cmd_shadows(args) -> int:
 
 
 def cmd_vessels(args) -> int:
-    volume = _read_typed(args.infile, OctVolume, "input volume")
+    cfg = VesselBackendConfig.from_dict(read_json(args.config, "backend config") if args.config else {})
+    volume = read_typed(args.infile, OctVolume, "input volume")
     boundaries = read_boundaries(args.boundaries)
-    cfg = VesselBackendConfig.from_dict(_load_json(args.config)) if args.config else VesselBackendConfig()
     contrast = None
     if args.contrast:
-        contrast = _read_typed(args.contrast, EnFaceImage, "shadow contrast").data
+        contrast = read_typed(args.contrast, EnFaceImage, "shadow contrast").data
     prob = vessel_probability(volume, boundaries, contrast, cfg)
     write_volume(prob, args.out)
     print(f"probability map: {args.out}")
@@ -253,10 +228,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except StageError as exc:
-        print(f"error in {exc.stage}: {exc}", file=sys.stderr)
-        return 2
-    except OctCascadeError as exc:
+    except OctCascadeError as exc:  # a StageError's message starts with its stage
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -180,6 +180,18 @@ def auc(
     return float(min(max(np.trapezoid(tpr, fpr), 0.0), 1.0))
 
 
+def score(method: str, pred: VoxelMask, prob: ProbabilityMap3D | None, gt: VoxelMask) -> MetricsReport:
+    """The report of `pred` against `gt`, with the ROC area of `prob`; the
+    area is None without a probability map or for a single-class truth."""
+    auc_value = None
+    if prob is not None:
+        try:
+            auc_value = auc(prob, gt)
+        except UndefinedAucError:
+            pass
+    return build_report(method, confusion(pred, gt), auc_value)
+
+
 def poly_lr(p: ScheduleParams) -> float:
     """Polynomial decay: base_lr * (1 - iter / max_iter) ** power."""
     return p.base_lr * (1.0 - p.iter / p.max_iter) ** p.power

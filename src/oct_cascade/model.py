@@ -25,6 +25,10 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def _check_unit_range(data: np.ndarray, what: str) -> None:
+    # NaN fails both comparisons and the initial values pass an empty grid;
+    # only a failing grid is searched for its first bad voxel.
+    if data.min(initial=0.0) >= 0.0 and data.max(initial=1.0) <= 1.0:
+        return
     bad = ~np.isfinite(data)
     bad |= (data < 0.0) | (data > 1.0)
     if bad.any():

@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,20 +22,18 @@ from .cascade import (
     CascadeResult,
     InfusionConfig,
     VesselBackendConfig,
-    binarize_and_label,
-    infuse,
-    longitudinal_mask,
+    extract,
+    prepare,
     run_cascade,
-    transverse_mask,
-    vessel_probability,
 )
-from .enface import ShadowConfig, project_rpe, segment_shadows
-from .errors import ConfigError, OctCascadeError, UndefinedAucError
+from .config import FromDict
+from .enface import ShadowConfig
+from .errors import ConfigError, OctCascadeError
 from .fileio import ensure_dir, write_boundaries, write_pgm, write_volume, read_volume
 from .layers import DpConfig, import_boundaries, segment_boundaries
-from .metrics import MetricsReport, auc, build_report, confusion
-from .model import OctVolume, PixelMask, VoxelMask
-from .phantom import PhantomConfig, PhantomGroundTruth, generate
+from .metrics import MetricsReport, score
+from .model import BoundarySet, OctVolume, PixelMask, VoxelMask
+from .phantom import PhantomConfig, generate
 
 #: Ablation variants in reporting order: (label, use_longitudinal, use_transverse).
 VARIANTS = (
@@ -55,6 +54,27 @@ class StageError(OctCascadeError):
         super().__init__(f"{stage}: {message}")
 
 
+@contextmanager
+def _stage(name: str):
+    """Re-raise a package error from the block as a StageError of `name`."""
+    try:
+        yield
+    except StageError:
+        raise
+    except OctCascadeError as exc:
+        raise StageError(name, str(exc)) from exc
+
+
+@dataclass(frozen=True)
+class ReportConfig(FromDict):
+    """Which optional images `run` writes next to the masks."""
+
+    section = "report"
+
+    overlays: bool = True
+    montage: bool = False
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     phantom: PhantomConfig | None = None
@@ -69,8 +89,7 @@ class PipelineConfig:
     backend: VesselBackendConfig = field(default_factory=VesselBackendConfig)
     infusion: InfusionConfig = field(default_factory=InfusionConfig)
     output_dir: str = "out"
-    overlays: bool = True
-    montage: bool = False
+    report: ReportConfig = field(default_factory=ReportConfig)
 
     def __post_init__(self):
         if (self.phantom is None) == (self.volume_path is None):
@@ -123,31 +142,23 @@ class PipelineConfig:
         kwargs["infusion"] = InfusionConfig.from_dict(_section(d, "infusion", "infusion"))
         if "output_dir" in d:
             kwargs["output_dir"] = _path(d.pop("output_dir"), "output_dir", "output")
-        report = _section(d, "report", "report")
-        kwargs["overlays"] = bool(report.get("overlays", True))
-        kwargs["montage"] = bool(report.get("montage", False))
+        kwargs["report"] = ReportConfig.from_dict(_section(d, "report", "report"))
         if d:
             raise ConfigError(f"unknown pipeline config sections {sorted(d)}")
         return cls(**kwargs)
 
     @classmethod
     def from_json(cls, path: str) -> "PipelineConfig":
-        try:
-            with open(path) as fh:
-                return cls.from_dict(json.load(fh))
-        except OSError as exc:
-            raise ConfigError(f"cannot read pipeline config {path!r}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"malformed pipeline config {path!r}: {exc}") from exc
+        return cls.from_dict(read_json(path, "pipeline config"))
 
     def with_seed(self, seed: int) -> "PipelineConfig":
         if self.phantom is None:
             raise StageError("input", "seed override requires a phantom input")
         phantom = PhantomConfig.from_dict({**self.phantom.to_dict(), "seed": seed})
-        return _replace(self, phantom=phantom)
+        return dataclasses.replace(self, phantom=phantom)
 
     def with_output_dir(self, out: str) -> "PipelineConfig":
-        return _replace(self, output_dir=out)
+        return dataclasses.replace(self, output_dir=out)
 
 
 def _section(d: dict, key: str, stage: str) -> dict:
@@ -171,12 +182,12 @@ def _path(value, key: str, stage: str, optional: bool = False) -> str | None:
     return value
 
 
-def _replace(cfg: PipelineConfig, **changes) -> PipelineConfig:
-    return dataclasses.replace(cfg, **changes)
-
-
 def _fmt(v: float | None) -> str:
     return "NA" if v is None else format(v, ".10g")
+
+
+def _report_row(r: MetricsReport) -> list[str]:
+    return [r.method, _fmt(r.iou), _fmt(r.sen), _fmt(r.acc), _fmt(r.auc), ";".join(r.flags)]
 
 
 def write_metrics_csv(path: str, reports: list[MetricsReport]) -> None:
@@ -184,72 +195,72 @@ def write_metrics_csv(path: str, reports: list[MetricsReport]) -> None:
         fh.write(_POOLING_NOTE + "\n")
         writer = csv.writer(fh)
         writer.writerow(["method", "iou", "sen", "acc", "auc", "flags"])
-        for r in reports:
-            writer.writerow(
-                [r.method, _fmt(r.iou), _fmt(r.sen), _fmt(r.acc), _fmt(r.auc), ";".join(r.flags)]
-            )
+        writer.writerows(_report_row(r) for r in reports)
 
 
-def _read_grid(path: str, stage: str):
-    """read_volume with a missing or corrupt file reported as `stage`'s."""
+def read_json(path: str, stage: str) -> dict:
+    """The JSON object in `path`; any failure to get one is `stage`'s StageError."""
+    try:
+        with open(path) as fh:
+            value = json.load(fh)
+    except OSError as exc:
+        raise StageError(stage, f"cannot read {path!r}: {exc.strerror}") from exc
+    except ValueError as exc:  # malformed JSON or not text
+        raise StageError(stage, f"malformed JSON in {path!r}: {exc}") from exc
+    if not isinstance(value, dict):
+        raise StageError(stage, f"{path!r} does not hold a JSON object")
+    return value
+
+
+def _require_file(path: str, stage: str) -> None:
     if not os.path.exists(path) and not os.path.exists(path + ".json"):
         raise StageError(stage, f"no such file {path!r}")
-    try:
-        return read_volume(path)
-    except OctCascadeError as exc:
-        raise StageError(stage, str(exc)) from exc
 
 
-def _resolve_input(cfg: PipelineConfig) -> tuple[OctVolume, PhantomGroundTruth | None, VoxelMask | None]:
+def read_typed(path: str, kind: type, stage: str):
+    """The `kind` grid in `path`; a missing or corrupt file or another kind is `stage`'s StageError."""
+    _require_file(path, stage)
+    with _stage(stage):
+        value = read_volume(path)
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise StageError(stage, f"{path!r} does not contain {article} {kind.__name__}")
+    return value
+
+
+def _resolve(cfg: PipelineConfig) -> tuple[OctVolume, VoxelMask | None, BoundarySet, PixelMask | None]:
+    """Volume, ground-truth mask, boundaries and imported shadow mask.
+
+    An imported probability map is only checked to exist here; the
+    backend reads it.
+    """
     if cfg.phantom is not None:
         volume, gt = generate(cfg.phantom)
-        return volume, gt, gt.vessel_mask
-    value = _read_grid(cfg.volume_path, "input volume")
-    if not isinstance(value, OctVolume):
-        raise StageError("input volume", f"{cfg.volume_path!r} is not an intensity volume")
-    gt_mask = None
-    if cfg.gt_mask_path:
-        gt_value = _read_grid(cfg.gt_mask_path, "ground truth")
-        if not isinstance(gt_value, VoxelMask):
-            raise StageError("ground truth", f"{cfg.gt_mask_path!r} is not a voxel mask")
-        gt_mask = gt_value
-    return value, None, gt_mask
+        gt_mask = gt.vessel_mask
+    else:
+        volume = read_typed(cfg.volume_path, OctVolume, "input volume")
+        gt_mask = read_typed(cfg.gt_mask_path, VoxelMask, "ground truth") if cfg.gt_mask_path else None
 
-
-def _resolve_boundaries(cfg: PipelineConfig, volume: OctVolume):
     if cfg.boundary_source == "import":
-        if not os.path.exists(cfg.boundary_import_path):
-            raise StageError("boundary source", f"no such file {cfg.boundary_import_path!r}")
-        try:
-            return import_boundaries(cfg.boundary_import_path, volume)
-        except OctCascadeError as exc:
-            raise StageError("boundary source", str(exc)) from exc
-    try:
-        return segment_boundaries(volume, cfg.dp)
-    except OctCascadeError as exc:
-        raise StageError("boundary segmentation", str(exc)) from exc
+        _require_file(cfg.boundary_import_path, "boundary source")
+        with _stage("boundary source"):
+            boundaries = import_boundaries(cfg.boundary_import_path, volume)
+    else:
+        with _stage("boundary segmentation"):
+            boundaries = segment_boundaries(volume, cfg.dp)
 
-
-def _resolve_shadow_mask(cfg: PipelineConfig) -> PixelMask | None:
-    if cfg.shadow_source != "import":
-        return None
-    path = cfg.shadow_import_path
-    value = _read_grid(path, "shadow source")
-    if not isinstance(value, PixelMask):
-        raise StageError("shadow source", f"{path!r} is not a 2D mask")
-    return value
+    shadow_mask = None
+    if cfg.shadow_source == "import":
+        shadow_mask = read_typed(cfg.shadow_import_path, PixelMask, "shadow source")
+    if cfg.backend.kind == "import":
+        _require_file(cfg.backend.import_path, "backend")
+    return volume, gt_mask, boundaries, shadow_mask
 
 
 def execute(cfg: PipelineConfig) -> tuple[CascadeResult, OctVolume, VoxelMask | None]:
     """Resolve sources and run the cascade once. No files are written."""
-    volume, _, gt_mask = _resolve_input(cfg)
-    boundaries = _resolve_boundaries(cfg, volume)
-    shadow_mask = _resolve_shadow_mask(cfg)
-    if cfg.backend.kind == "import":
-        path = cfg.backend.import_path
-        if not os.path.exists(path) and not os.path.exists(path + ".json"):
-            raise StageError("backend", f"no such file {path!r}")
-    try:
+    volume, gt_mask, boundaries, shadow_mask = _resolve(cfg)
+    with _stage("cascade"):
         result = run_cascade(
             volume,
             boundaries=boundaries,
@@ -259,8 +270,6 @@ def execute(cfg: PipelineConfig) -> tuple[CascadeResult, OctVolume, VoxelMask | 
             dp_cfg=cfg.dp,
             shadow_cfg=cfg.shadow,
         )
-    except OctCascadeError as exc:
-        raise StageError("cascade", str(exc)) from exc
     return result, volume, gt_mask
 
 
@@ -301,24 +310,20 @@ def run_to_files(cfg: PipelineConfig) -> dict[str, str]:
     write_pgm(result.shadow_mask.data, path("shadow_mask.pgm"))
     written["shadow_mask"] = path("shadow_mask.pgm")
 
-    if cfg.overlays:
+    if cfg.report.overlays:
         overlay_dir = path("overlays")
         ensure_dir(overlay_dir)
         for s in range(volume.n_slices):
             write_pgm(_overlay(volume, result.mask, s), os.path.join(overlay_dir, f"slice_{s:03d}.pgm"))
         written["overlays"] = overlay_dir
-    if cfg.montage:
+    if cfg.report.montage:
         step = max(1, volume.n_slices // 8)
         panels = [_overlay(volume, result.mask, s) for s in range(0, volume.n_slices, step)]
         write_pgm(np.hstack(panels), path("montage.pgm"))
         written["montage"] = path("montage.pgm")
 
     if gt_mask is not None:
-        try:
-            auc_value = auc(result.probability, gt_mask)
-        except UndefinedAucError:
-            auc_value = None
-        report = build_report(_variant_label(cfg.infusion), confusion(result.mask, gt_mask), auc_value)
+        report = score(_variant_label(cfg.infusion), result.mask, result.probability, gt_mask)
         write_metrics_csv(path("metrics.csv"), [report])
         written["metrics"] = path("metrics.csv")
     return written
@@ -327,8 +332,8 @@ def run_to_files(cfg: PipelineConfig) -> dict[str, str]:
 def ablate(cfg: PipelineConfig, seeds: list[int]) -> tuple[bool, list[tuple[str, float]], dict[str, str]]:
     """Run the four mask-flag combinations across seeds and aggregate.
 
-    The per-seed stage outputs (boundaries, en-face, shadows, probability
-    map) are computed once and shared by all four variants. Returns
+    Per seed, one `prepare` (boundaries, en-face, shadows, probability
+    map) is shared by the four variants' `extract` calls. Returns
     (ordering_ok, [(variant, mean IoU)], written files).
     """
     if cfg.phantom is None:
@@ -338,49 +343,25 @@ def ablate(cfg: PipelineConfig, seeds: list[int]) -> tuple[bool, list[tuple[str,
 
     out = cfg.output_dir
     ensure_dir(out)
-    rows: list[tuple[int, MetricsReport]] = []
-    per_variant: dict[str, dict[str, list[float]]] = {
-        label: {"iou": [], "sen": [], "acc": [], "auc": []} for label, _, _ in VARIANTS
+    infusions = {
+        label: dataclasses.replace(cfg.infusion, use_longitudinal=use_l, use_transverse=use_t)
+        for label, use_l, use_t in VARIANTS
     }
-
+    rows: list[tuple[int, MetricsReport]] = []
     for seed in seeds:
-        run_cfg = cfg.with_seed(seed)
-        volume, gt, _ = _resolve_input(run_cfg)
-        boundaries = _resolve_boundaries(run_cfg, volume)
-        image = project_rpe(volume, boundaries)
-        imported = _resolve_shadow_mask(run_cfg)
-        shadow_mask, contrast = segment_shadows(image, run_cfg.shadow)
-        if imported is not None:
-            shadow_mask = imported
-        prob = vessel_probability(volume, boundaries, contrast, run_cfg.backend)
-        lm = longitudinal_mask(boundaries, volume.dims)
-        tm = transverse_mask(shadow_mask, volume.dims, run_cfg.infusion.transverse_dilation)
-
-        for label, use_l, use_t in VARIANTS:
-            infused = infuse(prob, lm if use_l else None, tm if use_t else None)
-            mask, _ = binarize_and_label(infused, run_cfg.infusion)
-            try:
-                auc_value = auc(infused, gt.vessel_mask)
-            except UndefinedAucError:
-                auc_value = None
-            report = build_report(label, confusion(mask, gt.vessel_mask), auc_value)
-            rows.append((seed, report))
-            stats = per_variant[label]
-            stats["iou"].append(report.iou)
-            stats["sen"].append(report.sen)
-            stats["acc"].append(report.acc)
-            if report.auc is not None:
-                stats["auc"].append(report.auc)
+        volume, gt_mask, boundaries, shadow_mask = _resolve(cfg.with_seed(seed))
+        with _stage("cascade"):
+            prepared = prepare(volume, boundaries, shadow_mask, cfg.backend, cfg.dp, cfg.shadow)
+            for label, infusion in infusions.items():
+                r = extract(prepared, infusion)
+                rows.append((seed, score(label, r.mask, r.probability, gt_mask)))
 
     runs_path = os.path.join(out, "ablation_runs.csv")
     with open(runs_path, "w", newline="") as fh:
         fh.write(_POOLING_NOTE + "\n")
         writer = csv.writer(fh)
         writer.writerow(["seed", "method", "iou", "sen", "acc", "auc", "flags"])
-        for seed, r in rows:
-            writer.writerow(
-                [seed, r.method, _fmt(r.iou), _fmt(r.sen), _fmt(r.acc), _fmt(r.auc), ";".join(r.flags)]
-            )
+        writer.writerows([seed, *_report_row(r)] for seed, r in rows)
 
     agg_path = os.path.join(out, "ablation.csv")
     means: list[tuple[str, float]] = []
@@ -392,16 +373,13 @@ def ablate(cfg: PipelineConfig, seeds: list[int]) -> tuple[bool, list[tuple[str,
              "acc_mean", "acc_std", "auc_mean", "auc_std"]
         )
         for label, _, _ in VARIANTS:
-            stats = per_variant[label]
+            reports = [r for _, r in rows if r.method == label]
             row = [label]
             for key in ("iou", "sen", "acc", "auc"):
-                vals = stats[key]
-                if vals:
-                    row += [_fmt(float(np.mean(vals))), _fmt(float(np.std(vals)))]
-                else:
-                    row += ["NA", "NA"]
+                vals = [getattr(r, key) for r in reports if getattr(r, key) is not None]
+                row += [_fmt(float(np.mean(vals))), _fmt(float(np.std(vals)))] if vals else ["NA", "NA"]
             writer.writerow(row)
-            means.append((label, float(np.mean(stats["iou"]))))
+            means.append((label, float(np.mean([r.iou for r in reports]))))
 
     ordered = all(means[i][1] < means[i + 1][1] for i in range(len(means) - 1))
     return ordered, means, {"runs": runs_path, "aggregate": agg_path}

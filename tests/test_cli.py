@@ -9,9 +9,11 @@ import pytest
 
 from oct_cascade import cli
 from oct_cascade.errors import ConfigError
-from oct_cascade.fileio import read_volume, write_volume
-from oct_cascade.model import OctVolume, PixelMask, ProbabilityMap3D, VoxelMask
+from oct_cascade.fileio import read_volume, write_boundaries, write_volume
+from oct_cascade.model import EnFaceImage, OctVolume, PixelMask, ProbabilityMap3D, VoxelMask
 from oct_cascade.pipeline import PipelineConfig, StageError
+
+from test_enface import flat_boundaries
 
 
 def run_cli(args):
@@ -144,10 +146,10 @@ def test_missing_backend_import_names_stage(tmp_path, capsys):
 
 def test_malformed_inputs_exit_2_without_traceback(tmp_path):
     """A config section that is not an object, a path that is not a string,
-    a config field of the wrong type, a corrupt grid header for the volume,
-    ground truth or shadow mask, and a non-integer boundary cell each stop
-    `run` with exit code 2 and a one-line error naming the stage (or the
-    config field) and the culprit."""
+    a config field of the wrong type or unknown, a corrupt grid header for
+    the volume, ground truth or shadow mask, and a non-integer boundary cell
+    each stop `run` with exit code 2 and a one-line error naming the stage
+    (or the config field) and the culprit."""
     good = json.loads(pipeline_config(tmp_path).read_text())
     bad_sections = []
     for i, (change, stage, culprit) in enumerate((
@@ -181,6 +183,8 @@ def test_malformed_inputs_exit_2_without_traceback(tmp_path):
         ("infusion", {"transverse_dilation": "x"}, "'transverse_dilation' must be an integer"),
         ("backend", {"w_shadow": "0"}, "'w_shadow' must be a number"),
         ("shadows", {"config": {"background_window": 9}}, "'background_window' must be a list"),
+        ("report", {"overlays": "no"}, "'overlays' must be true or false"),
+        ("report", {"extra": 1}, "unknown report config fields"),
     )):
         cfg = {**good, section: fields}
         with pytest.raises(ConfigError, match=culprit):
@@ -238,6 +242,62 @@ def test_malformed_inputs_exit_2_without_traceback(tmp_path):
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert stage in proc.stderr and culprit in proc.stderr
+
+
+@pytest.fixture
+def stage_inputs(tmp_path):
+    """A valid volume, boundary CSV, en-face image, mask and probability map."""
+    write_volume(OctVolume(np.zeros((1, 16, 8), dtype=np.float32)), str(tmp_path / "vol"))
+    write_boundaries(flat_boundaries(1, 8), str(tmp_path / "b.csv"))
+    write_volume(EnFaceImage(np.zeros((1, 8), dtype=np.float32)), str(tmp_path / "enface"))
+    write_volume(VoxelMask(np.zeros((1, 16, 8), dtype=bool)), str(tmp_path / "mask"))
+    write_volume(ProbabilityMap3D(np.zeros((1, 16, 8), dtype=np.float32)), str(tmp_path / "prob"))
+    return tmp_path
+
+
+@pytest.mark.parametrize("args, stage", [
+    (["phantom", "gen", "--out", "{d}/gen"], "phantom config"),
+    (["run"], "pipeline config"),
+    (["ablate", "--seeds", "0"], "pipeline config"),
+    (["layers", "--in", "{d}/vol.json", "--out", "{d}/out.csv"], "DP config"),
+    (["shadows", "--in", "{d}/enface.json", "--out", "{d}/sm"], "shadow config"),
+    (["vessels", "--in", "{d}/vol.json", "--boundaries", "{d}/b.csv", "--out", "{d}/p"],
+     "backend config"),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+@pytest.mark.parametrize("content, culprit", [
+    ("{not json", "malformed JSON"),
+    (None, "No such file"),
+    ("[1, 2]", "does not hold a JSON object"),
+], ids=["invalid", "missing", "list"])
+def test_bad_config_exits_2_naming_the_stage(stage_inputs, capsys, args, stage, content, culprit):
+    config = stage_inputs / "config.json"
+    if content is not None:
+        config.write_text(content)
+    assert run_cli([*(a.format(d=stage_inputs) for a in args), "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"error: {stage}: " in err and culprit in err and "config.json" in err
+
+
+@pytest.mark.parametrize("args, stage, culprit", [
+    (["layers", "--in", "{d}/mask.json", "--out", "{d}/b2.csv"], "input volume", "an OctVolume"),
+    (["enface", "--in", "{d}/mask.json", "--boundaries", "{d}/b.csv", "--out", "{d}/e"],
+     "input volume", "an OctVolume"),
+    (["shadows", "--in", "{d}/vol.json", "--out", "{d}/sm"], "en-face image", "an EnFaceImage"),
+    (["vessels", "--in", "{d}/vol.json", "--boundaries", "{d}/b.csv", "--out", "{d}/p2",
+      "--contrast", "{d}/mask.json"], "shadow contrast", "an EnFaceImage"),
+    (["eval", "--pred", "{d}/prob.json", "--gt", "{d}/mask.json", "--out", "{d}"],
+     "prediction", "a VoxelMask"),
+    (["eval", "--pred", "{d}/mask.json", "--gt", "{d}/absent.json", "--out", "{d}"],
+     "ground truth", "no such file"),
+    (["eval", "--pred", "{d}/mask.json", "--gt", "{d}/mask.json", "--prob", "{d}/mask.json",
+      "--out", "{d}"], "probability map", "a ProbabilityMap3D"),
+], ids=["layers", "enface", "shadows", "vessels-contrast", "eval-pred", "eval-gt", "eval-prob"])
+def test_wrong_kind_input_exits_2_naming_the_stage(stage_inputs, capsys, args, stage, culprit):
+    assert run_cli([a.format(d=stage_inputs) for a in args]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count(stage) == 1 and culprit in err
 
 
 def test_eval_identical_masks(tmp_path):

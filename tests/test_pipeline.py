@@ -1,0 +1,93 @@
+"""The ablation runs the cascade's own stage path: one `prepare` per seed,
+one `extract` per variant, scored by `metrics.score`."""
+
+import csv
+import dataclasses
+
+import numpy as np
+import pytest
+
+from oct_cascade import cascade, pipeline
+from oct_cascade.cascade import extract, prepare, run_cascade
+from oct_cascade.fileio import read_volume, write_volume
+from oct_cascade.metrics import score
+from oct_cascade.model import PixelMask
+from oct_cascade.phantom import PhantomConfig, generate
+from oct_cascade.pipeline import VARIANTS, PipelineConfig, StageError, ablate
+
+SEEDS = [1, 2]
+PHANTOM = {"dims": [8, 96, 64], "n_vessels": 2, "vessel_radius": 2.0, "noise_sigma": 0.03}
+
+
+def small_config(tmp_path, **sections) -> PipelineConfig:
+    return PipelineConfig.from_dict(
+        {"input": {"phantom": PHANTOM}, "output_dir": str(tmp_path / "ablate"), **sections}
+    )
+
+
+def write_footprint(tmp_path, shape) -> str:
+    rng = np.random.default_rng(5)
+    path = str(tmp_path / "footprint")
+    write_volume(PixelMask(rng.random(shape) < 0.2), path)
+    return path
+
+
+@pytest.mark.parametrize("case", ["classical", "imported shadow mask", "w_shadow"])
+def test_ablate_rows_equal_run_cascade(tmp_path, case):
+    sections, shadow = {}, None
+    if case == "imported shadow mask":
+        path = write_footprint(tmp_path, (8, 64))
+        sections["shadows"] = {"source": "import", "path": path}
+        shadow = read_volume(path)
+    if case == "w_shadow":
+        sections["backend"] = {"w_intensity": 0.75, "w_shadow": 0.25}
+    cfg = small_config(tmp_path, **sections)
+    ablate(cfg, SEEDS)
+
+    with open(tmp_path / "ablate" / "ablation_runs.csv", newline="") as fh:
+        written = list(csv.reader(fh))[2:]
+    expected = []
+    for seed in SEEDS:
+        volume, gt = generate(cfg.with_seed(seed).phantom)
+        for label, use_l, use_t in VARIANTS:
+            infusion = dataclasses.replace(cfg.infusion, use_longitudinal=use_l, use_transverse=use_t)
+            r = run_cascade(volume, shadow_source=shadow, backend_cfg=cfg.backend,
+                            infusion_cfg=infusion, dp_cfg=cfg.dp, shadow_cfg=cfg.shadow)
+            report = score(label, r.mask, r.probability, gt.vessel_mask)
+            expected.append([str(seed), *pipeline._report_row(report)])
+    assert written == expected
+
+
+def test_ablate_wrong_shape_shadow_mask_is_cascade_stage_error(tmp_path):
+    cfg = small_config(
+        tmp_path, shadows={"source": "import", "path": write_footprint(tmp_path, (8, 63))}
+    )
+    with pytest.raises(StageError, match="shadow mask shape") as err:
+        ablate(cfg, [0])
+    assert err.value.stage == "cascade"
+
+
+@pytest.mark.parametrize("imported, w_shadow, segmentations", [
+    (False, 0.0, 1),
+    (True, 0.0, 0),   # neither the mask nor the contrast is needed
+    (True, 0.25, 1),  # the classical backend scores with the contrast
+])
+def test_prepare_segments_shadows_only_when_needed(monkeypatch, imported, w_shadow, segmentations):
+    volume, gt = generate(PhantomConfig.from_dict(PHANTOM))
+    calls = []
+    segment = cascade.segment_shadows
+    monkeypatch.setattr(cascade, "segment_shadows", lambda *a: calls.append(1) or segment(*a))
+    backend = cascade.VesselBackendConfig(w_intensity=1.0 - w_shadow, w_shadow=w_shadow)
+    source = gt.shadow_footprint if imported else None
+    prepared = prepare(volume, shadow_source=source, backend_cfg=backend)
+    assert len(calls) == segmentations
+    if imported:
+        assert prepared.shadow_mask is source
+    # every variant extracted from one preparation equals its full run
+    for _, use_l, use_t in VARIANTS:
+        infusion = cascade.InfusionConfig(use_longitudinal=use_l, use_transverse=use_t)
+        got = extract(prepared, infusion)
+        want = run_cascade(volume, prepared.boundaries, source, backend, infusion)
+        assert np.array_equal(got.mask.data, want.mask.data)
+        assert np.array_equal(got.probability.data, want.probability.data)
+        assert got.component_count == want.component_count

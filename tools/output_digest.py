@@ -1,0 +1,87 @@
+"""Print the sha256 of every file the acceptance workflows write.
+
+Runs `python -m oct_cascade` in child processes, in a fresh temporary
+directory, for three workflows:
+
+* criterion 8: `phantom gen --seed 3` plus `run` on its 8x96x64 phantom
+  config (the acceptance suite's determinism check);
+* `ablate --seeds 0-9` on the desk phantom defaults;
+* `eval` of that run's mask and probability map against the ground-truth
+  vessel mask of the same phantom, written by `phantom gen --config`.
+
+Each output line is `<sha256>  <workflow>/<relative path>`, sorted, so two
+checkouts that write the same bytes print the same text:
+
+    python3 tools/output_digest.py > after.txt
+    python3 tools/output_digest.py --src ../other-checkout/src > before.txt
+    diff before.txt after.txt
+
+Stdlib only; `--src` names the package source directory to run (this
+checkout's `src/` by default).
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+CRITERION_8 = {"input": {"phantom": {"dims": [8, 96, 64], "n_vessels": 2, "seed": 3}},
+               "output_dir": "unused"}
+DESK_ABLATE = {"input": {"phantom": {}}, "output_dir": "unused"}
+
+
+def _oct_cascade(src: str, *args: str) -> None:
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "oct_cascade", *args],
+                          env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"oct_cascade {' '.join(args)} exited {proc.returncode}:\n{proc.stderr}")
+
+
+def _digests(root: str) -> list[str]:
+    lines = []
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            lines.append(f"{digest}  {os.path.relpath(path, root)}")
+    return sorted(lines)
+
+
+def main() -> None:
+    here = os.path.dirname(os.path.abspath(__file__))
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=os.path.join(here, os.pardir, "src"),
+                        help="package source directory (default: this checkout's src/)")
+    src = os.path.abspath(parser.parse_args().src)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        configs, out = os.path.join(tmp, "configs"), os.path.join(tmp, "out")
+        os.makedirs(configs)
+        for name, cfg in (("criterion8", CRITERION_8), ("desk", DESK_ABLATE),
+                          ("phantom", CRITERION_8["input"]["phantom"])):
+            with open(os.path.join(configs, f"{name}.json"), "w") as fh:
+                json.dump(cfg, fh)
+
+        gen, run = os.path.join(out, "criterion8", "gen"), os.path.join(out, "criterion8", "run")
+        _oct_cascade(src, "phantom", "gen", "--seed", "3", "--out", gen)
+        _oct_cascade(src, "run", "--config", os.path.join(configs, "criterion8.json"), "--out", run)
+        _oct_cascade(src, "ablate", "--config", os.path.join(configs, "desk.json"),
+                     "--seeds", "0-9", "--out", os.path.join(out, "ablate"))
+        truth = os.path.join(out, "eval", "gen")
+        _oct_cascade(src, "phantom", "gen", "--config", os.path.join(configs, "phantom.json"),
+                     "--out", truth)
+        _oct_cascade(src, "eval", "--pred", os.path.join(run, "mask.json"),
+                     "--gt", os.path.join(truth, "gt_vessel_mask.json"),
+                     "--prob", os.path.join(run, "prob.json"), "--out", os.path.join(out, "eval"))
+        print("\n".join(_digests(out)))
+
+
+if __name__ == "__main__":
+    main()
