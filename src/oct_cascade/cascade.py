@@ -220,23 +220,34 @@ def binarize_and_label(p: ProbabilityMap3D, cfg: InfusionConfig) -> tuple[VoxelM
 
     Components are labeled in raster-scan order (ordered by their minimum
     linear voxel index), so the surviving count and mask are deterministic.
+    Only the foreground's bounding box is labeled: it holds every component,
+    and cropping keeps their raster-scan order.
     """
     binary = p.data > cfg.binarize_threshold
-    if not binary.any():
+    # The box from per-axis projections: slices and rows first, then the
+    # columns of those slices and rows only.
+    on = binary.any(axis=2)
+    if not on.any():
         return VoxelMask(binary), 0
+    s, z = (np.flatnonzero(on.any(axis=k)) for k in (1, 0))
+    x = np.flatnonzero(binary[s[0] : s[-1] + 1, z[0] : z[-1] + 1].any(axis=(0, 1)))
+    box = (slice(s[0], s[-1] + 1), slice(z[0], z[-1] + 1), slice(x[0], x[-1] + 1))
     structure = (
         np.ones((3, 3, 3), dtype=bool)
         if cfg.connectivity == 26
         else ndimage.generate_binary_structure(3, 1)
     )
-    # Size and select components on the foreground voxels only: indexing
-    # with the whole int32 label volume would widen it to intp, and the
-    # label volume itself is dropped once their labels are read.
-    fg = np.flatnonzero(binary)
-    fg_labels = ndimage.label(binary, structure=structure)[0].ravel()[fg]
+    # A contiguous copy, so that ravel() is a view to write the kept voxels
+    # into. Components are sized and selected on the foreground voxels only:
+    # indexing with the whole int32 label box would widen it to intp, and
+    # the label box itself is dropped once their labels are read.
+    crop = np.ascontiguousarray(binary[box])
+    fg = np.flatnonzero(crop)
+    fg_labels = ndimage.label(crop, structure=structure)[0].ravel()[fg]
     keep = np.bincount(fg_labels) >= cfg.min_component_vox
     keep[0] = False
-    binary.ravel()[fg] = keep[fg_labels]
+    crop.ravel()[fg] = keep[fg_labels]
+    binary[box] = crop
     return VoxelMask(binary), int(keep.sum())
 
 

@@ -17,12 +17,14 @@ import numpy as np
 from .cascade import VesselBackendConfig, vessel_probability
 from .enface import ShadowConfig, project_rpe, segment_shadows
 from .errors import OctCascadeError
-from .fileio import ensure_dir, read_boundaries, write_boundaries, write_pgm, write_volume
+from .fileio import ensure_dir, write_boundaries, write_pgm, write_volume
 from .layers import DpConfig, segment_boundaries
 from .metrics import score
 from .model import EnFaceImage, OctVolume, ProbabilityMap3D, VoxelMask
 from .phantom import PhantomConfig, default_config, generate
-from .pipeline import PipelineConfig, ablate, read_json, read_typed, run_to_files, write_metrics_csv
+from .pipeline import (
+    PipelineConfig, ablate, read_boundary_csv, read_json, read_typed, run_to_files, write_metrics_csv,
+)
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -121,7 +123,7 @@ def cmd_layers(args) -> int:
 
 def cmd_enface(args) -> int:
     volume = read_typed(args.infile, OctVolume, "input volume")
-    boundaries = read_boundaries(args.boundaries)
+    boundaries = read_boundary_csv(args.boundaries, volume)
     image = project_rpe(volume, boundaries)
     write_volume(image, args.out)
     if args.pgm:
@@ -144,7 +146,7 @@ def cmd_shadows(args) -> int:
 def cmd_vessels(args) -> int:
     cfg = VesselBackendConfig.from_dict(read_json(args.config, "backend config") if args.config else {})
     volume = read_typed(args.infile, OctVolume, "input volume")
-    boundaries = read_boundaries(args.boundaries)
+    boundaries = read_boundary_csv(args.boundaries, volume)
     contrast = None
     if args.contrast:
         contrast = read_typed(args.contrast, EnFaceImage, "shadow contrast").data

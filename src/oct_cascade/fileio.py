@@ -79,12 +79,8 @@ def write_volume(value: GridValue, path: str) -> None:
         raise CorruptFileError(f"failed writing grid container {base!r}: {exc}") from exc
 
 
-def read_volume(path: str) -> GridValue:
-    """Read a grid container written by :func:`write_volume`.
-
-    The concrete type is recovered from the header's kind and rank; range
-    invariants are re-validated so a corrupt payload cannot leak out.
-    """
+def _read_header(path: str) -> tuple[str, str, tuple[int, ...], list | None]:
+    """The base path, kind, dims and spacing of a checked grid header."""
     base = _base_path(path)
     name = base + ".json"
     try:
@@ -103,7 +99,6 @@ def read_volume(path: str) -> GridValue:
     if not (isinstance(dims, list) and len(dims) in (2, 3)
             and all(type(d) is int and d >= 0 for d in dims)):
         raise CorruptFileError(f"{name!r}: dims {dims!r} are not 2 or 3 non-negative integers")
-    dims = tuple(dims)
     spacing = header.get("spacing")
     if spacing is not None and not (
         isinstance(spacing, list) and len(spacing) == 3
@@ -113,11 +108,35 @@ def read_volume(path: str) -> GridValue:
     dtype = header.get("dtype")
     if header.get("byte_order") != "little":
         raise CorruptFileError(f"unsupported byte order {header.get('byte_order')!r}")
-    if kind not in ("intensity", "probability", "mask") or dtype not in ("float32", "uint8"):
+    # Each kind is stored in the one dtype write_volume gives it.
+    if (kind, dtype) not in {(k, d) for _, k, d in _KINDS}:
         raise CorruptFileError(f"unsupported kind/dtype {kind!r}/{dtype!r} in {base!r}")
+    return base, kind, tuple(dims), spacing
 
+
+def _value_type(kind: str, rank: int) -> type:
+    if kind == "probability":
+        return ProbabilityMap3D
+    if kind == "mask":
+        return VoxelMask if rank == 3 else PixelMask
+    return OctVolume if rank == 3 else EnFaceImage
+
+
+def grid_type(path: str) -> type:
+    """The type :func:`read_volume` returns for `path`, from its header alone."""
+    _, kind, dims, _ = _read_header(path)
+    return _value_type(kind, len(dims))
+
+
+def read_volume(path: str) -> GridValue:
+    """Read a grid container written by :func:`write_volume`.
+
+    The concrete type is recovered from the header's kind and rank; range
+    invariants are re-validated so a corrupt payload cannot leak out.
+    """
+    base, kind, dims, spacing = _read_header(path)
     n_expected = math.prod(dims)
-    itemsize = 4 if dtype == "float32" else 1
+    itemsize = 1 if kind == "mask" else 4
     try:
         with open(base + ".raw", "rb") as fh:
             raw = fh.read()
@@ -129,23 +148,19 @@ def read_volume(path: str) -> GridValue:
             f"header dims {dims} require {n_expected}"
         )
 
-    flat = np.frombuffer(raw, dtype="<f4" if dtype == "float32" else np.uint8)
-    data = flat.reshape(dims)
-
+    data = np.frombuffer(raw, dtype=np.uint8 if kind == "mask" else "<f4").reshape(dims)
+    cls = _value_type(kind, len(dims))
     if kind == "mask":
-        bad = (data != 0) & (data != 1)
-        if bad.any():
-            idx = tuple(int(i) for i in np.argwhere(bad)[0])
+        # Only a payload with a byte above 1 is searched for the first one;
+        # a 0/1 payload is its own bool array.
+        if data.max(initial=0) > 1:
+            idx = tuple(int(i) for i in np.argwhere(data > 1)[0])
             raise ValidationError(f"mask byte {int(data[idx])} at voxel {idx} is not 0/1")
-        arr = data.astype(bool)
-        return VoxelMask(arr) if arr.ndim == 3 else PixelMask(arr)
-
+        return cls(data.view(bool))
     # ValidationError from the constructors already names the offending voxel.
-    if kind == "probability":
-        return ProbabilityMap3D(data)
-    if data.ndim == 2:
-        return EnFaceImage(data)
-    return OctVolume(data, spacing=None if spacing is None else tuple(spacing))
+    if cls is OctVolume:
+        return OctVolume(data, spacing=None if spacing is None else tuple(spacing))
+    return cls(data)
 
 
 def write_boundaries(b: BoundarySet, path: str) -> None:

@@ -4,8 +4,8 @@ All metrics are defined on exact integer confusion counts over pooled
 voxels. ROC area sweeps every distinct score as a threshold and integrates
 with the trapezoidal rule, which equals the pairwise ranking statistic with
 ties counted half. The counts at each threshold come from one sort of the
-score values and a binary search of each distinct value among the sorted
-positive scores, so no permutation of the voxels is built.
+score values and a binary search of each positive score among the distinct
+values, so no permutation of the voxels is built.
 """
 
 from __future__ import annotations
@@ -134,9 +134,10 @@ def auc(
     Thresholds sweep every distinct score value inside `region` (the whole
     grid when absent); at each, voxels scoring at or above it count as
     positive. The sorted scores give each threshold's run start, hence how
-    many voxels reach it, and a binary search among the sorted positive
-    scores gives how many of those are true positives. The trapezoidal area
-    equals the pairwise ranking statistic with ties counted half. Raises
+    many voxels reach it; a binary search of each positive score among the
+    thresholds, counted up, gives how many of those are true positives. The
+    trapezoidal area, formed in place in the curve's two buffers, equals
+    the pairwise ranking statistic with ties counted half. Raises
     UndefinedAucError when the ground truth is single-class there and
     ValidationError when a score is not finite.
     """
@@ -171,13 +172,38 @@ def auc(
         raise ValidationError("ROC area needs finite scores")
     run_start = np.flatnonzero(np.concatenate([[True], asc[1:] != asc[:-1]]))
     run_value = asc[run_start]
-    tp = n_pos - np.searchsorted(np.sort(s[g]), run_value, side="left")
-    fp = (s.size - run_start) - tp
-    # Descending thresholds: the curve starts at (0, 0).
-    tpr = np.concatenate([[0.0], tp[::-1] / n_pos])
-    fpr = np.concatenate([[0.0], fp[::-1] / n_neg])
+    del asc
+    n_runs = run_start.size
+
+    # The curve in two buffers, (0, 0) first and thresholds descending. They
+    # are filled with integer counts, exact in float64, then divided; each
+    # is allocated after the arrays it no longer needs are dropped.
+    fpr = np.empty(n_runs + 1)
+    fpr[0] = 0.0
+    np.subtract(s.size, run_start[::-1], out=fpr[1:])  # voxels at or above
+    del run_start
+    # Every positive's value is a run value, so searching for it on the
+    # right gives one past its run; the running count of these is the
+    # number of positives below each threshold.
+    below = np.bincount(
+        np.searchsorted(run_value, np.sort(s[g]), side="right"), minlength=n_runs + 1
+    )
+    del run_value
+    np.cumsum(below, out=below)
+    tpr = np.empty(n_runs + 1)
+    tpr[0] = 0.0
+    np.subtract(n_pos, below[:n_runs][::-1], out=tpr[1:])
+    fpr[1:] -= tpr[1:]
+    fpr[1:] /= n_neg
+    tpr[1:] /= n_pos
+
+    # np.trapezoid(tpr, fpr) is (diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0).sum();
+    # the same operations run in place, each writing behind what it reads.
+    d = np.subtract(fpr[1:], fpr[:-1], out=fpr[:-1])
+    d *= np.add(tpr[1:], tpr[:-1], out=tpr[:-1])
+    d /= 2.0
     # accumulated rounding can land an ulp outside [0, 1]
-    return float(min(max(np.trapezoid(tpr, fpr), 0.0), 1.0))
+    return float(min(max(d.sum(), 0.0), 1.0))
 
 
 def score(method: str, pred: VoxelMask, prob: ProbabilityMap3D | None, gt: VoxelMask) -> MetricsReport:

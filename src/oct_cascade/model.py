@@ -185,7 +185,11 @@ class EnFaceImage:
 
 @dataclass(frozen=True)
 class PixelMask:
-    """A 2D (n_slices, width) boolean transverse footprint."""
+    """A 2D (n_slices, width) boolean transverse footprint.
+
+    A C-contiguous bool array is not copied: it is frozen in place, so the
+    caller's array becomes read-only.
+    """
 
     data: np.ndarray
 
@@ -193,7 +197,7 @@ class PixelMask:
         data = np.asarray(self.data)
         if data.ndim != 2:
             raise ValidationError(f"pixel mask must be 2D, got ndim={data.ndim}")
-        object.__setattr__(self, "data", _freeze(data.astype(bool)))
+        object.__setattr__(self, "data", _freeze(data.astype(bool, copy=False)))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -202,7 +206,11 @@ class PixelMask:
 
 @dataclass(frozen=True)
 class VoxelMask:
-    """A 3D boolean mask with OCT volume axis order."""
+    """A 3D boolean mask with OCT volume axis order.
+
+    A C-contiguous bool array is not copied: it is frozen in place, so the
+    caller's array becomes read-only.
+    """
 
     data: np.ndarray
 
@@ -210,7 +218,7 @@ class VoxelMask:
         data = np.asarray(self.data)
         if data.ndim != 3:
             raise ValidationError(f"voxel mask must be 3D, got ndim={data.ndim}")
-        object.__setattr__(self, "data", _freeze(data.astype(bool)))
+        object.__setattr__(self, "data", _freeze(data.astype(bool, copy=False)))
 
     @property
     def dims(self) -> tuple[int, int, int]:

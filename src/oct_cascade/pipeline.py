@@ -29,10 +29,10 @@ from .cascade import (
 from .config import FromDict
 from .enface import ShadowConfig
 from .errors import ConfigError, OctCascadeError
-from .fileio import ensure_dir, write_boundaries, write_pgm, write_volume, read_volume
+from .fileio import ensure_dir, grid_type, read_volume, write_boundaries, write_pgm, write_volume
 from .layers import DpConfig, import_boundaries, segment_boundaries
 from .metrics import MetricsReport, score
-from .model import BoundarySet, OctVolume, PixelMask, VoxelMask
+from .model import BoundarySet, OctVolume, PixelMask, ProbabilityMap3D, VoxelMask
 from .phantom import PhantomConfig, generate
 
 #: Ablation variants in reporting order: (label, use_longitudinal, use_transverse).
@@ -217,21 +217,37 @@ def _require_file(path: str, stage: str) -> None:
         raise StageError(stage, f"no such file {path!r}")
 
 
-def read_typed(path: str, kind: type, stage: str):
-    """The `kind` grid in `path`; a missing or corrupt file or another kind is `stage`'s StageError."""
+def _check_typed(path: str, kind: type, stage: str) -> None:
+    """Read the header of `path` only; a missing file, a corrupt header or
+    another kind than `kind` is `stage`'s StageError."""
     _require_file(path, stage)
     with _stage(stage):
-        value = read_volume(path)
-    if not isinstance(value, kind):
+        found = grid_type(path)
+    if not issubclass(found, kind):
         article = "an" if kind.__name__[0] in "AEIOU" else "a"
         raise StageError(stage, f"{path!r} does not contain {article} {kind.__name__}")
-    return value
+
+
+def read_typed(path: str, kind: type, stage: str):
+    """The `kind` grid in `path`; a missing or corrupt file or another kind is `stage`'s StageError."""
+    _check_typed(path, kind, stage)
+    with _stage(stage):
+        return read_volume(path)
+
+
+def read_boundary_csv(path: str, volume: OctVolume) -> BoundarySet:
+    """The boundary CSV in `path`, checked against `volume`; any failure is
+    a StageError of stage `boundary source`."""
+    _require_file(path, "boundary source")
+    with _stage("boundary source"):
+        return import_boundaries(path, volume)
 
 
 def _resolve(cfg: PipelineConfig) -> tuple[OctVolume, VoxelMask | None, BoundarySet, PixelMask | None]:
     """Volume, ground-truth mask, boundaries and imported shadow mask.
 
-    An imported probability map is only checked to exist here; the
+    Every imported file is checked before boundary segmentation runs. An
+    imported probability map is only checked by its header here; the
     backend reads it.
     """
     if cfg.phantom is not None:
@@ -241,19 +257,17 @@ def _resolve(cfg: PipelineConfig) -> tuple[OctVolume, VoxelMask | None, Boundary
         volume = read_typed(cfg.volume_path, OctVolume, "input volume")
         gt_mask = read_typed(cfg.gt_mask_path, VoxelMask, "ground truth") if cfg.gt_mask_path else None
 
-    if cfg.boundary_source == "import":
-        _require_file(cfg.boundary_import_path, "boundary source")
-        with _stage("boundary source"):
-            boundaries = import_boundaries(cfg.boundary_import_path, volume)
-    else:
-        with _stage("boundary segmentation"):
-            boundaries = segment_boundaries(volume, cfg.dp)
-
     shadow_mask = None
     if cfg.shadow_source == "import":
         shadow_mask = read_typed(cfg.shadow_import_path, PixelMask, "shadow source")
     if cfg.backend.kind == "import":
-        _require_file(cfg.backend.import_path, "backend")
+        _check_typed(cfg.backend.import_path, ProbabilityMap3D, "backend")
+
+    if cfg.boundary_source == "import":
+        boundaries = read_boundary_csv(cfg.boundary_import_path, volume)
+    else:
+        with _stage("boundary segmentation"):
+            boundaries = segment_boundaries(volume, cfg.dp)
     return volume, gt_mask, boundaries, shadow_mask
 
 

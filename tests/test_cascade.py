@@ -41,10 +41,10 @@ def test_longitudinal_mask_shape_checked():
 
 def test_transverse_mask_extrusion():
     dims = (5, 7, 6)
-    pm = np.zeros((5, 6), dtype=bool)
-    empty = transverse_mask(PixelMask(pm), dims)
+    empty = transverse_mask(PixelMask(np.zeros((5, 6), dtype=bool)), dims)
     assert not empty.data.any()
 
+    pm = np.zeros((5, 6), dtype=bool)
     pm[2, 3] = True
     single = transverse_mask(PixelMask(pm), dims, dilation=0)
     assert single.count() == 7  # one full-depth column

@@ -252,6 +252,11 @@ def stage_inputs(tmp_path):
     write_volume(EnFaceImage(np.zeros((1, 8), dtype=np.float32)), str(tmp_path / "enface"))
     write_volume(VoxelMask(np.zeros((1, 16, 8), dtype=bool)), str(tmp_path / "mask"))
     write_volume(ProbabilityMap3D(np.zeros((1, 16, 8), dtype=np.float32)), str(tmp_path / "prob"))
+    (tmp_path / "mask_backend.json").write_text(json.dumps({
+        "input": {"volume": str(tmp_path / "vol")},
+        "backend": {"kind": "import", "path": str(tmp_path / "mask.json")},
+        "output_dir": str(tmp_path / "out"),
+    }))
     return tmp_path
 
 
@@ -292,12 +297,32 @@ def test_bad_config_exits_2_naming_the_stage(stage_inputs, capsys, args, stage, 
      "ground truth", "no such file"),
     (["eval", "--pred", "{d}/mask.json", "--gt", "{d}/mask.json", "--prob", "{d}/mask.json",
       "--out", "{d}"], "probability map", "a ProbabilityMap3D"),
-], ids=["layers", "enface", "shadows", "vessels-contrast", "eval-pred", "eval-gt", "eval-prob"])
+    (["run", "--config", "{d}/mask_backend.json"], "backend", "a ProbabilityMap3D"),
+], ids=["layers", "enface", "shadows", "vessels-contrast", "eval-pred", "eval-gt", "eval-prob",
+        "run-backend"])
 def test_wrong_kind_input_exits_2_naming_the_stage(stage_inputs, capsys, args, stage, culprit):
     assert run_cli([a.format(d=stage_inputs) for a in args]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.count(stage) == 1 and culprit in err
+
+
+@pytest.mark.parametrize("command", ["enface", "vessels"])
+@pytest.mark.parametrize("content, culprit", [
+    (None, "no such file"),
+    ("boundary,slice,column,depth\nILM,zero,0,2.0\n", "bad.csv' row 2"),
+], ids=["absent", "bad-cell"])
+def test_bad_boundaries_exit_2_naming_the_stage(stage_inputs, capsys, command, content, culprit):
+    csv_path = stage_inputs / "bad.csv"
+    if content is not None:
+        csv_path.write_text(content)
+    args = [command, "--in", stage_inputs / "vol.json", "--boundaries", csv_path,
+            "--out", stage_inputs / "out"]
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: boundary source: ")
+    assert err.count("boundary source") == 1 and culprit in err
 
 
 def test_eval_identical_masks(tmp_path):

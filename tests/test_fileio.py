@@ -5,6 +5,7 @@ import pytest
 
 from oct_cascade.errors import CorruptFileError, ValidationError
 from oct_cascade.fileio import (
+    grid_type,
     read_boundaries,
     read_volume,
     write_boundaries,
@@ -78,6 +79,31 @@ def test_mask_payload_rejects_other_bytes(tmp_path):
     (tmp_path / "m.raw").write_bytes(bytes([0, 1, 2, 0]))
     with pytest.raises(ValidationError, match="not 0/1"):
         read_volume(str(tmp_path / "m"))
+
+
+@pytest.mark.parametrize("value, dtype", [
+    (VoxelMask(np.zeros((1, 2, 2), dtype=bool)), "float32"),
+    (OctVolume(np.zeros((1, 8, 8), dtype=np.float32)), "uint8"),
+], ids=["mask-float32", "intensity-uint8"])
+def test_kind_stored_in_another_dtype_is_corrupt(tmp_path, value, dtype):
+    write_volume(value, str(tmp_path / "g"))
+    header = json.loads((tmp_path / "g.json").read_text())
+    (tmp_path / "g.json").write_text(json.dumps({**header, "dtype": dtype}))
+    with pytest.raises(CorruptFileError, match="kind/dtype"):
+        read_volume(str(tmp_path / "g"))
+
+
+def test_grid_type_reads_the_header_alone(tmp_path):
+    for value, name in (
+        (OctVolume(np.zeros((1, 8, 8), dtype=np.float32)), "vol"),
+        (EnFaceImage(np.zeros((1, 8), dtype=np.float32)), "enface"),
+        (ProbabilityMap3D(np.zeros((1, 2, 2), dtype=np.float32)), "prob"),
+        (VoxelMask(np.zeros((1, 2, 2), dtype=bool)), "mask"),
+        (PixelMask(np.zeros((1, 2), dtype=bool)), "footprint"),
+    ):
+        write_volume(value, str(tmp_path / name))
+        (tmp_path / f"{name}.raw").unlink()
+        assert grid_type(str(tmp_path / f"{name}.json")) is type(value)
 
 
 def test_2d_kinds_round_trip(tmp_path):

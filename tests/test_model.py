@@ -108,3 +108,15 @@ def test_masks_cast_to_bool():
     assert pm.shape == (3, 4)
     with pytest.raises(ValidationError):
         VoxelMask(np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("cls, shape", [(VoxelMask, (2, 3, 4)), (PixelMask, (3, 4))])
+def test_masks_freeze_a_bool_array_in_place(cls, shape):
+    a = np.zeros(shape, dtype=bool)
+    m = cls(a)
+    assert m.data is a and not a.flags.writeable
+    # any other dtype, or a strided view, is copied and the source left writable
+    b = np.zeros(shape, dtype=np.uint8)
+    assert not np.shares_memory(cls(b).data, b) and b.flags.writeable
+    c = np.zeros(shape, dtype=bool)[..., ::-1]
+    assert not np.shares_memory(cls(c).data, c) and c.flags.writeable

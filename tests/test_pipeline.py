@@ -7,11 +7,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oct_cascade import cascade, pipeline
+from oct_cascade import cascade, fileio, pipeline
 from oct_cascade.cascade import extract, prepare, run_cascade
 from oct_cascade.fileio import read_volume, write_volume
 from oct_cascade.metrics import score
-from oct_cascade.model import PixelMask
+from oct_cascade.model import PixelMask, ProbabilityMap3D
 from oct_cascade.phantom import PhantomConfig, generate
 from oct_cascade.pipeline import VARIANTS, PipelineConfig, StageError, ablate
 
@@ -91,3 +91,26 @@ def test_prepare_segments_shadows_only_when_needed(monkeypatch, imported, w_shad
         assert np.array_equal(got.mask.data, want.mask.data)
         assert np.array_equal(got.probability.data, want.probability.data)
         assert got.component_count == want.component_count
+
+
+def test_wrong_kind_backend_map_fails_before_boundary_segmentation(tmp_path, monkeypatch):
+    _, gt = generate(PhantomConfig.from_dict(PHANTOM))
+    write_volume(gt.vessel_mask, str(tmp_path / "gt"))
+    cfg = small_config(tmp_path, backend={"kind": "import", "path": str(tmp_path / "gt.json")})
+    monkeypatch.setattr(pipeline, "segment_boundaries", lambda *a: pytest.fail("DP ran"))
+    with pytest.raises(StageError, match="does not contain a ProbabilityMap3D") as err:
+        pipeline.execute(cfg)
+    assert err.value.stage == "backend"
+
+
+def test_imported_backend_map_is_read_once(tmp_path, monkeypatch):
+    volume, _ = generate(PhantomConfig.from_dict(PHANTOM))
+    rng = np.random.default_rng(0)
+    write_volume(ProbabilityMap3D(rng.random(volume.dims, dtype=np.float32)), str(tmp_path / "p"))
+    cfg = small_config(tmp_path, backend={"kind": "import", "path": str(tmp_path / "p.json")})
+    opened = []
+    monkeypatch.setattr(fileio, "open", lambda name, *a: opened.append(name) or open(name, *a),
+                        raising=False)
+    result, _, _ = pipeline.execute(cfg)
+    assert opened.count(str(tmp_path / "p.raw")) == 1
+    assert np.array_equal(result.raw_probability.data, read_volume(str(tmp_path / "p")).data)

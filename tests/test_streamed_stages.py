@@ -2,9 +2,10 @@
 
 project_rpe and vessel_probability work one B-scan at a time, and
 binarize_and_label and infuse avoid whole-volume index and product
-copies. The references below are the earlier whole-volume bodies; the
-streamed stages must reproduce them bit for bit, and run_cascade must stay
-within 4x the volume's bytes of traced allocation.
+copies, and binarize_and_label labels only the foreground's bounding box.
+The references below are the earlier whole-volume bodies; the streamed
+stages must reproduce them bit for bit, run_cascade must stay within 4x
+the volume's bytes of traced allocation, and auc within 10x the map's.
 """
 
 import csv
@@ -26,6 +27,7 @@ from oct_cascade.cascade import (
 )
 from oct_cascade.enface import project_rpe
 from oct_cascade.fileio import write_boundaries
+from oct_cascade.metrics import auc
 from oct_cascade.model import BOUNDARY_NAMES, BoundarySet, OctVolume, ProbabilityMap3D, VoxelMask
 
 
@@ -81,6 +83,24 @@ def binarize_and_label_reference(p, cfg):
     keep = np.bincount(labels.ravel()) >= cfg.min_component_vox
     keep[0] = False
     return keep[labels], int(keep.sum())
+
+
+def binarize_and_label_full_volume_reference(p, cfg):
+    """Labelling of the whole volume, before the crop to the foreground's box."""
+    binary = p > cfg.binarize_threshold
+    if not binary.any():
+        return binary, 0
+    structure = (
+        np.ones((3, 3, 3), dtype=bool)
+        if cfg.connectivity == 26
+        else ndimage.generate_binary_structure(3, 1)
+    )
+    fg = np.flatnonzero(binary)
+    fg_labels = ndimage.label(binary, structure=structure)[0].ravel()[fg]
+    keep = np.bincount(fg_labels) >= cfg.min_component_vox
+    keep[0] = False
+    binary.ravel()[fg] = keep[fg_labels]
+    return binary, int(keep.sum())
 
 
 def infuse_reference(p, masks):
@@ -161,6 +181,40 @@ def test_binarize_and_label_equals_whole_volume_reference(case, threshold, conne
     assert np.array_equal(mask.data, want_mask) and count == want_count
 
 
+@st.composite
+def foreground_maps(draw):
+    """Maps whose foreground (above 0.5) touches every face of the volume,
+    fills a random box inside it, is a single voxel, or is empty."""
+    dims = (draw(st.integers(1, 5)), draw(st.integers(1, 10)), draw(st.integers(1, 10)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = (0.5 * rng.random(dims)).astype(np.float32)
+    kind = draw(st.sampled_from(["faces", "box", "single", "empty"]))
+    if kind == "faces":
+        for axis, n in enumerate(dims):
+            for end in (0, n - 1):
+                at = [int(rng.integers(0, m)) for m in dims]
+                at[axis] = end
+                p[tuple(at)] = 0.75
+        p[rng.random(dims) < draw(st.sampled_from([0.1, 0.3, 0.6]))] = 0.9
+    elif kind == "box":
+        lo = [int(rng.integers(0, n)) for n in dims]
+        box = tuple(slice(a, int(rng.integers(a, n)) + 1) for a, n in zip(lo, dims))
+        p[box] = np.where(rng.random(p[box].shape) < 0.5, 0.9, 0.1)
+    elif kind == "single":
+        p[tuple(int(rng.integers(0, n)) for n in dims)] = 0.75
+    return p
+
+
+@settings(max_examples=300)
+@given(foreground_maps(), st.sampled_from([6, 26]), st.integers(1, 12))
+def test_binarize_and_label_equals_full_volume_labelling(p, connectivity, min_vox):
+    cfg = InfusionConfig(connectivity=connectivity, min_component_vox=min_vox)
+    mask, count = binarize_and_label(ProbabilityMap3D(p), cfg)
+    want_mask, want_count = binarize_and_label_full_volume_reference(p, cfg)
+    assert np.array_equal(mask.data, want_mask)
+    assert count == want_count
+
+
 @settings(max_examples=100)
 @given(probability_maps(), st.booleans(), st.booleans())
 def test_infuse_equals_whole_volume_reference(case, use_l, use_t):
@@ -197,3 +251,21 @@ def test_run_cascade_allocates_at_most_4x_volume(desk_phantom):
         tracemalloc.stop()
     growth = (peak - entry) / volume.data.nbytes
     assert growth <= 4.0, f"run_cascade allocated {growth:.2f}x the volume's bytes"
+
+
+def test_auc_allocates_at_most_10x_the_map():
+    """ROC area of a desk-size map with nearly all-distinct scores: one
+    threshold per voxel, so every curve-length array is as long as the map."""
+    rng = np.random.default_rng(0)
+    dims = (32, 192, 160)
+    scores = ProbabilityMap3D(rng.random(dims, dtype=np.float32))
+    gt = VoxelMask(rng.random(dims) < 0.02)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        auc(scores, gt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    growth = (peak - entry) / scores.data.nbytes
+    assert growth <= 10.0, f"auc allocated {growth:.2f}x the map's bytes"
