@@ -10,9 +10,11 @@ with one row per (boundary, slice, column).
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
+from typing import NoReturn
 
 import numpy as np
 
@@ -122,10 +124,11 @@ def _value_type(kind: str, rank: int) -> type:
     return OctVolume if rank == 3 else EnFaceImage
 
 
-def grid_type(path: str) -> type:
-    """The type :func:`read_volume` returns for `path`, from its header alone."""
+def grid_header(path: str) -> tuple[type, tuple[int, ...]]:
+    """The type :func:`read_volume` returns for `path` and its dims, from its
+    header alone."""
     _, kind, dims, _ = _read_header(path)
-    return _value_type(kind, len(dims))
+    return _value_type(kind, len(dims)), dims
 
 
 def read_volume(path: str) -> GridValue:
@@ -175,45 +178,150 @@ def write_boundaries(b: BoundarySet, path: str) -> None:
                 fh.write("".join([f"{name},{s},{x},{depth!r}\r\n" for x, depth in enumerate(row)]))
 
 
+_HEADER = ["boundary", "slice", "column", "depth"]
+# The name field is one character longer than the longest boundary name, so
+# a longer name is cut to a string that names no boundary.
+_ROW = np.dtype([
+    ("name", f"U{max(map(len, BOUNDARY_NAMES)) + 1}"),
+    ("slice", np.int64),
+    ("column", np.int64),
+    ("depth", np.float64),
+])
+# numpy's number parser skips these as white space where int() and float()
+# refuse them, and the fixed-width name field drops a trailing NUL.
+_UNSAFE = (b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
 def read_boundaries(path: str) -> BoundarySet:
-    """Read a boundary CSV, re-validating completeness and ordering."""
-    cells: dict[str, dict[tuple[int, int], float]] = {n: {} for n in BOUNDARY_NAMES}
+    """Read a UTF-8 boundary CSV, re-validating completeness and ordering.
+
+    The rows after the header are parsed in one `np.loadtxt` call and
+    checked as whole arrays. A file they refuse is read again row by row to
+    name the first faulty row.
+    """
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["boundary", "slice", "column", "depth"]:
-                raise CorruptFileError(f"{path!r}: unexpected boundary CSV header {header}")
-
-            def bad_row(message: str) -> CorruptFileError:
-                return CorruptFileError(f"{path!r} row {reader.line_num}: {message}")
-
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != 4:
-                    raise bad_row(f"malformed row {row}")
-                try:
-                    name, s, x, depth = row[0], int(row[1]), int(row[2]), float(row[3])
-                except ValueError:
-                    raise bad_row(
-                        f"slice and column must be integers and depth a number, got {row}"
-                    ) from None
-                # A negative index would silently address a cell from the end.
-                if s < 0 or x < 0:
-                    raise bad_row(f"negative slice or column in {row}")
-                if name not in cells:
-                    raise bad_row(f"unknown boundary {name!r}")
-                cells[name][(s, x)] = depth
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise CorruptFileError(f"cannot read boundaries {path!r}: {exc}") from exc
+    depths = _parse_boundaries(raw)
+    if isinstance(depths, str):
+        _refuse_boundaries(path, raw, depths)
+    # BoundarySet re-validates the ordering invariant and names the cell.
+    try:
+        return BoundarySet(dict(zip(BOUNDARY_NAMES, depths)))
+    except ValidationError as exc:
+        raise type(exc)(f"{path!r}: {exc}") from None
+
+
+def _parse_boundaries(raw: bytes) -> np.ndarray | str:
+    """The (boundary, slice, column) depths of a well-formed boundary CSV,
+    or why the one-pass parse refuses the file."""
+    header = raw.partition(b"\n")[0]
+    if b"\r" in header[:-1]:  # lines end in a lone \r
+        raw, header = raw.replace(b"\r", b"\n"), header.partition(b"\r")[0]
+    try:
+        if next(csv.reader([header.decode("utf-8", "replace")]), None) != _HEADER:
+            return "unexpected header"
+    except csv.Error as exc:
+        return str(exc)
+    if len(raw.rstrip()) <= len(header):
+        return "no rows after the header"
+    if any(c in raw for c in _UNSAFE):
+        return "a NUL or an ASCII separator character in the file"
+    # A field over the csv module's limit leaves a block of half that many
+    # bytes without a comma.
+    block = csv.field_size_limit() // 2
+    n_blocks = len(raw) // block
+    commas = np.frombuffer(raw, np.uint8, count=n_blocks * block) == ord(",")
+    if not commas.reshape(n_blocks, block).any(axis=1).all():
+        return f"{block} bytes in a row without a comma"
+    try:
+        # numpy decodes one line at a time, so no decoded copy of the file is made
+        rows = np.loadtxt(io.BytesIO(raw), dtype=_ROW, delimiter=",", comments=None,
+                          quotechar='"', skiprows=1, encoding="utf-8", ndmin=1)
+    except ValueError as exc:  # UnicodeDecodeError included
+        return str(exc)
+
+    s, x = rows["slice"], rows["column"]
+    surface = np.full(rows.size, -1)
+    for i, name in enumerate(BOUNDARY_NAMES):
+        surface[rows["name"] == name] = i
+    ilm = surface == 0
+    if (surface < 0).any() or (s < 0).any() or (x < 0).any() or not ilm.any():
+        return "a row names no boundary or a negative cell, or no ILM row"
+    n_slices, width = int(s[ilm].max()) + 1, int(x[ilm].max()) + 1
+    if (rows.size != len(BOUNDARY_NAMES) * n_slices * width
+            or (s >= n_slices).any() or (x >= width).any()):
+        return "rows do not fill the ILM grid"
+    # As many rows as cells and every cell read: none is missing or repeated.
+    cell = (surface * n_slices + s) * width + x
+    seen = np.zeros(rows.size, dtype=bool)
+    seen[cell] = True
+    if not seen.all():
+        return "a cell is missing or repeated"
+    depths = np.empty((len(BOUNDARY_NAMES), n_slices, width))
+    depths.reshape(-1)[cell] = rows["depth"]
+    return depths
+
+
+def _plain_number(field: str) -> bool:
+    # int() and float() also read '_' separators and non-ASCII digits
+    return field.strip().isascii() and "_" not in field
+
+
+def _refuse_boundaries(path: str, raw: bytes, reason: str) -> NoReturn:
+    """Raise the error of the first faulty row of a refused boundary CSV.
+
+    Rows are checked in file order, as a row-by-row reader meets them, then
+    the surfaces as a whole. A row that only the one-pass parse refuses (a
+    repeated cell, a number it cannot read) is named once nothing else is
+    wrong, and the parse's `reason` if no row is at fault.
+    """
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorruptFileError(f"cannot read boundaries {path!r}: {exc}") from None
+    cells: dict[str, dict[tuple[int, int], None]] = {n: {} for n in BOUNDARY_NAMES}
+    late = None
+    reader = csv.reader(io.StringIO(text, newline=""))
+
+    def bad_row(message: str) -> CorruptFileError:
+        return CorruptFileError(f"{path!r} row {reader.line_num}: {message}")
+
+    try:
+        header = next(reader, None)
+        if header != _HEADER:
+            raise CorruptFileError(f"{path!r}: unexpected boundary CSV header {header}")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != 4:
+                raise bad_row(f"malformed row {row}")
+            try:
+                name, s, x, _ = row[0], int(row[1]), int(row[2]), float(row[3])
+            except ValueError:
+                raise bad_row(
+                    f"slice and column must be integers and depth a number, got {row}"
+                ) from None
+            # A negative index would silently address a cell from the end.
+            if s < 0 or x < 0:
+                raise bad_row(f"negative slice or column in {row}")
+            if name not in cells:
+                raise bad_row(f"unknown boundary {name!r}")
+            if late is None and not all(map(_plain_number, row[1:])):
+                late = bad_row(f"numbers must be ASCII digits without '_', got {row}")
+            elif late is None and (s, x) in cells[name]:
+                late = bad_row(f"repeated {name} cell ({s},{x})")
+            cells[name][s, x] = None
+    except csv.Error as exc:
+        raise bad_row(str(exc)) from None
 
     keys = cells[BOUNDARY_NAMES[0]].keys()
     if not keys:
         raise ValidationError(f"{path!r}: boundary CSV contains no rows")
     n_slices = max(k[0] for k in keys) + 1
     width = max(k[1] for k in keys) + 1
-    surfaces = {}
     for name in BOUNDARY_NAMES:
         got = cells[name]
         if len(got) != n_slices * width:
@@ -221,14 +329,10 @@ def read_boundaries(path: str) -> BoundarySet:
                 f"{path!r}: incomplete boundary set, {name} has {len(got)} of "
                 f"{n_slices * width} cells"
             )
-        arr = np.empty((n_slices, width), dtype=np.float64)
-        for (s, x), depth in got.items():
+        for s, x in got:
             if s >= n_slices or x >= width:
                 raise CorruptFileError(f"{path!r}: cell ({s},{x}) outside grid")
-            arr[s, x] = depth
-        surfaces[name] = arr
-    # BoundarySet re-validates the ordering invariant and names the cell.
-    return BoundarySet(surfaces)
+    raise late or CorruptFileError(f"{path!r}: {reason}")
 
 
 def write_pgm(image: np.ndarray, path: str) -> None:

@@ -193,5 +193,8 @@ def import_boundaries(path: str, volume: OctVolume | None = None) -> BoundarySet
     output) and validate it, optionally against a target volume."""
     b = read_boundaries(path)
     if volume is not None:
-        b.check_against(volume.dims)
+        try:
+            b.check_against(volume.dims)
+        except ValidationError as exc:
+            raise type(exc)(f"{path!r}: {exc}") from None
     return b

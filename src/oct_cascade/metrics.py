@@ -170,7 +170,12 @@ def auc(
     # NaN sorts last and infinities sit at the ends.
     if not (np.isfinite(asc[0]) and np.isfinite(asc[-1])):
         raise ValidationError("ROC area needs finite scores")
-    run_start = np.flatnonzero(np.concatenate([[True], asc[1:] != asc[:-1]]))
+    # one flag per value: does a run of equal values start there
+    starts = np.empty(asc.size, dtype=bool)
+    starts[0] = True
+    np.not_equal(asc[1:], asc[:-1], out=starts[1:])
+    run_start = np.flatnonzero(starts)
+    del starts
     run_value = asc[run_start]
     del asc
     n_runs = run_start.size

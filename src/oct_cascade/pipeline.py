@@ -29,7 +29,7 @@ from .cascade import (
 from .config import FromDict
 from .enface import ShadowConfig
 from .errors import ConfigError, OctCascadeError
-from .fileio import ensure_dir, grid_type, read_volume, write_boundaries, write_pgm, write_volume
+from .fileio import ensure_dir, grid_header, read_volume, write_boundaries, write_pgm, write_volume
 from .layers import DpConfig, import_boundaries, segment_boundaries
 from .metrics import MetricsReport, score
 from .model import BoundarySet, OctVolume, PixelMask, ProbabilityMap3D, VoxelMask
@@ -217,15 +217,16 @@ def _require_file(path: str, stage: str) -> None:
         raise StageError(stage, f"no such file {path!r}")
 
 
-def _check_typed(path: str, kind: type, stage: str) -> None:
-    """Read the header of `path` only; a missing file, a corrupt header or
-    another kind than `kind` is `stage`'s StageError."""
+def _check_typed(path: str, kind: type, stage: str) -> tuple[int, ...]:
+    """The dims in the header of `path`, read alone; a missing file, a
+    corrupt header or another kind than `kind` is `stage`'s StageError."""
     _require_file(path, stage)
     with _stage(stage):
-        found = grid_type(path)
+        found, dims = grid_header(path)
     if not issubclass(found, kind):
         article = "an" if kind.__name__[0] in "AEIOU" else "a"
         raise StageError(stage, f"{path!r} does not contain {article} {kind.__name__}")
+    return dims
 
 
 def read_typed(path: str, kind: type, stage: str):
@@ -247,8 +248,8 @@ def _resolve(cfg: PipelineConfig) -> tuple[OctVolume, VoxelMask | None, Boundary
     """Volume, ground-truth mask, boundaries and imported shadow mask.
 
     Every imported file is checked before boundary segmentation runs. An
-    imported probability map is only checked by its header here; the
-    backend reads it.
+    imported probability map is only checked by its header's kind and dims
+    here; the backend reads it.
     """
     if cfg.phantom is not None:
         volume, gt = generate(cfg.phantom)
@@ -261,7 +262,11 @@ def _resolve(cfg: PipelineConfig) -> tuple[OctVolume, VoxelMask | None, Boundary
     if cfg.shadow_source == "import":
         shadow_mask = read_typed(cfg.shadow_import_path, PixelMask, "shadow source")
     if cfg.backend.kind == "import":
-        _check_typed(cfg.backend.import_path, ProbabilityMap3D, "backend")
+        dims = _check_typed(cfg.backend.import_path, ProbabilityMap3D, "backend")
+        if dims != volume.dims:
+            raise StageError(
+                "backend", f"imported probability map vs volume: {dims} != {volume.dims}"
+            )
 
     if cfg.boundary_source == "import":
         boundaries = read_boundary_csv(cfg.boundary_import_path, volume)

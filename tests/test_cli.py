@@ -311,10 +311,15 @@ def test_wrong_kind_input_exits_2_naming_the_stage(stage_inputs, capsys, args, s
 @pytest.mark.parametrize("content, culprit", [
     (None, "no such file"),
     ("boundary,slice,column,depth\nILM,zero,0,2.0\n", "bad.csv' row 2"),
-], ids=["absent", "bad-cell"])
+    (b"boundary,slice,column,depth\nILM,0,0,\xff\n", "bad.csv': 'utf-8' codec"),
+    ("boundary,slice,column,depth\nILM,0,0," + "x" * 140_000 + "\n",
+     "bad.csv' row 2: field larger"),
+], ids=["absent", "bad-cell", "not-utf8", "huge-field"])
 def test_bad_boundaries_exit_2_naming_the_stage(stage_inputs, capsys, command, content, culprit):
     csv_path = stage_inputs / "bad.csv"
-    if content is not None:
+    if isinstance(content, bytes):
+        csv_path.write_bytes(content)
+    elif content is not None:
         csv_path.write_text(content)
     args = [command, "--in", stage_inputs / "vol.json", "--boundaries", csv_path,
             "--out", stage_inputs / "out"]

@@ -5,7 +5,7 @@ import pytest
 
 from oct_cascade.errors import CorruptFileError, ValidationError
 from oct_cascade.fileio import (
-    grid_type,
+    grid_header,
     read_boundaries,
     read_volume,
     write_boundaries,
@@ -103,7 +103,8 @@ def test_grid_type_reads_the_header_alone(tmp_path):
     ):
         write_volume(value, str(tmp_path / name))
         (tmp_path / f"{name}.raw").unlink()
-        assert grid_type(str(tmp_path / f"{name}.json")) is type(value)
+        found, dims = grid_header(str(tmp_path / f"{name}.json"))
+        assert found is type(value) and dims == value.data.shape
 
 
 def test_2d_kinds_round_trip(tmp_path):

@@ -72,7 +72,7 @@ def test_import_rejects_wrong_width(tmp_path, clean_phantom):
 
     path = tmp_path / "bad.csv"
     write_boundaries(BoundarySet(surfaces), str(path))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"bad\.csv': boundary grid"):
         import_boundaries(str(path), volume)
 
 

@@ -103,6 +103,15 @@ def test_wrong_kind_backend_map_fails_before_boundary_segmentation(tmp_path, mon
     assert err.value.stage == "backend"
 
 
+def test_wrong_dims_backend_map_fails_before_boundary_segmentation(tmp_path, monkeypatch):
+    write_volume(ProbabilityMap3D(np.zeros((8, 96, 63), dtype=np.float32)), str(tmp_path / "p"))
+    cfg = small_config(tmp_path, backend={"kind": "import", "path": str(tmp_path / "p.json")})
+    monkeypatch.setattr(pipeline, "segment_boundaries", lambda *a: pytest.fail("DP ran"))
+    with pytest.raises(StageError, match=r"\(8, 96, 63\) != \(8, 96, 64\)") as err:
+        pipeline.execute(cfg)
+    assert err.value.stage == "backend"
+
+
 def test_imported_backend_map_is_read_once(tmp_path, monkeypatch):
     volume, _ = generate(PhantomConfig.from_dict(PHANTOM))
     rng = np.random.default_rng(0)

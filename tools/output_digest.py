@@ -1,13 +1,17 @@
 """Print the sha256 of every file the acceptance workflows write.
 
 Runs `python -m oct_cascade` in child processes, in a fresh temporary
-directory, for three workflows:
+directory, for four workflows:
 
 * criterion 8: `phantom gen --seed 3` plus `run` on its 8x96x64 phantom
   config (the acceptance suite's determinism check);
 * `ablate --seeds 0-9` on the desk phantom defaults;
 * `eval` of that run's mask and probability map against the ground-truth
-  vessel mask of the same phantom, written by `phantom gen --config`.
+  vessel mask of the same phantom, written by `phantom gen --config`;
+* import: `run` on that written phantom with every stage imported - the
+  boundaries from its `gt_boundaries.csv`, the shadow mask from its
+  `gt_shadow_footprint` and the backend from the criterion-8 run's
+  `prob.json`.
 
 Each output line is `<sha256>  <workflow>/<relative path>`, sorted, so two
 checkouts that write the same bytes print the same text:
@@ -80,6 +84,18 @@ def main() -> None:
         _oct_cascade(src, "eval", "--pred", os.path.join(run, "mask.json"),
                      "--gt", os.path.join(truth, "gt_vessel_mask.json"),
                      "--prob", os.path.join(run, "prob.json"), "--out", os.path.join(out, "eval"))
+        imported = {
+            "input": {"volume": os.path.join(truth, "volume.json"),
+                      "ground_truth_mask": os.path.join(truth, "gt_vessel_mask.json")},
+            "boundaries": {"source": "import", "path": os.path.join(truth, "gt_boundaries.csv")},
+            "shadows": {"source": "import",
+                        "path": os.path.join(truth, "gt_shadow_footprint.json")},
+            "backend": {"kind": "import", "path": os.path.join(run, "prob.json")},
+            "output_dir": os.path.join(out, "import"),
+        }
+        with open(os.path.join(configs, "import.json"), "w") as fh:
+            json.dump(imported, fh)
+        _oct_cascade(src, "run", "--config", os.path.join(configs, "import.json"))
         print("\n".join(_digests(out)))
 
 
