@@ -96,6 +96,8 @@ class VesselBackendConfig(FromDict):
     def from_dict(cls, d: dict) -> "VesselBackendConfig":
         d = dict(d)
         if "path" in d:  # alias matching the other import sections
+            if "import_path" in d:
+                raise ConfigError("backend config gives both 'path' and 'import_path'; give one")
             d["import_path"] = d.pop("path")
         return super().from_dict(d)
 

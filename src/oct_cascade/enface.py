@@ -15,8 +15,7 @@ import numpy as np
 from scipy import ndimage
 
 from .config import FromDict
-from .errors import ConfigError, ShapeMismatchError
-from .fileio import read_volume
+from .errors import ConfigError
 from .model import BoundarySet, EnFaceImage, OctVolume, PixelMask
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
@@ -117,15 +116,3 @@ def segment_shadows(
         mask = ndimage.binary_dilation(mask, structure=np.ones((size, size), dtype=bool))
     return PixelMask(mask), contrast
 
-
-def import_shadow_mask(path: str, image: EnFaceImage | None = None) -> PixelMask:
-    """Load an externally produced footprint mask, validating shape if the
-    generating en-face image is supplied."""
-    value = read_volume(path)
-    if not isinstance(value, PixelMask):
-        raise ConfigError(f"{path!r} does not contain a 2D mask")
-    if image is not None and value.shape != image.shape:
-        raise ShapeMismatchError(
-            f"shadow mask shape {value.shape} != en-face shape {image.shape}"
-        )
-    return value

@@ -1,10 +1,10 @@
 """Hot numeric kernels: the boundary dynamic program and the phantom
-tube/shadow pass, in numpy.
+tube/shadow passes, in numpy.
 
-`dp_trace` is the per-B-scan reference of the boundary DP; `dp_trace_batch`
-runs it over a stack of B-scans at once, forming the same float64 sums and
-picking each step by running minima instead of a strict "<" scan, so its
-paths equal `dp_trace` on every slice bit for bit.
+`dp_trace_batch` is the package's one boundary DP. It runs over a stack of
+B-scans at once; a single B-scan is a stack of one. The tests hold it, bit
+for bit, to a per-B-scan reference DP that scans each column's candidates
+with a strict "<" (`tests/dp_reference.py`).
 """
 
 from __future__ import annotations
@@ -20,103 +20,26 @@ from .errors import InfeasibleBandError
 # Minimum-cost boundary path (dynamic programming over columns)
 # ---------------------------------------------------------------------------
 
-def _dp_suffix_numpy(cost, lo, hi, lam, max_jump):
-    """Suffix cost table D[x, z] = best cost of covering columns x..W-1
-    with the path at depth z in column x. Infeasible states are +inf."""
-    height, width = cost.shape
-    z = np.arange(height)
-    table = np.full((width, height), np.inf)
-    last = np.full(height, np.inf)
-    sel = (z >= lo[width - 1]) & (z <= hi[width - 1])
-    last[sel] = cost[sel, width - 1]
-    table[width - 1] = last
-    for x in range(width - 2, -1, -1):
-        nxt = table[x + 1]
-        best = np.full(height, np.inf)
-        # Candidates scanned in ascending target depth keeps the strict "<"
-        # comparison tie-broken toward the smallest depth.
-        for k in range(-max_jump, max_jump + 1):
-            cand = np.full(height, np.inf)
-            zp = z + k
-            ok = (zp >= 0) & (zp < height)
-            cand[ok] = nxt[zp[ok]] + lam * abs(k)
-            take = cand < best
-            best[take] = cand[take]
-        col = np.full(height, np.inf)
-        sel = (z >= lo[x]) & (z <= hi[x]) & np.isfinite(best)
-        col[sel] = cost[sel, x] + best[sel]
-        table[x] = col
-        if not np.isfinite(col).any():
-            return table, x
-    if not np.isfinite(table[0]).any():
-        return table, 0
-    return table, -1
-
-
-def _reconstruct(table, lo, hi, lam, max_jump):
-    """Greedy left-to-right walk of the suffix table. Ties resolve to the
-    smallest depth, column by column from the left, so the returned path is
-    the lexicographically smallest of the optimal ones."""
-    width, height = table.shape
-    first = table[0]
-    z = int(lo[0])
-    best = np.inf
-    for cand in range(int(lo[0]), int(hi[0]) + 1):
-        if first[cand] < best:
-            best = first[cand]
-            z = cand
-    path = np.empty(width, dtype=np.int64)
-    path[0] = z
-    for x in range(width - 1):
-        nxt = table[x + 1]
-        best = np.inf
-        nz = z
-        for k in range(-max_jump, max_jump + 1):
-            zp = z + k
-            if 0 <= zp < height:
-                c = lam * abs(k) + nxt[zp]
-                if c < best:
-                    best = c
-                    nz = zp
-        z = nz
-        path[x + 1] = z
-    return path
-
-
-def dp_trace(cost, band_lo, band_hi, lam, max_jump):
-    """Minimum-cost depth path through a (height, width) cost image.
-
-    Minimizes sum_x cost[z(x), x] + lam * sum_x |z(x+1) - z(x)| subject to
-    per-column bands and |z(x+1) - z(x)| <= max_jump. Raises
-    InfeasibleBandError naming the column where no state is reachable.
-    """
-    cost = np.ascontiguousarray(cost, dtype=np.float64)
-    height, width = cost.shape
-    lo = np.ascontiguousarray(band_lo, dtype=np.int64)
-    hi = np.ascontiguousarray(band_hi, dtype=np.int64)
-    table, fail = _dp_suffix_numpy(cost, lo, hi, float(lam), int(max_jump))
-    if fail >= 0:
-        raise InfeasibleBandError(int(fail))
-    return _reconstruct(table, lo, hi, float(lam), int(max_jump))
-
-
 def dp_trace_batch(cost, band_lo, band_hi, lam, max_jump):
-    """`dp_trace` on every image of a (slices, height, width) cost stack.
+    """Minimum-cost depth path through every image of a (slices, height,
+    width) cost stack.
 
-    Bands are (slices, width). The costs are laid out once as
-    (width, slices, height) with +inf outside each column's band, so a
-    column of suffix costs is one sum over (slices, height). The previous
-    column is padded with max_jump rows of +inf on each side, and its 2J+1
-    shifted candidates col[z + k] + lam * |k| are folded in ascending k as
-    running minima. The number of running minima still above the final one
-    is the index of the first, smallest-depth minimum, so a state's step is
-    that count minus J: the step `_reconstruct`'s strict "<" scan picks.
-    Each candidate is the float64 sum `_dp_suffix_numpy` forms and a
-    minimum is exact, so row s of the returned (slices, width) paths equals
-    `dp_trace` on slice s bit for bit. Only the counts are kept, as the
-    smallest unsigned integer type that holds 2J. An infeasible band raises
-    InfeasibleBandError for the first such slice, naming it and the column
-    `dp_trace` names for it.
+    Per slice, minimizes sum_x cost[z(x), x] + lam * sum_x |z(x+1) - z(x)|
+    subject to inclusive per-column bands, (slices, width), and
+    |z(x+1) - z(x)| <= max_jump. Among equal-cost paths the
+    lexicographically smallest (shallower depths, leftmost column first) is
+    returned, as (slices, width) int64 depths.
+
+    The costs are laid out once as (width, slices, height) with +inf
+    outside each column's band, so a column of suffix costs is one sum over
+    (slices, height). The previous column is padded with max_jump rows of
+    +inf on each side, and its 2J+1 shifted candidates col[z + k] + lam * |k|
+    are folded in ascending k as running minima. The number of running
+    minima still above the final one is the index of the first,
+    smallest-depth minimum, so a state's step is that count minus J. Only
+    the counts are kept, as the smallest unsigned integer type that holds
+    2J. An infeasible band raises InfeasibleBandError for the first such
+    slice, naming it and the rightmost column with no reachable state.
     """
     cost = np.asarray(cost, dtype=np.float64)
     n_slices, height, width = cost.shape
@@ -146,14 +69,14 @@ def dp_trace_batch(cost, band_lo, band_hi, lam, max_jump):
         mins[x] = col.min(axis=1)
 
     # a column with no finite state leaves every column to its left without
-    # one; dp_trace names the rightmost
+    # one; the rightmost is named
     dead = np.isinf(mins)
     if dead.any():
         s = int(np.argmax(dead.any(axis=0)))
         raise InfeasibleBandError(int(width - 1 - np.argmax(dead[::-1, s])), slice=s)
 
-    # argmin takes the first minimum, as _reconstruct's scan of column 0 does;
-    # every state on an optimal path has a finite successor, so its step is set
+    # argmin takes the first, shallowest minimum; every state on an optimal
+    # path has a finite successor, so its step is set
     rows = np.arange(n_slices)
     path = np.empty((n_slices, width), dtype=np.int64)
     path[:, 0] = np.argmin(col, axis=1)
@@ -174,7 +97,9 @@ def dp_trace_batch(cost, band_lo, band_hi, lam, max_jump):
 # Loop order (vessel, slice, column ascending) fixes the multiply order, so
 # overlapping shadows are reproducible bit for bit.
 
-def _raster_tubes_numpy(data, vmask, zc, xc, radius, level):
+def raster_tubes(data, vmask, zc, xc, radius, level):
+    """Write tube interiors (value `level`) and their voxel mask in place."""
+    radius, level = float(radius), float(level)
     n_vessels, n_slices = zc.shape
     height = data.shape[1]
     width = data.shape[2]
@@ -198,7 +123,9 @@ def _raster_tubes_numpy(data, vmask, zc, xc, radius, level):
                 vmask[s, z0 : z1 + 1, x] = True
 
 
-def _apply_shadows_numpy(data, vmask, zc, xc, radius, atten):
+def apply_shadows(data, vmask, zc, xc, radius, atten):
+    """Darken all non-vessel voxels below each tube in its footprint columns."""
+    radius, atten = float(radius), float(atten)
     n_vessels, n_slices = zc.shape
     height = data.shape[1]
     width = data.shape[2]
@@ -225,18 +152,3 @@ def _apply_shadows_numpy(data, vmask, zc, xc, radius, atten):
                 col = data[s, zb:, x]
                 keep = ~vmask[s, zb:, x]
                 col[keep] = col[keep] * factor
-
-
-
-def raster_tubes(data, vmask, zc, xc, radius, level):
-    """Write tube interiors (value `level`) and their voxel mask in place."""
-    if zc.size == 0:
-        return
-    _raster_tubes_numpy(data, vmask, zc, xc, float(radius), float(level))
-
-
-def apply_shadows(data, vmask, zc, xc, radius, atten):
-    """Darken all non-vessel voxels below each tube in its footprint columns."""
-    if zc.size == 0:
-        return
-    _apply_shadows_numpy(data, vmask, zc, xc, float(radius), float(atten))

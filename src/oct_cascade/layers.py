@@ -2,13 +2,14 @@
 
 Each B-scan is handled independently: a cost image is built from the
 intensity or its vertical gradient, and the minimum-cost left-to-right
-path through a per-column search band gives one boundary. The DP runs
-over a stack of B-scans at once, on the rows its bands reach, and gives
-each the path `trace_boundary` gives it alone on the full-height cost
-image. The four boundaries are traced sequentially (ILM, then
-RPE upper, then BM, then INL lower), each band positioned relative to the
-boundaries already found, which guarantees the anatomical ordering by
-construction.
+path through a per-column search band gives one boundary. One DP,
+`kernels.dp_trace_batch`, does the tracing: `trace_boundary` runs it on a
+single cost image as a stack of one, and `segment_boundaries` on all
+B-scans at once, on the rows their bands reach, giving each the path
+`trace_boundary` gives it alone on the full-height cost image. The four
+boundaries are traced sequentially (ILM, then RPE upper, then BM, then
+INL lower), each band positioned relative to the boundaries already
+found, which guarantees the anatomical ordering by construction.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ import numpy as np
 
 from .config import FromDict
 from .errors import ConfigError, ShapeMismatchError, ValidationError
-from .fileio import read_boundaries
-from .kernels import dp_trace, dp_trace_batch
+from .kernels import dp_trace_batch
 from .model import BoundarySet, OctVolume
 
 COST_KINDS = ("negative_vertical_gradient", "positive_vertical_gradient", "negative_intensity")
@@ -81,6 +81,9 @@ def trace_boundary(cost, band_lo, band_hi, smoothness=0.5, max_jump=2):
     ndarray (width,) of int64 depths. Among equal-cost paths the
     lexicographically smallest (shallower depths, leftmost column first)
     is returned.
+
+    The image is traced as a stack of one by `dp_trace_batch`, so an
+    infeasible band raises InfeasibleBandError with slice 0.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
@@ -88,7 +91,7 @@ def trace_boundary(cost, band_lo, band_hi, smoothness=0.5, max_jump=2):
     if not np.isfinite(cost).all():
         raise ValidationError("cost image contains non-finite values")
     lo, hi = _checked_bands(cost.shape, band_lo, band_hi)
-    return dp_trace(cost, lo, hi, smoothness, max_jump)
+    return dp_trace_batch(cost[None], lo[None], hi[None], smoothness, max_jump)[0]
 
 
 def _trace_stack(bscans, kind, band_lo, band_hi, smoothness, max_jump):
@@ -187,14 +190,3 @@ def segment_boundaries(volume: OctVolume, cfg: DpConfig | None = None) -> Bounda
     surfaces = _segment_stack(volume.data, cfg or DpConfig())
     return BoundarySet(dict(zip(("ILM", "INL_LOWER", "RPE_UPPER", "BM"), surfaces)))
 
-
-def import_boundaries(path: str, volume: OctVolume | None = None) -> BoundarySet:
-    """Load an externally produced boundary CSV (e.g. a trained network's
-    output) and validate it, optionally against a target volume."""
-    b = read_boundaries(path)
-    if volume is not None:
-        try:
-            b.check_against(volume.dims)
-        except ValidationError as exc:
-            raise type(exc)(f"{path!r}: {exc}") from None
-    return b

@@ -28,9 +28,11 @@ from .cascade import (
 )
 from .config import FromDict
 from .enface import ShadowConfig
-from .errors import ConfigError, OctCascadeError
-from .fileio import ensure_dir, grid_header, read_volume, write_boundaries, write_pgm, write_volume
-from .layers import DpConfig, import_boundaries, segment_boundaries
+from .errors import ConfigError, OctCascadeError, ValidationError
+from .fileio import (
+    ensure_dir, grid_header, read_boundaries, read_volume, write_boundaries, write_pgm, write_volume,
+)
+from .layers import DpConfig, segment_boundaries
 from .metrics import MetricsReport, score
 from .model import BoundarySet, OctVolume, PixelMask, ProbabilityMap3D, VoxelMask
 from .phantom import PhantomConfig, generate
@@ -121,19 +123,22 @@ class PipelineConfig:
                 inp.get("ground_truth_mask"), "ground_truth_mask", "ground truth", optional=True
             )
 
-        for key, stage in (("boundaries", "boundary source"), ("shadows", "shadow source")):
+        # section, field prefix, the section's own config key, field, config class
+        for key, prefix, own, name, config in (
+            ("boundaries", "boundary", "dp", "dp", DpConfig),
+            ("shadows", "shadow", "config", "shadow", ShadowConfig),
+        ):
+            stage = f"{prefix} source"
             sec = _section(d, key, stage)
             source = sec.get("source", "classical")
-            prefix = "boundary" if key == "boundaries" else "shadow"
+            unknown = set(sec) - {"source", own} - ({"path"} if source == "import" else set())
+            if unknown:
+                raise StageError(stage, f"unknown keys {sorted(unknown)}")
             kwargs[f"{prefix}_source"] = source
             if source == "import":
                 kwargs[f"{prefix}_import_path"] = _path(sec.get("path"), "path", stage, optional=True)
-            elif set(sec) - {"source", "config", "dp"}:
-                raise StageError(stage, f"unknown keys {sorted(set(sec) - {'source', 'config', 'dp'})}")
-            if key == "boundaries" and "dp" in sec:
-                kwargs["dp"] = DpConfig.from_dict(_object(sec["dp"], "dp", stage))
-            if key == "shadows" and "config" in sec:
-                kwargs["shadow"] = ShadowConfig.from_dict(_object(sec["config"], "config", stage))
+            if own in sec:
+                kwargs[name] = config.from_dict(_object(sec[own], own, stage))
 
         backend = _section(d, "backend", "backend")
         for key in ("path", "import_path"):
@@ -241,7 +246,12 @@ def read_boundary_csv(path: str, volume: OctVolume) -> BoundarySet:
     a StageError of stage `boundary source`."""
     _require_file(path, "boundary source")
     with _stage("boundary source"):
-        return import_boundaries(path, volume)
+        boundaries = read_boundaries(path)
+    try:
+        boundaries.check_against(volume.dims)
+    except ValidationError as exc:
+        raise StageError("boundary source", f"{path!r}: {exc}") from exc
+    return boundaries
 
 
 def _resolve(cfg: PipelineConfig) -> tuple[OctVolume, VoxelMask | None, BoundarySet, PixelMask | None]:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -168,10 +169,16 @@ def test_malformed_inputs_exit_2_without_traceback(tmp_path):
         (lambda c: c.update(shadows={"source": "import", "path": 5}),
          "shadow source", "'path' must be a path"),
         (lambda c: c.update(backend={"kind": "import", "path": 5}), "backend", "'path' must be a path"),
+        # each source section takes its own config key, and a path only to import
+        (lambda c: c.update(boundaries={"source": "import", "path": "x.csv", "typo": 1}),
+         "boundary source", "unknown keys ['typo']"),
+        (lambda c: c.update(boundaries={"config": 5}), "boundary source", "unknown keys ['config']"),
+        (lambda c: c.update(shadows={"dp": {"max_jump": "x"}}), "shadow source", "unknown keys ['dp']"),
+        (lambda c: c.update(shadows={"path": "x"}), "shadow source", "unknown keys ['path']"),
     )):
         cfg = json.loads(json.dumps(good))
         change(cfg)
-        with pytest.raises(StageError, match=culprit) as err:
+        with pytest.raises(StageError, match=re.escape(culprit)) as err:
             PipelineConfig.from_dict(cfg)
         assert err.value.stage == stage
         path = tmp_path / f"bad_section_{i}.json"
@@ -185,6 +192,8 @@ def test_malformed_inputs_exit_2_without_traceback(tmp_path):
         ("shadows", {"config": {"background_window": 9}}, "'background_window' must be a list"),
         ("report", {"overlays": "no"}, "'overlays' must be true or false"),
         ("report", {"extra": 1}, "unknown report config fields"),
+        ("backend", {"kind": "import", "path": "a.json", "import_path": "b.json"},
+         "both 'path' and 'import_path'"),
     )):
         cfg = {**good, section: fields}
         with pytest.raises(ConfigError, match=culprit):
@@ -422,10 +431,10 @@ def test_stage_commands_chain(tmp_path):
 
     # the staged chain reproduces the library path
     from oct_cascade.cascade import vessel_probability
-    from oct_cascade.layers import import_boundaries
+    from oct_cascade.pipeline import read_boundary_csv
 
     volume = read_volume(str(vol))
-    b = import_boundaries(str(boundaries), volume)
+    b = read_boundary_csv(str(boundaries), volume)
     direct = vessel_probability(volume, b)
     assert np.array_equal(read_volume(str(prob)).data, direct.data)
 

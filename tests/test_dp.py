@@ -6,6 +6,8 @@ import pytest
 from oct_cascade.errors import ConfigError, InfeasibleBandError
 from oct_cascade.layers import trace_boundary
 
+from dp_reference import dp_trace
+
 
 def enumerate_paths(height, width, lo, hi, max_jump):
     """Every feasible path, as an array of shape (n_paths, width).
@@ -71,6 +73,8 @@ def test_matches_exhaustive_search_on_random_instances():
         want_cost, want_path = brute_force_best(cost, lo, hi, 0.5, 2)
         assert got == want_cost
         assert np.array_equal(path, want_path)
+        # the per-B-scan reference the batched DP is held to finds it too
+        assert np.array_equal(dp_trace(cost, lo, hi, 0.5, 2), want_path)
 
 
 def test_per_column_bands_respected():

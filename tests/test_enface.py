@@ -1,17 +1,14 @@
 import numpy as np
 import pytest
 
-from oct_cascade.enface import (
-    ShadowConfig,
-    import_shadow_mask,
-    project_rpe,
-    segment_shadows,
-)
+from oct_cascade.cascade import prepare
+from oct_cascade.enface import ShadowConfig, project_rpe, segment_shadows
 from oct_cascade.errors import ConfigError, ShapeMismatchError
 from oct_cascade.fileio import write_volume
 from oct_cascade.layers import segment_boundaries
 from oct_cascade.model import BoundarySet, EnFaceImage, OctVolume, PixelMask
 from oct_cascade.phantom import PhantomConfig, default_config, generate
+from oct_cascade.pipeline import StageError, read_typed
 
 from conftest import dice
 
@@ -129,17 +126,24 @@ def test_import_shadow_mask_round_trip(tmp_path, clean_phantom):
     img = project_rpe(volume, boundaries)
     mask, _ = segment_shadows(img)
     write_volume(mask, str(tmp_path / "sm"))
-    back = import_shadow_mask(str(tmp_path / "sm"), img)
+    back = read_typed(str(tmp_path / "sm"), PixelMask, "shadow source")
     assert np.array_equal(back.data, mask.data)
 
     all_true = PixelMask(np.ones(img.shape, dtype=bool))
     write_volume(all_true, str(tmp_path / "full"))
-    assert import_shadow_mask(str(tmp_path / "full"), img).data.all()
+    assert read_typed(str(tmp_path / "full"), PixelMask, "shadow source").data.all()
 
+    # the mask's shape is checked against the en-face image when the cascade
+    # is prepared
     wrong = PixelMask(np.ones((3, 3), dtype=bool))
     write_volume(wrong, str(tmp_path / "wrong"))
+    wrong = read_typed(str(tmp_path / "wrong"), PixelMask, "shadow source")
     with pytest.raises(ShapeMismatchError):
-        import_shadow_mask(str(tmp_path / "wrong"), img)
+        prepare(volume, boundaries, wrong)
+
+    write_volume(img, str(tmp_path / "img"))
+    with pytest.raises(StageError, match=r"img' does not contain a PixelMask"):
+        read_typed(str(tmp_path / "img"), PixelMask, "shadow source")
 
 
 def test_shadow_config_validation():

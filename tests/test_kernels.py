@@ -1,5 +1,6 @@
 """The batched boundary DP must agree bit for bit with the per-slice
-reference `dp_trace`, and so must the layer tracer built on it."""
+reference `dp_reference.dp_trace`, and so must the layer tracers built on
+it: `trace_boundary` on one image and `segment_boundaries` on a volume."""
 
 import numpy as np
 import pytest
@@ -13,9 +14,12 @@ from oct_cascade.layers import segment_boundaries, trace_boundary
 from oct_cascade.model import OctVolume
 from oct_cascade.phantom import default_config, generate
 
+import dp_reference
+from dp_reference import dp_trace
+
 
 def _per_slice(cost, lo, hi, lam, max_jump):
-    return np.stack([kernels.dp_trace(c, l, h, lam, max_jump) for c, l, h in zip(cost, lo, hi)])
+    return np.stack([dp_trace(c, l, h, lam, max_jump) for c, l, h in zip(cost, lo, hi)])
 
 
 @pytest.mark.slow
@@ -44,7 +48,7 @@ def test_backends_agree_bit_for_bit(monkeypatch):
     hi = np.full((3, 3), 8, dtype=np.int64)
     lo[1], hi[1] = [0, 0, 8], [1, 1, 8]
     with pytest.raises(InfeasibleBandError) as ref:
-        kernels.dp_trace(cost[1], lo[1], hi[1], 0.5, 2)
+        dp_trace(cost[1], lo[1], hi[1], 0.5, 2)
     with pytest.raises(InfeasibleBandError) as err:
         kernels.dp_trace_batch(cost, lo, hi, 0.5, 2)
     assert err.value.column == ref.value.column == 1
@@ -106,9 +110,17 @@ def test_batch_equals_per_slice_on_random_stacks(case):
     cost, lo, hi, lam, jump = case
     assert_matches_per_slice(
         lambda: kernels.dp_trace_batch(cost, lo, hi, lam, jump),
-        lambda s: kernels.dp_trace(cost[s], lo[s], hi[s], lam, jump),
+        lambda s: dp_trace(cost[s], lo[s], hi[s], lam, jump),
         len(cost),
     )
+    # trace_boundary traces one image as a stack of one, so an infeasible
+    # band names slice 0 and the reference's column
+    for s in range(len(cost)):
+        assert_matches_per_slice(
+            lambda: trace_boundary(cost[s], lo[s], hi[s], lam, jump)[None],
+            lambda _: dp_trace(cost[s], lo[s], hi[s], lam, jump),
+            1,
+        )
 
 
 @settings(max_examples=200)
@@ -119,7 +131,7 @@ def test_row_window_equals_full_height_trace(case, kind):
     bscans, lo, hi, lam, jump = case
     assert_matches_per_slice(
         lambda: layers._trace_stack(bscans, kind, lo, hi, lam, jump),
-        lambda s: trace_boundary(layers._cost_image(bscans[s], kind), lo[s], hi[s], lam, jump),
+        lambda s: dp_trace(layers._cost_image(bscans[s], kind), lo[s], hi[s], lam, jump),
         len(bscans),
     )
 
@@ -135,7 +147,7 @@ def test_infeasible_stack_names_slice_and_column():
     assert (err.value.slice, err.value.column) == (2, 1)
     assert str(err.value) == "no feasible boundary path at column 1 of slice 2"
     with pytest.raises(InfeasibleBandError) as alone:
-        kernels.dp_trace(cost[2], lo[2], hi[2], 0.5, 2)
+        dp_trace(cost[2], lo[2], hi[2], 0.5, 2)
     assert alone.value.slice is None
     assert str(alone.value) == "no feasible boundary path at column 1"
 
@@ -147,8 +159,8 @@ def test_segment_boundaries_equals_full_height_trace(monkeypatch):
     def full_height(bscans, kind, band_lo, band_hi, smoothness, max_jump):
         columns = (bscans.shape[0], bscans.shape[2])
         return np.stack([
-            trace_boundary(layers._cost_image(bscan.astype(np.float64), kind), lo, hi,
-                           smoothness, max_jump)
+            dp_trace(layers._cost_image(bscan.astype(np.float64), kind), lo, hi,
+                     smoothness, max_jump)
             for bscan, lo, hi in zip(bscans, np.broadcast_to(band_lo, columns),
                                      np.broadcast_to(band_hi, columns))
         ])
@@ -165,9 +177,9 @@ def test_numpy_fallback_in_process():
     cost = rng.uniform(0, 1, size=(12, 9))
     lo = np.zeros(9, dtype=np.int64)
     hi = np.full(9, 11, dtype=np.int64)
-    table, fail = kernels._dp_suffix_numpy(cost, lo, hi, 0.5, 2)
+    table, fail = dp_reference._dp_suffix_numpy(cost, lo, hi, 0.5, 2)
     assert fail == -1
-    path = kernels._reconstruct(table, lo, hi, 0.5, 2)
+    path = dp_reference._reconstruct(table, lo, hi, 0.5, 2)
     assert path.shape == (9,)
     assert np.all((path >= 0) & (path <= 11))
-    assert np.array_equal(path, kernels.dp_trace(cost, lo, hi, 0.5, 2))
+    assert np.array_equal(path, dp_trace(cost, lo, hi, 0.5, 2))

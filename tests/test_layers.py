@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from oct_cascade.errors import ValidationError
 from oct_cascade.fileio import write_boundaries
-from oct_cascade.layers import DpConfig, import_boundaries, segment_boundaries
+from oct_cascade.layers import DpConfig, segment_boundaries
 from oct_cascade.model import BOUNDARY_NAMES, OctVolume
 from oct_cascade.phantom import generate
+from oct_cascade.pipeline import StageError, read_boundary_csv
 
 from conftest import clean_config
 
@@ -55,7 +55,7 @@ def test_import_round_trip_matches(tmp_path, clean_phantom):
     est = segment_boundaries(volume)
     path = tmp_path / "b.csv"
     write_boundaries(est, str(path))
-    back = import_boundaries(str(path), volume)
+    back = read_boundary_csv(str(path), volume)
     for name in BOUNDARY_NAMES:
         assert np.allclose(back[name], est[name], atol=1e-9)
 
@@ -72,8 +72,9 @@ def test_import_rejects_wrong_width(tmp_path, clean_phantom):
 
     path = tmp_path / "bad.csv"
     write_boundaries(BoundarySet(surfaces), str(path))
-    with pytest.raises(ValidationError, match=r"bad\.csv': boundary grid"):
-        import_boundaries(str(path), volume)
+    with pytest.raises(StageError, match=r"bad\.csv': boundary grid") as err:
+        read_boundary_csv(str(path), volume)
+    assert err.value.stage == "boundary source"
 
 
 def test_dp_config_validation():
