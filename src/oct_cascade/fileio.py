@@ -14,63 +14,44 @@ import io
 import json
 import math
 import os
+import sys
 from typing import NoReturn
 
 import numpy as np
 
 from .errors import CorruptFileError, ValidationError
-from .model import (
-    BOUNDARY_NAMES,
-    BoundarySet,
-    EnFaceImage,
-    OctVolume,
-    PixelMask,
-    ProbabilityMap3D,
-    VoxelMask,
-)
+from .model import BOUNDARY_NAMES, GRID_TYPES, BoundarySet, Grid, OctVolume
 
 _FORMAT = "oct-cascade-grid"
 _VERSION = 1
-
-GridValue = OctVolume | EnFaceImage | PixelMask | VoxelMask | ProbabilityMap3D
-
-_KINDS: list[tuple[type, str, str]] = [
-    (OctVolume, "intensity", "float32"),
-    (EnFaceImage, "intensity", "float32"),
-    (ProbabilityMap3D, "probability", "float32"),
-    (VoxelMask, "mask", "uint8"),
-    (PixelMask, "mask", "uint8"),
-]
 
 
 def _base_path(path: str) -> str:
     return path[: -len(".json")] if path.endswith(".json") else path
 
 
-def write_volume(value: GridValue, path: str) -> None:
+def write_volume(value: Grid, path: str) -> None:
     """Write a grid value as `<path>.json` + `<path>.raw`.
 
     `path` may name either the base or the .json file; the .raw sibling is
     derived. The parent directory must already exist.
     """
     base = _base_path(path)
-    for cls, kind, dtype in _KINDS:
-        if isinstance(value, cls):
-            break
-    else:
+    if not isinstance(value, GRID_TYPES):
         raise ValidationError(f"cannot serialize {type(value).__name__}")
+    stored = value.stored_dtype()
 
     header = {
         "format": _FORMAT,
         "version": _VERSION,
-        "kind": kind,
+        "kind": value.kind,
         "dims": list(value.data.shape),
-        "dtype": dtype,
+        "dtype": stored.name,
         "byte_order": "little",
         "spacing": list(value.spacing) if getattr(value, "spacing", None) else None,
     }
     # No copy when the data already has the stored dtype and layout.
-    payload = np.ascontiguousarray(value.data, dtype="<f4" if dtype == "float32" else np.uint8)
+    payload = np.ascontiguousarray(value.data, dtype=stored)
     try:
         with open(base + ".json", "w") as fh:
             json.dump(header, fh, indent=1, sort_keys=True)
@@ -81,8 +62,8 @@ def write_volume(value: GridValue, path: str) -> None:
         raise CorruptFileError(f"failed writing grid container {base!r}: {exc}") from exc
 
 
-def _read_header(path: str) -> tuple[str, str, tuple[int, ...], list | None]:
-    """The base path, kind, dims and spacing of a checked grid header."""
+def _read_header(path: str) -> tuple[str, type[Grid], tuple[int, ...], list | None]:
+    """The base path, grid type, dims and spacing of a checked grid header."""
     base = _base_path(path)
     name = base + ".json"
     try:
@@ -90,7 +71,7 @@ def _read_header(path: str) -> tuple[str, str, tuple[int, ...], list | None]:
             header = json.load(fh)
     except OSError as exc:
         raise CorruptFileError(f"cannot read grid header {name!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON or not UTF-8
         raise CorruptFileError(f"malformed grid header {name!r}: {exc}") from exc
 
     if not isinstance(header, dict) or header.get("format") != _FORMAT:
@@ -101,69 +82,74 @@ def _read_header(path: str) -> tuple[str, str, tuple[int, ...], list | None]:
     if not (isinstance(dims, list) and len(dims) in (2, 3)
             and all(type(d) is int and d >= 0 for d in dims)):
         raise CorruptFileError(f"{name!r}: dims {dims!r} are not 2 or 3 non-negative integers")
+    # numpy refuses such dims even for an empty grid, whose payload is empty
+    if math.prod(d for d in dims if d) > sys.maxsize // 4:
+        raise CorruptFileError(f"{name!r}: dims {dims!r} are too large for any array")
     spacing = header.get("spacing")
+    # An integer no float can hold would overflow where OctVolume converts it.
     if spacing is not None and not (
         isinstance(spacing, list) and len(spacing) == 3
-        and all(type(v) in (int, float) for v in spacing)
+        and all(type(v) is float or type(v) is int and abs(v) <= sys.float_info.max
+                for v in spacing)
     ):
         raise CorruptFileError(f"{name!r}: spacing {spacing!r} is neither null nor 3 numbers")
     dtype = header.get("dtype")
     if header.get("byte_order") != "little":
         raise CorruptFileError(f"unsupported byte order {header.get('byte_order')!r}")
-    # Each kind is stored in the one dtype write_volume gives it.
-    if (kind, dtype) not in {(k, d) for _, k, d in _KINDS}:
+    # Each kind is stored in the one dtype write_volume gives it. A list, not
+    # a set: a JSON list or object as kind or dtype cannot be hashed.
+    if (kind, dtype) not in [(t.kind, t.stored_dtype().name) for t in GRID_TYPES]:
         raise CorruptFileError(f"unsupported kind/dtype {kind!r}/{dtype!r} in {base!r}")
-    return base, kind, tuple(dims), spacing
+    for cls in GRID_TYPES:
+        if (cls.kind, cls.ndim) == (kind, len(dims)):
+            return base, cls, tuple(dims), spacing
+    raise CorruptFileError(f"{name!r}: no grid type holds a {len(dims)}D {kind} grid")
 
 
-def _value_type(kind: str, rank: int) -> type:
-    if kind == "probability":
-        return ProbabilityMap3D
-    if kind == "mask":
-        return VoxelMask if rank == 3 else PixelMask
-    return OctVolume if rank == 3 else EnFaceImage
-
-
-def grid_header(path: str) -> tuple[type, tuple[int, ...]]:
+def grid_header(path: str) -> tuple[type[Grid], tuple[int, ...]]:
     """The type :func:`read_volume` returns for `path` and its dims, from its
     header alone."""
-    _, kind, dims, _ = _read_header(path)
-    return _value_type(kind, len(dims)), dims
+    _, cls, dims, _ = _read_header(path)
+    return cls, dims
 
 
-def read_volume(path: str) -> GridValue:
+def read_volume(path: str) -> Grid:
     """Read a grid container written by :func:`write_volume`.
 
-    The concrete type is recovered from the header's kind and rank; range
-    invariants are re-validated so a corrupt payload cannot leak out.
+    The concrete type is recovered from the header's kind and rank; the
+    type's invariants are re-validated so a corrupt payload cannot leak
+    out, and a payload that fails them is named in the error.
     """
-    base, kind, dims, spacing = _read_header(path)
+    base, cls, dims, spacing = _read_header(path)
+    name = base + ".raw"
+    stored = cls.stored_dtype()
     n_expected = math.prod(dims)
-    itemsize = 1 if kind == "mask" else 4
     try:
-        with open(base + ".raw", "rb") as fh:
+        with open(name, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
-        raise CorruptFileError(f"cannot read grid payload {base + '.raw'!r}: {exc}") from exc
-    if len(raw) != n_expected * itemsize:
+        raise CorruptFileError(f"cannot read grid payload {name!r}: {exc}") from exc
+    if len(raw) != n_expected * stored.itemsize:
         raise CorruptFileError(
-            f"{base + '.raw'!r}: payload has {len(raw) // itemsize} elements, "
+            f"{name!r}: payload has {len(raw) // stored.itemsize} elements, "
             f"header dims {dims} require {n_expected}"
         )
 
-    data = np.frombuffer(raw, dtype=np.uint8 if kind == "mask" else "<f4").reshape(dims)
-    cls = _value_type(kind, len(dims))
-    if kind == "mask":
-        # Only a payload with a byte above 1 is searched for the first one;
-        # a 0/1 payload is its own bool array.
-        if data.max(initial=0) > 1:
-            idx = tuple(int(i) for i in np.argwhere(data > 1)[0])
-            raise ValidationError(f"mask byte {int(data[idx])} at voxel {idx} is not 0/1")
-        return cls(data.view(bool))
-    # ValidationError from the constructors already names the offending voxel.
-    if cls is OctVolume:
-        return OctVolume(data, spacing=None if spacing is None else tuple(spacing))
-    return cls(data)
+    data = np.frombuffer(raw, dtype=stored).reshape(dims)
+    try:
+        if cls.kind == "mask":
+            # Only a payload with a byte above 1 is searched for the first
+            # one; a 0/1 payload is its own bool array.
+            if data.max(initial=0) > 1:
+                idx = tuple(int(i) for i in np.argwhere(data > 1)[0])
+                raise ValidationError(f"mask byte {int(data[idx])} at voxel {idx} is not 0/1")
+            return cls(data.view(bool))
+        # The constructors' ValidationError already names the offending voxel.
+        if cls is OctVolume:
+            return OctVolume(data, spacing=None if spacing is None else tuple(spacing))
+        return cls(data)
+    except ValidationError as exc:
+        raise type(exc)(f"{name!r}: {exc}") from None
 
 
 def write_boundaries(b: BoundarySet, path: str) -> None:

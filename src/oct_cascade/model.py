@@ -9,6 +9,7 @@ Array axis order is (slice, depth, column) for 3D grids and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -39,7 +40,45 @@ def _check_unit_range(data: np.ndarray, what: str) -> None:
 
 
 @dataclass(frozen=True)
-class OctVolume:
+class Grid:
+    """A frozen grid value: a volume, an en-face image, a probability map or a mask.
+
+    A grid type declares its rank `ndim`, the `kind` it is stored as and the
+    `noun` its errors call it. A mask holds bool and is stored as one 0/1
+    byte per element; the other kinds hold float32 in [0, 1]. An array that
+    already has the held dtype and is C-contiguous is not copied: it is
+    frozen in place, so the caller's array becomes read-only.
+    """
+
+    ndim: ClassVar[int]
+    kind: ClassVar[str]  # "intensity", "probability" or "mask"
+    noun: ClassVar[str]
+
+    data: np.ndarray
+
+    def __post_init__(self):
+        data = np.asarray(self.data, dtype=bool if self.kind == "mask" else np.float32)
+        if data.ndim != self.ndim:
+            raise ValidationError(f"{self.noun} must be {self.ndim}D, got ndim={data.ndim}")
+        if self.kind != "mask":
+            # a 2D grid is a transverse (en-face) projection
+            _check_unit_range(data, self.kind if self.ndim == 3 else f"en-face {self.kind}")
+        object.__setattr__(self, "data", _freeze(data))
+
+    @classmethod
+    def stored_dtype(cls) -> np.dtype:
+        """The payload dtype on disk: one byte per mask element, else little-endian float32."""
+        return np.dtype(np.uint8 if cls.kind == "mask" else "<f4")
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.data.shape
+
+    dims = shape
+
+
+@dataclass(frozen=True)
+class OctVolume(Grid):
     """A 3D OCT intensity grid in [0, 1] with optional voxel spacing.
 
     Parameters
@@ -50,20 +89,19 @@ class OctVolume:
         Physical voxel spacing (dy, dz, dx) in micrometers. Informational.
     """
 
-    data: np.ndarray
+    ndim = 3
+    kind = "intensity"
+    noun = "volume"
+
     spacing: tuple[float, float, float] | None = None
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float32)
-        if data.ndim != 3:
-            raise ValidationError(f"volume must be 3D, got ndim={data.ndim}")
-        s, h, w = data.shape
-        if s < 1 or h < 8 or w < 8:
+        shape = np.shape(self.data)
+        if len(shape) == 3 and (shape[0] < 1 or shape[1] < 8 or shape[2] < 8):
             raise ValidationError(
-                f"volume dims {data.shape} too small (need n_slices>=1, height>=8, width>=8)"
+                f"volume dims {shape} too small (need n_slices>=1, height>=8, width>=8)"
             )
-        _check_unit_range(data, "intensity")
-        object.__setattr__(self, "data", _freeze(data))
+        super().__post_init__()
         if self.spacing is not None:
             object.__setattr__(self, "spacing", tuple(float(v) for v in self.spacing))
 
@@ -78,10 +116,6 @@ class OctVolume:
         if np.issubdtype(arr.dtype, np.integer):
             arr = arr.astype(np.float32) / np.iinfo(arr.dtype).max
         return cls(arr, spacing=spacing)
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.data.shape
 
     @property
     def n_slices(self) -> int:
@@ -165,90 +199,46 @@ class BoundarySet:
             )
 
 
-@dataclass(frozen=True)
-class EnFaceImage:
+class EnFaceImage(Grid):
     """A 2D (n_slices, width) transverse projection image in [0, 1]."""
 
-    data: np.ndarray
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float32)
-        if data.ndim != 2:
-            raise ValidationError(f"en-face image must be 2D, got ndim={data.ndim}")
-        _check_unit_range(data, "en-face intensity")
-        object.__setattr__(self, "data", _freeze(data))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.data.shape
+    ndim = 2
+    kind = "intensity"
+    noun = "en-face image"
 
 
-@dataclass(frozen=True)
-class PixelMask:
-    """A 2D (n_slices, width) boolean transverse footprint.
+class PixelMask(Grid):
+    """A 2D (n_slices, width) boolean transverse footprint."""
 
-    A C-contiguous bool array is not copied: it is frozen in place, so the
-    caller's array becomes read-only.
-    """
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        data = np.asarray(self.data)
-        if data.ndim != 2:
-            raise ValidationError(f"pixel mask must be 2D, got ndim={data.ndim}")
-        object.__setattr__(self, "data", _freeze(data.astype(bool, copy=False)))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.data.shape
+    ndim = 2
+    kind = "mask"
+    noun = "pixel mask"
 
 
-@dataclass(frozen=True)
-class VoxelMask:
-    """A 3D boolean mask with OCT volume axis order.
+class VoxelMask(Grid):
+    """A 3D boolean mask with OCT volume axis order."""
 
-    A C-contiguous bool array is not copied: it is frozen in place, so the
-    caller's array becomes read-only.
-    """
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        data = np.asarray(self.data)
-        if data.ndim != 3:
-            raise ValidationError(f"voxel mask must be 3D, got ndim={data.ndim}")
-        object.__setattr__(self, "data", _freeze(data.astype(bool, copy=False)))
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.data.shape
+    ndim = 3
+    kind = "mask"
+    noun = "voxel mask"
 
     def count(self) -> int:
         return int(self.data.sum())
 
 
-@dataclass(frozen=True)
-class ProbabilityMap3D:
+class ProbabilityMap3D(Grid):
     """A 3D per-voxel score grid in [0, 1], float32."""
 
-    data: np.ndarray
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float32)
-        if data.ndim != 3:
-            raise ValidationError(f"probability map must be 3D, got ndim={data.ndim}")
-        _check_unit_range(data, "probability")
-        object.__setattr__(self, "data", _freeze(data))
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.data.shape
+    ndim = 3
+    kind = "probability"
+    noun = "probability map"
 
 
-def require_same_dims(a, b, what: str = "arrays") -> None:
-    """Raise ShapeMismatchError unless the two values share grid dims."""
-    da = a.dims if hasattr(a, "dims") else a.shape
-    db = b.dims if hasattr(b, "dims") else b.shape
-    if tuple(da) != tuple(db):
-        raise ShapeMismatchError(f"{what}: {tuple(da)} != {tuple(db)}")
+#: Every grid type, each with its own stored kind and rank.
+GRID_TYPES = (OctVolume, EnFaceImage, ProbabilityMap3D, VoxelMask, PixelMask)
+
+
+def require_same_dims(a: Grid, b: Grid, what: str = "arrays") -> None:
+    """Raise ShapeMismatchError unless the two grids share dims."""
+    if a.dims != b.dims:
+        raise ShapeMismatchError(f"{what}: {a.dims} != {b.dims}")

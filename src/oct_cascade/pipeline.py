@@ -271,6 +271,10 @@ def _resolve(cfg: PipelineConfig) -> tuple[OctVolume, VoxelMask | None, Boundary
     shadow_mask = None
     if cfg.shadow_source == "import":
         shadow_mask = read_typed(cfg.shadow_import_path, PixelMask, "shadow source")
+        enface = (volume.n_slices, volume.width)
+        if shadow_mask.shape != enface:
+            raise StageError("shadow source", f"{cfg.shadow_import_path!r}: shadow mask shape "
+                                              f"{shadow_mask.shape} != en-face shape {enface}")
     if cfg.backend.kind == "import":
         dims = _check_typed(cfg.backend.import_path, ProbabilityMap3D, "backend")
         if dims != volume.dims:

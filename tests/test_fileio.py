@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from oct_cascade.errors import CorruptFileError, ValidationError
+from oct_cascade.errors import CorruptFileError, OctCascadeError, ValidationError
 from oct_cascade.fileio import (
     grid_header,
     read_boundaries,
@@ -13,6 +16,7 @@ from oct_cascade.fileio import (
     write_volume,
 )
 from oct_cascade.model import (
+    GRID_TYPES,
     BoundarySet,
     EnFaceImage,
     OctVolume,
@@ -107,6 +111,111 @@ def test_grid_type_reads_the_header_alone(tmp_path):
         assert found is type(value) and dims == value.data.shape
 
 
+def test_header_kind_with_a_rank_no_grid_type_holds_is_corrupt(tmp_path):
+    write_volume(ProbabilityMap3D(np.zeros((1, 2, 2), dtype=np.float32)), str(tmp_path / "p"))
+    header = json.loads((tmp_path / "p.json").read_text())
+    (tmp_path / "p.json").write_text(json.dumps({**header, "dims": [2, 2]}))
+    for read in (grid_header, read_volume):
+        with pytest.raises(CorruptFileError, match=r"p\.json': no grid type holds a 2D probability"):
+            read(str(tmp_path / "p"))
+
+
+@pytest.mark.parametrize("value, dims, payload, message", [
+    (OctVolume(np.zeros((1, 8, 8))), None, np.full((1, 8, 8), np.nan, "<f4"), "intensity value .*nan"),
+    (OctVolume(np.zeros((1, 8, 8))), [1, 4, 8], np.zeros(32, "<f4"), r"dims \(1, 4, 8\) too small"),
+    (ProbabilityMap3D(np.zeros((1, 2, 2))), None, np.full(4, 1.5, "<f4"), r"probability value .*1\.5"),
+    (VoxelMask(np.zeros((1, 2, 2), dtype=bool)), None, np.array([0, 1, 2, 0], np.uint8), "not 0/1"),
+], ids=["nan", "small-volume", "out-of-range", "mask-byte"])
+def test_payload_failing_its_type_check_names_the_raw_file(tmp_path, value, dims, payload, message):
+    write_volume(value, str(tmp_path / "g"))
+    if dims is not None:
+        header = json.loads((tmp_path / "g.json").read_text())
+        (tmp_path / "g.json").write_text(json.dumps({**header, "dims": dims}))
+    (tmp_path / "g.raw").write_bytes(payload.tobytes())
+    with pytest.raises(ValidationError, match=rf"^'[^']*g\.raw': .*{message}"):
+        read_volume(str(tmp_path / "g"))
+
+
+@st.composite
+def grid_values(draw):
+    """A small grid of every type, with a volume's spacing when it has one."""
+    cls = draw(st.sampled_from(GRID_TYPES))
+    side = 8 if cls is OctVolume else 0
+    shape = draw(hnp.array_shapes(min_dims=cls.ndim, max_dims=cls.ndim, min_side=side,
+                                  max_side=side + 3))
+    if cls.kind == "mask":
+        return cls(draw(hnp.arrays(bool, shape)))
+    data = draw(hnp.arrays(np.float32, shape, elements=st.floats(0, 1, width=32)))
+    if cls is OctVolume:
+        return cls(data, spacing=draw(st.none() | st.tuples(*[st.floats(0.5, 50)] * 3)))
+    return cls(data)
+
+
+DIMS = st.lists(st.integers(-2, 12), max_size=4) | st.sampled_from([
+    None, "2x8x8", [2.0, 8, 8], [True, 8], [2**64, 8, 8], [0, 2**62, 2], [2**40, 2**40, 0]])
+SPACING = st.sampled_from([None, [10**400, 1, 1], [1, True, 1], "1,1,1"]) | st.lists(
+    st.floats() | st.integers(-5, 5), max_size=4)
+MUTATIONS = {
+    "kind": st.sampled_from(["intensity", "probability", "mask", "wavelet", None, 1, ["mask"]]),
+    "dtype": st.sampled_from(["float32", "uint8", "float64", "<f4", None, {"t": "uint8"}]),
+    "dims": DIMS,
+    "spacing": SPACING,
+    "byte_order": st.sampled_from(["little", "big", None, 0]),
+    "format": st.sampled_from(["oct-cascade-grid", "other", None]),
+    "delete": st.sampled_from(["kind", "dtype", "dims", "spacing", "byte_order", "format"]),
+    "bytes": st.binary(max_size=12),  # the whole header: not JSON, or not UTF-8
+}
+
+
+@settings(max_examples=300)
+@given(value=grid_values(), data=st.data())
+def test_mutated_grid_headers_fail_only_as_package_errors(tmp_path_factory, value, data):
+    """Every grid type round-trips byte for byte; a mutated header or payload
+    is refused as a package error, and whatever `read_volume` returns is
+    what `grid_header` promised."""
+    base = tmp_path_factory.mktemp("grid") / "g"
+    write_volume(value, str(base))
+    written = {ext: base.with_suffix(ext).read_bytes() for ext in (".json", ".raw")}
+    back = read_volume(str(base))
+    assert type(back) is type(value) and np.array_equal(back.data, value.data)
+    assert getattr(back, "spacing", None) == getattr(value, "spacing", None)
+    write_volume(back, str(base))
+    assert {ext: base.with_suffix(ext).read_bytes() for ext in written} == written
+
+    header = json.loads(written[".json"])
+    text = None
+    for key in data.draw(st.lists(st.sampled_from(sorted(MUTATIONS)), min_size=1, max_size=3,
+                                  unique=True)):
+        mutation = data.draw(MUTATIONS[key])
+        if key == "delete":
+            header.pop(mutation)
+        elif key == "bytes":
+            text = mutation
+        else:
+            header[key] = mutation
+    text = json.dumps(header).encode() if text is None else text
+    base.with_suffix(".json").write_bytes(text)
+    raw = bytearray(written[".raw"])
+    change = data.draw(st.sampled_from(["none", "truncate", "extend", "byte"]))
+    if change == "truncate":
+        del raw[len(raw) - data.draw(st.integers(0, len(raw))):]
+    elif change == "extend":
+        raw += data.draw(st.binary(min_size=1, max_size=8))
+    elif change == "byte" and raw:
+        raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
+    base.with_suffix(".raw").write_bytes(raw)
+
+    try:
+        promised = grid_header(str(base))
+    except OctCascadeError:
+        promised = None
+    try:
+        got = read_volume(str(base))
+    except OctCascadeError:
+        return
+    assert promised == (type(got), got.dims)
+
+
 def test_2d_kinds_round_trip(tmp_path):
     img = EnFaceImage(np.linspace(0, 1, 12).reshape(3, 4))
     write_volume(img, str(tmp_path / "e"))
@@ -197,7 +306,7 @@ def test_header_that_is_not_an_object_is_corrupt(tmp_path, header):
 @pytest.mark.parametrize(
     "dims",
     [None, "2x8x8", {"y": 2}, [2, -8, 8], [2.0, 8, 8], [True, 8, 8], [2, "8", 8], [], [128],
-     [1, 2, 8, 8]],
+     [1, 2, 8, 8], [0, 2**62, 8]],
 )
 def test_header_dims_must_be_non_negative_integers(tmp_path, dims):
     write_volume(OctVolume(np.zeros((2, 8, 8), dtype=np.float32)), str(tmp_path / "vol"))
@@ -212,7 +321,8 @@ def test_header_dims_must_be_non_negative_integers(tmp_path, dims):
 
 
 @pytest.mark.parametrize(
-    "spacing", ["abc", 5, [1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [1, "2", 3], [True, 1, 1], {"dy": 1}, []],
+    "spacing", ["abc", 5, [1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [1, "2", 3], [True, 1, 1], {"dy": 1}, [],
+                [10**400, 1, 1]],
 )
 def test_header_spacing_must_be_null_or_three_numbers(tmp_path, spacing):
     write_volume(OctVolume(np.zeros((2, 8, 8), dtype=np.float32)), str(tmp_path / "vol"))

@@ -59,12 +59,22 @@ def test_ablate_rows_equal_run_cascade(tmp_path, case):
 
 
 def test_ablate_wrong_shape_shadow_mask_is_cascade_stage_error(tmp_path):
+    # the imported mask is checked against the volume as the shadow source
     cfg = small_config(
         tmp_path, shadows={"source": "import", "path": write_footprint(tmp_path, (8, 63))}
     )
     with pytest.raises(StageError, match="shadow mask shape") as err:
         ablate(cfg, [0])
-    assert err.value.stage == "cascade"
+    assert err.value.stage == "shadow source"
+
+
+def test_wrong_shape_shadow_mask_fails_before_boundary_segmentation(tmp_path, monkeypatch):
+    path = write_footprint(tmp_path, (8, 63))
+    cfg = small_config(tmp_path, shadows={"source": "import", "path": path})
+    monkeypatch.setattr(pipeline, "segment_boundaries", lambda *a: pytest.fail("DP ran"))
+    with pytest.raises(StageError, match=r"footprint'.*\(8, 63\) != en-face shape \(8, 64\)") as err:
+        pipeline.execute(cfg)
+    assert err.value.stage == "shadow source"
 
 
 @pytest.mark.parametrize("imported, w_shadow, segmentations", [

@@ -11,7 +11,10 @@ directory, for four workflows:
 * import: `run` on that written phantom with every stage imported - the
   boundaries from its `gt_boundaries.csv`, the shadow mask from its
   `gt_shadow_footprint` and the backend from the criterion-8 run's
-  `prob.json`.
+  `prob.json`;
+* paper: `phantom gen --scale paper` (19x496x384), a classical `run` on the
+  written volume with overlays, and a `run` on it with every stage imported
+  as above, the backend from that classical run's `prob.json`.
 
 Each output line is `<sha256>  <workflow>/<relative path>`, sorted, so two
 checkouts that write the same bytes print the same text:
@@ -45,6 +48,30 @@ def _oct_cascade(src: str, *args: str) -> None:
                           env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"oct_cascade {' '.join(args)} exited {proc.returncode}:\n{proc.stderr}")
+
+
+def _input(gen: str) -> dict:
+    """The input section for the phantom `phantom gen` wrote to `gen`."""
+    return {"volume": os.path.join(gen, "volume.json"),
+            "ground_truth_mask": os.path.join(gen, "gt_vessel_mask.json")}
+
+
+def _imported(gen: str, run: str) -> dict:
+    """A run config on that phantom with every stage imported: its boundaries
+    and shadow footprint, and the backend from `run`'s `prob.json`."""
+    return {
+        "input": _input(gen),
+        "boundaries": {"source": "import", "path": os.path.join(gen, "gt_boundaries.csv")},
+        "shadows": {"source": "import", "path": os.path.join(gen, "gt_shadow_footprint.json")},
+        "backend": {"kind": "import", "path": os.path.join(run, "prob.json")},
+    }
+
+
+def _run(src: str, configs: str, name: str, cfg: dict, out: str) -> None:
+    path = os.path.join(configs, f"{name}.json")
+    with open(path, "w") as fh:
+        json.dump({**cfg, "output_dir": out}, fh)
+    _oct_cascade(src, "run", "--config", path)
 
 
 def _digests(root: str) -> list[str]:
@@ -84,18 +111,13 @@ def main() -> None:
         _oct_cascade(src, "eval", "--pred", os.path.join(run, "mask.json"),
                      "--gt", os.path.join(truth, "gt_vessel_mask.json"),
                      "--prob", os.path.join(run, "prob.json"), "--out", os.path.join(out, "eval"))
-        imported = {
-            "input": {"volume": os.path.join(truth, "volume.json"),
-                      "ground_truth_mask": os.path.join(truth, "gt_vessel_mask.json")},
-            "boundaries": {"source": "import", "path": os.path.join(truth, "gt_boundaries.csv")},
-            "shadows": {"source": "import",
-                        "path": os.path.join(truth, "gt_shadow_footprint.json")},
-            "backend": {"kind": "import", "path": os.path.join(run, "prob.json")},
-            "output_dir": os.path.join(out, "import"),
-        }
-        with open(os.path.join(configs, "import.json"), "w") as fh:
-            json.dump(imported, fh)
-        _oct_cascade(src, "run", "--config", os.path.join(configs, "import.json"))
+        _run(src, configs, "import", _imported(truth, run), os.path.join(out, "import"))
+
+        gen = os.path.join(out, "paper", "gen")
+        _oct_cascade(src, "phantom", "gen", "--scale", "paper", "--out", gen)
+        run = os.path.join(out, "paper", "run")
+        _run(src, configs, "paper-run", {"input": _input(gen), "report": {"overlays": True}}, run)
+        _run(src, configs, "paper-import", _imported(gen, run), os.path.join(out, "paper", "import"))
         print("\n".join(_digests(out)))
 
 
