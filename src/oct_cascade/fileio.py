@@ -71,7 +71,7 @@ def _read_header(path: str) -> tuple[str, type[Grid], tuple[int, ...], list | No
             header = json.load(fh)
     except OSError as exc:
         raise CorruptFileError(f"cannot read grid header {name!r}: {exc}") from exc
-    except ValueError as exc:  # malformed JSON or not UTF-8
+    except (ValueError, RecursionError) as exc:  # malformed, too deeply nested or not UTF-8
         raise CorruptFileError(f"malformed grid header {name!r}: {exc}") from exc
 
     if not isinstance(header, dict) or header.get("format") != _FORMAT:
@@ -154,14 +154,17 @@ def read_volume(path: str) -> Grid:
 
 def write_boundaries(b: BoundarySet, path: str) -> None:
     """Write a boundary set as CSV rows (boundary, slice, column, depth)."""
-    # The bytes csv.writer would write: no field needs quoting, a float is
-    # its repr, and rows end in \r\n. Formatting them directly takes half
-    # the time csv.writer does.
+    # The bytes csv.writer would write (no field needs quoting, a float is
+    # its repr, rows end in \r\n) in under half its time: each row is its
+    # surface row's "\r\n<name>,<slice>" lead, a ",<column>," and the repr.
+    columns = [f",{x}," for x in range(b[BOUNDARY_NAMES[0]].shape[1])]
     with open(path, "w", newline="") as fh:
-        fh.write("boundary,slice,column,depth\r\n")
+        fh.write("boundary,slice,column,depth")
         for name in BOUNDARY_NAMES:
             for s, row in enumerate(b[name].tolist()):
-                fh.write("".join([f"{name},{s},{x},{depth!r}\r\n" for x, depth in enumerate(row)]))
+                lead = f"\r\n{name},{s}"
+                fh.write("".join([lead + c + d for c, d in zip(columns, map(repr, row))]))
+        fh.write("\r\n")
 
 
 _HEADER = ["boundary", "slice", "column", "depth"]

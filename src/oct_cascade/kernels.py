@@ -2,9 +2,9 @@
 tube/shadow passes, in numpy.
 
 `dp_trace_batch` is the package's one boundary DP. It runs over a stack of
-B-scans at once; a single B-scan is a stack of one. The tests hold it, bit
-for bit, to a per-B-scan reference DP that scans each column's candidates
-with a strict "<" (`tests/dp_reference.py`).
+B-scans at once (a single B-scan is a stack of one) and keeps the float64
+suffix costs of the per-B-scan reference DP (`tests/dp_reference.py`),
+which the tests hold it to bit for bit.
 """
 
 from __future__ import annotations
@@ -30,59 +30,59 @@ def dp_trace_batch(cost, band_lo, band_hi, lam, max_jump):
     lexicographically smallest (shallower depths, leftmost column first) is
     returned, as (slices, width) int64 depths.
 
-    The costs are laid out once as (width, slices, height) with +inf
-    outside each column's band, so a column of suffix costs is one sum over
-    (slices, height). The previous column is padded with max_jump rows of
-    +inf on each side, and its 2J+1 shifted candidates col[z + k] + lam * |k|
-    are folded in ascending k as running minima. The number of running
-    minima still above the final one is the index of the first,
-    smallest-depth minimum, so a state's step is that count minus J. Only
-    the counts are kept, as the smallest unsigned integer type that holds
-    2J. An infeasible band raises InfeasibleBandError for the first such
-    slice, naming it and the rightmost column with no reachable state.
+    The costs go into one (width, J + slices * (height + J)) float64 table,
+    J = max_jump, +inf outside each band: row x is column x of every slice
+    end to end, after J rows of +inf and with J more after each slice, so a
+    shift by up to J stays in its own slice. From the right, row x += the
+    minimum over |k| <= J of row x+1 shifted by k plus lam * |k|. Rounding
+    is monotone, so each |k| costs min(shift -k, shift +k) + lam * |k| and
+    one more minimum. The walk back takes each step as the first argmin of
+    its 2J + 1 candidates, the reference's strict "<". An infeasible band
+    raises InfeasibleBandError for the first such slice, naming it and the
+    rightmost column with no reachable state.
     """
-    cost = np.asarray(cost, dtype=np.float64)
+    cost = np.asarray(cost)
     n_slices, height, width = cost.shape
-    lo = np.asarray(band_lo, dtype=np.int64).T[:, :, None]
-    hi = np.asarray(band_hi, dtype=np.int64).T[:, :, None]
+    # int32 bands build the band masks faster than int64 ones
+    lo = np.asarray(band_lo, dtype=np.int32)[:, :, None]
+    hi = np.asarray(band_hi, dtype=np.int32)[:, :, None]
     lam, jump = float(lam), int(max_jump)
-    z = np.arange(height)
-    banded = np.where((z >= lo) & (z <= hi), cost.transpose(2, 0, 1), np.inf)
+    stride = height + jump
+    z = np.arange(height, dtype=np.int32)
+    table = np.full((width, jump + n_slices * stride), np.inf)
+    states = table[:, jump:].reshape(width, n_slices, stride)[:, :, :height]
+    for s in range(n_slices):
+        np.copyto(states[:, s], cost[s].T, where=(z >= lo[s]) & (z <= hi[s]))
 
-    n = 2 * jump + 1
-    penalty = lam * np.abs(np.arange(-jump, jump + 1))
-    steps = np.empty((width - 1, n_slices, height), dtype=np.min_scalar_type(n - 1))
-    mins = np.empty((width, n_slices))
-    padded = np.full((n_slices, height + 2 * jump), np.inf)
-    col = padded[:, jump : jump + height]
-    col[...] = banded[width - 1]
-    mins[width - 1] = col.min(axis=1)
-    runs = np.empty((n, n_slices, height))
+    # [jump, end) spans every slice and the pads between them
+    end = table.shape[1] - jump
+    pair, run = np.empty((2, end - jump))
     for x in range(width - 2, -1, -1):
-        for i in range(n):
-            np.add(padded[:, i : i + height], penalty[i], out=runs[i])
-        for i in range(1, n):
-            np.minimum(runs[i - 1], runs[i], out=runs[i])
-        best = runs[-1]
-        np.sum(runs[:-1] > best, axis=0, dtype=steps.dtype, out=steps[x])
-        np.add(banded[x], best, out=col)
-        mins[x] = col.min(axis=1)
+        nxt = table[x + 1]
+        best = nxt[jump:end]
+        for k in range(1, jump + 1):
+            np.minimum(nxt[jump - k : end - k], nxt[jump + k : end + k], out=pair)
+            pair += lam * k
+            best = np.minimum(best, pair, out=run)
+        table[x, jump:end] += best
 
-    # a column with no finite state leaves every column to its left without
-    # one; the rightmost is named
-    dead = np.isinf(mins)
-    if dead.any():
-        s = int(np.argmax(dead.any(axis=0)))
-        raise InfeasibleBandError(int(width - 1 - np.argmax(dead[::-1, s])), slice=s)
+    # a column with no finite state leaves all to its left without one, so
+    # column 0 flags the infeasible slices; the first's rightmost is named
+    first = states[0].min(axis=1)
+    if np.isinf(first).any():
+        s = int(np.argmax(np.isinf(first)))
+        dead = np.isinf(states[:, s].min(axis=1))
+        raise InfeasibleBandError(int(width - 1 - np.argmax(dead[::-1])), slice=s)
 
-    # argmin takes the first, shallowest minimum; every state on an optimal
-    # path has a finite successor, so its step is set
-    rows = np.arange(n_slices)
+    # argmin takes the first, shallowest minimum of each step's candidates
+    base = jump + stride * np.arange(n_slices)
     path = np.empty((n_slices, width), dtype=np.int64)
-    path[:, 0] = np.argmin(col, axis=1)
-    for x in range(width - 1):
-        path[:, x + 1] = path[:, x] + steps[x][rows, path[:, x]] - jump
-    return path
+    at = path[:, 0] = base + np.argmin(states[0], axis=1)
+    window = np.arange(-jump, jump + 1)
+    penalty = lam * np.abs(window)
+    for x in range(1, width):
+        at = path[:, x] = at + (table[x].take(at[:, None] + window) + penalty).argmin(axis=1) - jump
+    return path - base[:, None]
 
 
 # ---------------------------------------------------------------------------

@@ -210,7 +210,7 @@ def read_json(path: str, stage: str) -> dict:
             value = json.load(fh)
     except OSError as exc:
         raise StageError(stage, f"cannot read {path!r}: {exc.strerror}") from exc
-    except ValueError as exc:  # malformed JSON or not text
+    except (ValueError, RecursionError) as exc:  # malformed, too deeply nested or not text
         raise StageError(stage, f"malformed JSON in {path!r}: {exc}") from exc
     if not isinstance(value, dict):
         raise StageError(stage, f"{path!r} does not hold a JSON object")
@@ -257,9 +257,9 @@ def read_boundary_csv(path: str, volume: OctVolume) -> BoundarySet:
 def _resolve(cfg: PipelineConfig) -> tuple[OctVolume, VoxelMask | None, BoundarySet, PixelMask | None]:
     """Volume, ground-truth mask, boundaries and imported shadow mask.
 
-    Every imported file is checked before boundary segmentation runs. An
-    imported probability map is only checked by its header's kind and dims
-    here; the backend reads it.
+    Every imported file, the ground-truth mask included, is checked before
+    boundary segmentation runs. An imported probability map is only checked
+    by its header's kind and dims here; the backend reads it.
     """
     if cfg.phantom is not None:
         volume, gt = generate(cfg.phantom)
@@ -267,6 +267,9 @@ def _resolve(cfg: PipelineConfig) -> tuple[OctVolume, VoxelMask | None, Boundary
     else:
         volume = read_typed(cfg.volume_path, OctVolume, "input volume")
         gt_mask = read_typed(cfg.gt_mask_path, VoxelMask, "ground truth") if cfg.gt_mask_path else None
+        if gt_mask is not None and gt_mask.dims != volume.dims:
+            raise StageError("ground truth", f"{cfg.gt_mask_path!r}: ground-truth mask dims "
+                                             f"{gt_mask.dims} != volume dims {volume.dims}")
 
     shadow_mask = None
     if cfg.shadow_source == "import":

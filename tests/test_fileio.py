@@ -347,6 +347,12 @@ def test_missing_and_malformed_headers(tmp_path):
         read_volume(str(tmp_path / "alien"))
 
 
+def test_deeply_nested_header_is_corrupt(tmp_path):
+    (tmp_path / "deep.json").write_text("[" * 100_000)
+    with pytest.raises(CorruptFileError, match=r"malformed grid header .*deep\.json"):
+        read_volume(str(tmp_path / "deep"))
+
+
 def test_header_with_unsupported_fields(tmp_path):
     v = OctVolume(np.zeros((2, 8, 8), dtype=np.float32))
     write_volume(v, str(tmp_path / "vol"))

@@ -152,6 +152,60 @@ def test_infeasible_stack_names_slice_and_column():
     assert str(alone.value) == "no feasible boundary path at column 1"
 
 
+def test_slices_do_not_reach_into_their_neighbours():
+    # the middle slice's edge rows sit max_jump rows from far cheaper rows of
+    # the slices above and below it; only the pads between them keep those
+    # rows out of its candidates, and out of theirs
+    height, width, jump = 6, 5, 2
+    cost = np.zeros((3, height, width))
+    cost[0, -1], cost[2, 0] = -1e3, -1e3
+    lo = np.zeros((3, width), dtype=np.int64)
+    hi = np.full((3, width), height - 1, dtype=np.int64)
+    for stack in (cost, cost[::-1]):
+        want = _per_slice(stack, lo, hi, 0.5, jump)
+        assert np.array_equal(kernels.dp_trace_batch(stack, lo, hi, 0.5, jump), want)
+    assert np.array_equal(want[1], np.zeros(width))
+
+
+@pytest.mark.parametrize("height, jump", [(1, 1), (3, 3), (3, 5), (4, 9)])
+def test_max_jump_at_least_height(height, jump):
+    rng = np.random.default_rng(height * 10 + jump)
+    cost = rng.integers(0, 4, size=(3, height, 7)) / 8.0
+    lo = rng.integers(0, height, size=(3, 7))
+    hi = np.minimum(lo + rng.integers(0, 2, size=(3, 7)), height - 1)
+    assert_matches_per_slice(
+        lambda: kernels.dp_trace_batch(cost, lo, hi, 0.25, jump),
+        lambda s: dp_trace(cost[s], lo[s], hi[s], 0.25, jump),
+        3,
+    )
+
+
+@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("jump", [1, 2])
+def test_widths_one_and_two(width, jump):
+    rng = np.random.default_rng(width * 10 + jump)
+    cost = rng.integers(0, 4, size=(4, 7, width)) / 8.0
+    lo = rng.integers(0, 4, size=(4, width))
+    hi = lo + rng.integers(0, 3, size=(4, width))
+    assert_matches_per_slice(
+        lambda: kernels.dp_trace_batch(cost, lo, hi, 0.5, jump),
+        lambda s: dp_trace(cost[s], lo[s], hi[s], 0.5, jump),
+        4,
+    )
+
+
+def test_non_contiguous_cost_stack_and_bands():
+    rng = np.random.default_rng(8)
+    # every other slice of a (width, height, slices) array, reversed in depth
+    base = rng.uniform(-1, 1, size=(11, 9, 6))
+    cost = base[:, ::-1, ::2].transpose(2, 1, 0)
+    assert not cost.flags.c_contiguous
+    lo = rng.integers(0, 3, size=(11, 6)).T[::2]
+    hi = (8 - rng.integers(0, 3, size=(11, 6))).T[::2]
+    want = _per_slice(np.ascontiguousarray(cost), lo, hi, 0.5, 2)
+    assert np.array_equal(kernels.dp_trace_batch(cost, lo, hi, 0.5, 2), want)
+
+
 def test_segment_boundaries_equals_full_height_trace(monkeypatch):
     volume, _ = generate(default_config("desk", seed=3))
     windowed = segment_boundaries(volume)

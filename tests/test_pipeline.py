@@ -11,7 +11,7 @@ from oct_cascade import cascade, fileio, pipeline
 from oct_cascade.cascade import extract, prepare, run_cascade
 from oct_cascade.fileio import read_volume, write_volume
 from oct_cascade.metrics import score
-from oct_cascade.model import PixelMask, ProbabilityMap3D
+from oct_cascade.model import PixelMask, ProbabilityMap3D, VoxelMask
 from oct_cascade.phantom import PhantomConfig, generate
 from oct_cascade.pipeline import VARIANTS, PipelineConfig, StageError, ablate
 
@@ -120,6 +120,28 @@ def test_wrong_dims_backend_map_fails_before_boundary_segmentation(tmp_path, mon
     with pytest.raises(StageError, match=r"\(8, 96, 63\) != \(8, 96, 64\)") as err:
         pipeline.execute(cfg)
     assert err.value.stage == "backend"
+
+
+def test_wrong_dims_ground_truth_fails_before_boundary_segmentation(tmp_path, monkeypatch):
+    volume, _ = generate(PhantomConfig.from_dict(PHANTOM))
+    write_volume(volume, str(tmp_path / "vol"))
+    write_volume(VoxelMask(np.zeros((8, 96, 63), dtype=bool)), str(tmp_path / "gt"))
+    cfg = PipelineConfig.from_dict({
+        "input": {"volume": str(tmp_path / "vol.json"), "ground_truth_mask": str(tmp_path / "gt.json")},
+        "output_dir": str(tmp_path / "out"),
+    })
+    monkeypatch.setattr(pipeline, "segment_boundaries", lambda *a: pytest.fail("DP ran"))
+    with pytest.raises(StageError, match=r"gt\.json'.*\(8, 96, 63\) != volume dims \(8, 96, 64\)") as err:
+        pipeline.execute(cfg)
+    assert err.value.stage == "ground truth"
+
+
+def test_deeply_nested_json_is_a_stage_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    with pytest.raises(StageError, match=r"malformed JSON in .*deep\.json") as err:
+        pipeline.read_json(str(path), "pipeline config")
+    assert err.value.stage == "pipeline config"
 
 
 def test_imported_backend_map_is_read_once(tmp_path, monkeypatch):

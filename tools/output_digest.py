@@ -16,15 +16,18 @@ directory, for four workflows:
   written volume with overlays, and a `run` on it with every stage imported
   as above, the backend from that classical run's `prob.json`.
 
-Each output line is `<sha256>  <workflow>/<relative path>`, sorted, so two
-checkouts that write the same bytes print the same text:
+The Python, numpy and scipy versions that wrote the files come first, as
+`# <name> <version>` lines. Each other line is
+`<sha256>  <workflow>/<relative path>`, sorted, so two checkouts that write
+the same bytes print the same text:
 
     python3 tools/output_digest.py > after.txt
     python3 tools/output_digest.py --src ../other-checkout/src > before.txt
     diff before.txt after.txt
 
 Stdlib only; `--src` names the package source directory to run (this
-checkout's `src/` by default).
+checkout's `src/` by default). `tests/golden_digests.txt` holds this output
+for the committed code, and `tests/test_golden_digests.py` compares.
 """
 
 from __future__ import annotations
@@ -33,9 +36,11 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
+from importlib.metadata import version
 
 CRITERION_8 = {"input": {"phantom": {"dims": [8, 96, 64], "n_vessels": 2, "seed": 3}},
                "output_dir": "unused"}
@@ -72,6 +77,12 @@ def _run(src: str, configs: str, name: str, cfg: dict, out: str) -> None:
     with open(path, "w") as fh:
         json.dump({**cfg, "output_dir": out}, fh)
     _oct_cascade(src, "run", "--config", path)
+
+
+def _versions() -> list[str]:
+    """The `# <name> <version>` lines of the interpreter the workflows run in."""
+    return [f"# python {platform.python_version()}",
+            *(f"# {name} {version(name)}" for name in ("numpy", "scipy"))]
 
 
 def _digests(root: str) -> list[str]:
@@ -118,7 +129,7 @@ def main() -> None:
         run = os.path.join(out, "paper", "run")
         _run(src, configs, "paper-run", {"input": _input(gen), "report": {"overlays": True}}, run)
         _run(src, configs, "paper-import", _imported(gen, run), os.path.join(out, "paper", "import"))
-        print("\n".join(_digests(out)))
+        print("\n".join(_versions() + _digests(out)))
 
 
 if __name__ == "__main__":
