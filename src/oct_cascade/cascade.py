@@ -24,7 +24,6 @@ from scipy import ndimage
 from .config import FromDict
 from .enface import ShadowConfig, project_rpe, segment_shadows
 from .errors import ConfigError, ShapeMismatchError
-from .fileio import read_volume
 from .layers import DpConfig, segment_boundaries
 from .model import (
     BoundarySet,
@@ -71,8 +70,8 @@ class VesselBackendConfig(FromDict):
     cascade as the transverse mask, and double-counting it in the score
     floods the vessel band under the shadow columns.
 
-    kind='import' reads a ProbabilityMap3D container from import_path,
-    which is how externally trained networks plug in.
+    kind='import' names the ProbabilityMap3D an external network wrote at
+    import_path; `pipeline` reads it and passes it to `prepare`.
     """
 
     section = "backend"
@@ -87,6 +86,8 @@ class VesselBackendConfig(FromDict):
             raise ConfigError(f"unknown backend kind {self.kind!r}")
         if self.kind == "import" and not self.import_path:
             raise ConfigError("import backend requires import_path")
+        if self.kind == "classical" and self.import_path is not None:
+            raise ConfigError("classical backend takes no path; give kind 'import' to import one")
         if self.w_intensity < 0 or self.w_shadow < 0:
             raise ConfigError("backend weights must be non-negative")
         if abs(self.w_intensity + self.w_shadow - 1.0) > 1e-9:
@@ -142,11 +143,7 @@ def vessel_probability(
     """
     cfg = cfg or VesselBackendConfig()
     if cfg.kind == "import":
-        value = read_volume(cfg.import_path)
-        if not isinstance(value, ProbabilityMap3D):
-            raise ConfigError(f"{cfg.import_path!r} does not contain a probability map")
-        require_same_dims(value, volume, "imported probability map vs volume")
-        return value
+        raise ConfigError("an import backend scores nothing; pass its map to prepare as probability")
 
     boundaries.check_against(volume.dims)
     n_slices, height, width = volume.dims
@@ -280,32 +277,32 @@ def prepare(
     backend_cfg: VesselBackendConfig | None = None,
     dp_cfg: DpConfig | None = None,
     shadow_cfg: ShadowConfig | None = None,
+    probability: ProbabilityMap3D | None = None,
 ) -> Prepared:
     """Boundaries, en-face image, shadow mask and raw probability map.
 
-    Boundary and shadow sources default to the classical stages; pass
-    pre-computed values (e.g. network outputs loaded from disk) to replace
-    either. Shadows are segmented only when the mask or, for a classical
-    backend with w_shadow > 0, the soft contrast is needed.
+    Boundary, shadow and probability sources default to the classical
+    stages; pass pre-computed values (e.g. network outputs loaded from disk)
+    to replace any of them. Shadows are segmented only when the mask or, to
+    score the map with w_shadow > 0, the soft contrast is needed.
     """
     backend_cfg = backend_cfg or VesselBackendConfig()
     if boundaries is None:
         boundaries = segment_boundaries(volume, dp_cfg)
-    else:
-        boundaries.check_against(volume.dims)
 
-    image = project_rpe(volume, boundaries)
-    if shadow_source is not None and shadow_source.shape != image.shape:
-        raise ShapeMismatchError(
-            f"shadow mask shape {shadow_source.shape} != en-face shape {image.shape}"
-        )
+    image = project_rpe(volume, boundaries)  # checks imported boundaries against the volume
+    if shadow_source is not None:
+        require_same_dims(shadow_source, image, "shadow mask vs en-face image")
     shadow_mask, contrast = shadow_source, None
-    if shadow_source is None or (backend_cfg.kind == "classical" and backend_cfg.w_shadow > 0.0):
+    if shadow_source is None or (probability is None and backend_cfg.w_shadow > 0.0):
         segmented, contrast = segment_shadows(image, shadow_cfg)
         shadow_mask = shadow_source if shadow_source is not None else segmented
 
-    raw = vessel_probability(volume, boundaries, contrast, backend_cfg)
-    return Prepared(volume, boundaries, image, shadow_mask, raw)
+    if probability is None:
+        probability = vessel_probability(volume, boundaries, contrast, backend_cfg)
+    else:
+        require_same_dims(probability, volume, "imported probability map vs volume")
+    return Prepared(volume, boundaries, image, shadow_mask, probability)
 
 
 def extract(prepared: Prepared, infusion_cfg: InfusionConfig | None = None) -> CascadeResult:
@@ -335,7 +332,8 @@ def run_cascade(
     infusion_cfg: InfusionConfig | None = None,
     dp_cfg: DpConfig | None = None,
     shadow_cfg: ShadowConfig | None = None,
+    probability: ProbabilityMap3D | None = None,
 ) -> CascadeResult:
     """Execute the full three-part pipeline on one volume: `prepare`, then `extract`."""
-    prepared = prepare(volume, boundaries, shadow_source, backend_cfg, dp_cfg, shadow_cfg)
+    prepared = prepare(volume, boundaries, shadow_source, backend_cfg, dp_cfg, shadow_cfg, probability)
     return extract(prepared, infusion_cfg)

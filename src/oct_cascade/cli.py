@@ -23,7 +23,8 @@ from .metrics import score
 from .model import EnFaceImage, OctVolume, ProbabilityMap3D, VoxelMask
 from .phantom import PhantomConfig, default_config, generate
 from .pipeline import (
-    PipelineConfig, ablate, read_boundary_csv, read_json, read_typed, run_to_files, write_metrics_csv,
+    PipelineConfig, ablate, read_boundary_csv, read_imports, read_json, read_typed, run_to_files,
+    write_metrics_csv,
 )
 
 
@@ -150,7 +151,9 @@ def cmd_vessels(args) -> int:
     contrast = None
     if args.contrast:
         contrast = read_typed(args.contrast, EnFaceImage, "shadow contrast").data
-    prob = vessel_probability(volume, boundaries, contrast, cfg)
+    prob = read_imports(volume.dims, backend_path=cfg.import_path)[2]
+    if prob is None:
+        prob = vessel_probability(volume, boundaries, contrast, cfg)
     write_volume(prob, args.out)
     print(f"probability map: {args.out}")
     return 0

@@ -102,8 +102,8 @@ class PipelineConfig:
         ):
             if source not in ("classical", "import"):
                 raise StageError(stage, f"unknown source {source!r}")
-            if source == "import" and not path:
-                raise StageError(stage, "import source requires a path")
+            if (source == "import") != bool(path):
+                raise StageError(stage, f"{source} source {'takes no' if path else 'requires a'} path")
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
@@ -222,23 +222,34 @@ def _require_file(path: str, stage: str) -> None:
         raise StageError(stage, f"no such file {path!r}")
 
 
-def _check_typed(path: str, kind: type, stage: str) -> tuple[int, ...]:
-    """The dims in the header of `path`, read alone; a missing file, a
-    corrupt header or another kind than `kind` is `stage`'s StageError."""
-    _require_file(path, stage)
-    with _stage(stage):
-        found, dims = grid_header(path)
-    if not issubclass(found, kind):
-        article = "an" if kind.__name__[0] in "AEIOU" else "a"
-        raise StageError(stage, f"{path!r} does not contain {article} {kind.__name__}")
-    return dims
-
-
 def read_typed(path: str, kind: type, stage: str):
     """The `kind` grid in `path`; a missing or corrupt file or another kind is `stage`'s StageError."""
-    _check_typed(path, kind, stage)
+    _require_file(path, stage)
     with _stage(stage):
-        return read_volume(path)
+        if issubclass(grid_header(path)[0], kind):
+            return read_volume(path)
+    article = "an" if kind.__name__[0] in "AEIOU" else "a"
+    raise StageError(stage, f"{path!r} does not contain {article} {kind.__name__}")
+
+
+def read_imports(dims: tuple[int, int, int], gt_path: str | None = None,
+                 shadow_path: str | None = None, backend_path: str | None = None) -> list:
+    """The ground-truth mask, shadow mask and probability map at the paths
+    given (None for each path not given), each read once and checked against
+    a volume of `dims`; a refused file or a mismatch is its stage's StageError."""
+    n_slices, _, width = dims
+    grids = []
+    for stage, path, kind, expected, mismatch in (
+        ("ground truth", gt_path, VoxelMask, dims, "ground-truth mask dims {} != volume dims {}"),
+        ("shadow source", shadow_path, PixelMask, (n_slices, width),
+         "shadow mask shape {} != en-face shape {}"),
+        ("backend", backend_path, ProbabilityMap3D, dims, "imported probability map vs volume: {} != {}"),
+    ):
+        grid = None if path is None else read_typed(path, kind, stage)
+        if grid is not None and grid.dims != expected:
+            raise StageError(stage, f"{path!r}: " + mismatch.format(grid.dims, expected))
+        grids.append(grid)
+    return grids
 
 
 def read_boundary_csv(path: str, volume: OctVolume) -> BoundarySet:
@@ -254,48 +265,31 @@ def read_boundary_csv(path: str, volume: OctVolume) -> BoundarySet:
     return boundaries
 
 
-def _resolve(cfg: PipelineConfig) -> tuple[OctVolume, VoxelMask | None, BoundarySet, PixelMask | None]:
-    """Volume, ground-truth mask, boundaries and imported shadow mask.
-
-    Every imported file, the ground-truth mask included, is checked before
-    boundary segmentation runs. An imported probability map is only checked
-    by its header's kind and dims here; the backend reads it.
-    """
+def _resolve(cfg: PipelineConfig, imports: list | None = None) -> tuple:
+    """Volume, ground-truth mask, boundaries, imported shadow mask and imported
+    probability map. Imports are read and checked before boundary segmentation
+    runs, unless `imports` holds what `read_imports` already gave."""
     if cfg.phantom is not None:
         volume, gt = generate(cfg.phantom)
-        gt_mask = gt.vessel_mask
     else:
         volume = read_typed(cfg.volume_path, OctVolume, "input volume")
-        gt_mask = read_typed(cfg.gt_mask_path, VoxelMask, "ground truth") if cfg.gt_mask_path else None
-        if gt_mask is not None and gt_mask.dims != volume.dims:
-            raise StageError("ground truth", f"{cfg.gt_mask_path!r}: ground-truth mask dims "
-                                             f"{gt_mask.dims} != volume dims {volume.dims}")
-
-    shadow_mask = None
-    if cfg.shadow_source == "import":
-        shadow_mask = read_typed(cfg.shadow_import_path, PixelMask, "shadow source")
-        enface = (volume.n_slices, volume.width)
-        if shadow_mask.shape != enface:
-            raise StageError("shadow source", f"{cfg.shadow_import_path!r}: shadow mask shape "
-                                              f"{shadow_mask.shape} != en-face shape {enface}")
-    if cfg.backend.kind == "import":
-        dims = _check_typed(cfg.backend.import_path, ProbabilityMap3D, "backend")
-        if dims != volume.dims:
-            raise StageError(
-                "backend", f"imported probability map vs volume: {dims} != {volume.dims}"
-            )
+    gt_mask, shadow_mask, probability = imports or read_imports(
+        volume.dims, cfg.gt_mask_path, cfg.shadow_import_path, cfg.backend.import_path
+    )
+    if cfg.phantom is not None:
+        gt_mask = gt.vessel_mask
 
     if cfg.boundary_source == "import":
         boundaries = read_boundary_csv(cfg.boundary_import_path, volume)
     else:
         with _stage("boundary segmentation"):
             boundaries = segment_boundaries(volume, cfg.dp)
-    return volume, gt_mask, boundaries, shadow_mask
+    return volume, gt_mask, boundaries, shadow_mask, probability
 
 
 def execute(cfg: PipelineConfig) -> tuple[CascadeResult, OctVolume, VoxelMask | None]:
     """Resolve sources and run the cascade once. No files are written."""
-    volume, gt_mask, boundaries, shadow_mask = _resolve(cfg)
+    volume, gt_mask, boundaries, shadow_mask, probability = _resolve(cfg)
     with _stage("cascade"):
         result = run_cascade(
             volume,
@@ -305,6 +299,7 @@ def execute(cfg: PipelineConfig) -> tuple[CascadeResult, OctVolume, VoxelMask | 
             infusion_cfg=cfg.infusion,
             dp_cfg=cfg.dp,
             shadow_cfg=cfg.shadow,
+            probability=probability,
         )
     return result, volume, gt_mask
 
@@ -369,7 +364,8 @@ def ablate(cfg: PipelineConfig, seeds: list[int]) -> tuple[bool, list[tuple[str,
     """Run the four mask-flag combinations across seeds and aggregate.
 
     Per seed, one `prepare` (boundaries, en-face, shadows, probability
-    map) is shared by the four variants' `extract` calls. Returns
+    map) is shared by the four variants' `extract` calls. Imported files
+    are read once per call: every seed's phantom has the same dims. Returns
     (ordering_ok, [(variant, mean IoU)], written files).
     """
     if cfg.phantom is None:
@@ -383,11 +379,12 @@ def ablate(cfg: PipelineConfig, seeds: list[int]) -> tuple[bool, list[tuple[str,
         label: dataclasses.replace(cfg.infusion, use_longitudinal=use_l, use_transverse=use_t)
         for label, use_l, use_t in VARIANTS
     }
+    imports = read_imports(tuple(cfg.phantom.dims), None, cfg.shadow_import_path, cfg.backend.import_path)
     rows: list[tuple[int, MetricsReport]] = []
     for seed in seeds:
-        volume, gt_mask, boundaries, shadow_mask = _resolve(cfg.with_seed(seed))
+        volume, gt_mask, boundaries, shadow_mask, prob = _resolve(cfg.with_seed(seed), imports)
         with _stage("cascade"):
-            prepared = prepare(volume, boundaries, shadow_mask, cfg.backend, cfg.dp, cfg.shadow)
+            prepared = prepare(volume, boundaries, shadow_mask, cfg.backend, cfg.dp, cfg.shadow, prob)
             for label, infusion in infusions.items():
                 r = extract(prepared, infusion)
                 rows.append((seed, score(label, r.mask, r.probability, gt_mask)))

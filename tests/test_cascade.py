@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oct_cascade.cascade import (
     InfusionConfig,
@@ -11,15 +13,17 @@ from oct_cascade.cascade import (
     transverse_mask,
     vessel_probability,
 )
-from oct_cascade.errors import ConfigError, ShapeMismatchError
-from oct_cascade.fileio import write_volume
+from oct_cascade.errors import ConfigError, InfeasibleBandError, ShapeMismatchError
+from oct_cascade.fileio import read_volume, write_volume
 from oct_cascade.layers import segment_boundaries
 from oct_cascade.model import (
     OctVolume,
     PixelMask,
     ProbabilityMap3D,
+    BOUNDARY_NAMES,
     VoxelMask,
 )
+from oct_cascade.phantom import PhantomConfig, generate
 
 from test_enface import flat_boundaries
 
@@ -95,16 +99,19 @@ def test_import_backend_round_trip(tmp_path):
     p = ProbabilityMap3D(rng.uniform(0, 1, (2, 16, 8)).astype(np.float32))
     write_volume(p, str(tmp_path / "p"))
     cfg = VesselBackendConfig(kind="import", import_path=str(tmp_path / "p"))
-    back = vessel_probability(volume, flat_boundaries(2, 8), None, cfg)
-    assert np.array_equal(back.data, p.data)
+    back = run_cascade(volume, flat_boundaries(2, 8), backend_cfg=cfg,
+                       probability=read_volume(str(tmp_path / "p")))
+    assert np.array_equal(back.raw_probability.data, p.data)
 
     small = ProbabilityMap3D(rng.uniform(0, 1, (1, 16, 8)).astype(np.float32))
-    write_volume(small, str(tmp_path / "small"))
-    with pytest.raises(ShapeMismatchError):
-        vessel_probability(
-            volume, flat_boundaries(2, 8), None,
-            VesselBackendConfig(kind="import", import_path=str(tmp_path / "small")),
-        )
+    with pytest.raises(ShapeMismatchError, match="imported probability map vs volume"):
+        run_cascade(volume, flat_boundaries(2, 8), backend_cfg=cfg, probability=small)
+
+    # the cascade reads no file: an import backend without its map is refused
+    with pytest.raises(ConfigError, match="import backend"):
+        vessel_probability(volume, flat_boundaries(2, 8), None, cfg)
+    with pytest.raises(ConfigError, match="import backend"):
+        run_cascade(volume, flat_boundaries(2, 8), backend_cfg=cfg)
 
 
 def test_backend_weights_validated():
@@ -112,6 +119,8 @@ def test_backend_weights_validated():
         VesselBackendConfig(w_intensity=0.7, w_shadow=0.2)
     with pytest.raises(ConfigError):
         VesselBackendConfig(kind="import")
+    with pytest.raises(ConfigError, match="classical backend takes no path"):
+        VesselBackendConfig(import_path="prob.json")
 
 
 def _random_case(rng, dims=(3, 10, 6)):
@@ -238,3 +247,45 @@ def test_infusion_config_validation():
         InfusionConfig(connectivity=18)
     with pytest.raises(ConfigError):
         InfusionConfig(min_component_vox=0)
+
+
+@st.composite
+def phantom_configs(draw):
+    """Valid phantoms of at most 8x96x64 voxels."""
+    return PhantomConfig(
+        dims=(draw(st.integers(1, 8)), draw(st.integers(16, 96)), draw(st.integers(16, 64))),
+        n_vessels=draw(st.integers(0, 4)),
+        vessel_radius=draw(st.floats(0.5, 4.0)),
+        shadow_attenuation=draw(st.floats(0.05, 1.0)),
+        noise_sigma=draw(st.floats(0.0, 0.2)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+@settings(max_examples=150)
+@given(phantom_configs(), st.booleans(), st.booleans(), st.integers(0, 2))
+def test_random_phantoms_keep_the_cascade_invariants(cfg, use_l, use_t, dilation):
+    """The cascade either refuses a phantom (a band too thin for its vessels,
+    or no feasible boundary path) or returns ordered boundaries,
+    probabilities in [0, 1] and a mask inside the enabled priors, infused
+    idempotently without raising any voxel. A grid that fails its own
+    invariants inside the cascade is a fault, not a refusal."""
+    infusion = InfusionConfig(use_longitudinal=use_l, use_transverse=use_t,
+                              transverse_dilation=dilation)
+    try:
+        volume, _ = generate(cfg)
+        r = run_cascade(volume, infusion_cfg=infusion)
+    except (ConfigError, InfeasibleBandError):
+        return
+    r.boundaries.check_against(volume.dims)
+    surfaces = np.stack([r.boundaries[name] for name in BOUNDARY_NAMES])
+    assert (np.diff(surfaces, axis=0) >= 0).all()
+    for p in (r.raw_probability, r.probability):
+        assert p.data.min(initial=0.0) >= 0.0 and p.data.max(initial=0.0) <= 1.0
+    lm = longitudinal_mask(r.boundaries, volume.dims) if use_l else None
+    tm = transverse_mask(r.shadow_mask, volume.dims, dilation) if use_t else None
+    for prior in (lm, tm):
+        if prior is not None:
+            assert not (r.mask.data & ~prior.data).any()
+    assert (r.probability.data <= r.raw_probability.data).all()
+    assert np.array_equal(infuse(r.probability, lm, tm).data, r.probability.data)

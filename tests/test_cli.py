@@ -194,6 +194,7 @@ def test_malformed_inputs_exit_2_without_traceback(tmp_path):
         ("report", {"extra": 1}, "unknown report config fields"),
         ("backend", {"kind": "import", "path": "a.json", "import_path": "b.json"},
          "both 'path' and 'import_path'"),
+        ("backend", {"path": "prob.json"}, "classical backend takes no path"),
     )):
         cfg = {**good, section: fields}
         with pytest.raises(ConfigError, match=culprit):
@@ -314,6 +315,36 @@ def test_wrong_kind_input_exits_2_naming_the_stage(stage_inputs, capsys, args, s
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.count(stage) == 1 and culprit in err
+
+
+@pytest.mark.parametrize("map_name, culprit", [
+    ("mask.json", "does not contain a ProbabilityMap3D"),
+    ("absent.json", "no such file"),
+    ("narrow.json", "imported probability map vs volume: (1, 16, 7) != (1, 16, 8)"),
+], ids=["wrong-kind", "missing", "wrong-dims"])
+def test_vessels_bad_import_backend_exits_2_naming_the_stage(stage_inputs, capsys, map_name, culprit):
+    write_volume(ProbabilityMap3D(np.zeros((1, 16, 7), dtype=np.float32)), str(stage_inputs / "narrow"))
+    config = stage_inputs / "backend.json"
+    config.write_text(json.dumps({"kind": "import", "path": str(stage_inputs / map_name)}))
+    args = ["vessels", "--in", stage_inputs / "vol.json", "--boundaries", stage_inputs / "b.csv",
+            "--out", stage_inputs / "p3", "--config", config]
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: backend: ")
+    assert map_name in err and culprit in err
+
+
+def test_vessels_import_backend_writes_the_imported_map(stage_inputs):
+    rng = np.random.default_rng(3)
+    prob = ProbabilityMap3D(rng.random((1, 16, 8), dtype=np.float32))
+    write_volume(prob, str(stage_inputs / "external"))
+    config = stage_inputs / "backend.json"
+    config.write_text(json.dumps({"kind": "import", "path": str(stage_inputs / "external.json")}))
+    out = stage_inputs / "p4"
+    assert run_cli(["vessels", "--in", stage_inputs / "vol.json", "--boundaries",
+                    stage_inputs / "b.csv", "--out", out, "--config", config]) == 0
+    assert np.array_equal(read_volume(str(out)).data, prob.data)
 
 
 @pytest.mark.parametrize("command", ["enface", "vessels"])

@@ -155,3 +155,27 @@ def test_imported_backend_map_is_read_once(tmp_path, monkeypatch):
     result, _, _ = pipeline.execute(cfg)
     assert opened.count(str(tmp_path / "p.raw")) == 1
     assert np.array_equal(result.raw_probability.data, read_volume(str(tmp_path / "p")).data)
+
+
+def test_ablate_reads_each_import_once(tmp_path, monkeypatch):
+    rng = np.random.default_rng(0)
+    dims = tuple(PHANTOM["dims"])
+    write_volume(ProbabilityMap3D(rng.random(dims, dtype=np.float32)), str(tmp_path / "p"))
+    footprint = write_footprint(tmp_path, (dims[0], dims[2]))
+    cfg = small_config(tmp_path, shadows={"source": "import", "path": footprint},
+                       backend={"kind": "import", "path": str(tmp_path / "p.json")})
+    opened = []
+    monkeypatch.setattr(fileio, "open", lambda name, *a: opened.append(name) or open(name, *a),
+                        raising=False)
+    ablate(cfg, SEEDS)
+    assert opened.count(str(tmp_path / "p.raw")) == 1
+    assert opened.count(footprint + ".raw") == 1
+
+
+@pytest.mark.parametrize("field, stage", [
+    ("boundary_import_path", "boundary source"), ("shadow_import_path", "shadow source"),
+])
+def test_classical_source_with_a_path_is_refused(field, stage):
+    with pytest.raises(StageError, match="classical source takes no path") as err:
+        PipelineConfig(phantom=PhantomConfig.from_dict(PHANTOM), **{field: "x.json"})
+    assert err.value.stage == stage
