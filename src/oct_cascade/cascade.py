@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .config import FromDict
+from .config import FromDict, Path
 from .enface import ShadowConfig, project_rpe, segment_shadows
 from .errors import ConfigError, ShapeMismatchError
 from .layers import DpConfig, segment_boundaries
@@ -71,36 +71,28 @@ class VesselBackendConfig(FromDict):
     floods the vessel band under the shadow columns.
 
     kind='import' names the ProbabilityMap3D an external network wrote at
-    import_path; `pipeline` reads it and passes it to `prepare`.
+    `path`, the JSON key of every import section; `pipeline` reads it and
+    passes it to `prepare`.
     """
 
     section = "backend"
 
     kind: str = "classical"
-    import_path: str | None = None
+    path: Path | None = None
     w_intensity: float = 1.0
     w_shadow: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("classical", "import"):
             raise ConfigError(f"unknown backend kind {self.kind!r}")
-        if self.kind == "import" and not self.import_path:
-            raise ConfigError("import backend requires import_path")
-        if self.kind == "classical" and self.import_path is not None:
+        if self.kind == "import" and not self.path:
+            raise ConfigError("import backend requires a path")
+        if self.kind == "classical" and self.path is not None:
             raise ConfigError("classical backend takes no path; give kind 'import' to import one")
         if self.w_intensity < 0 or self.w_shadow < 0:
             raise ConfigError("backend weights must be non-negative")
         if abs(self.w_intensity + self.w_shadow - 1.0) > 1e-9:
             raise ConfigError("backend weights must sum to 1")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "VesselBackendConfig":
-        d = dict(d)
-        if "path" in d:  # alias matching the other import sections
-            if "import_path" in d:
-                raise ConfigError("backend config gives both 'path' and 'import_path'; give one")
-            d["import_path"] = d.pop("path")
-        return super().from_dict(d)
 
 
 def longitudinal_mask(boundaries: BoundarySet, dims: tuple[int, int, int]) -> VoxelMask:

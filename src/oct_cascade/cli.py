@@ -8,6 +8,7 @@ drives a full pipeline run; flags override config fields.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -23,8 +24,8 @@ from .metrics import score
 from .model import EnFaceImage, OctVolume, ProbabilityMap3D, VoxelMask
 from .phantom import PhantomConfig, default_config, generate
 from .pipeline import (
-    PipelineConfig, ablate, read_boundary_csv, read_imports, read_json, read_typed, run_to_files,
-    write_metrics_csv,
+    PipelineConfig, StageError, ablate, read_boundary_csv, read_imports, read_json, read_typed,
+    run_to_files, write_metrics_csv,
 )
 
 
@@ -49,14 +50,8 @@ def cmd_phantom_gen(args) -> int:
         cfg = PhantomConfig.from_dict(read_json(args.config, "phantom config"))
     else:
         cfg = default_config(args.scale)
-    overrides = cfg.to_dict()
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.n_vessels is not None:
-        overrides["n_vessels"] = args.n_vessels
-    if args.noise_sigma is not None:
-        overrides["noise_sigma"] = args.noise_sigma
-    cfg = PhantomConfig.from_dict(overrides)
+    overrides = {"seed": args.seed, "n_vessels": args.n_vessels, "noise_sigma": args.noise_sigma}
+    cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
     volume, gt = generate(cfg)
     out = args.out
@@ -105,6 +100,9 @@ def cmd_eval(args) -> int:
     pred = read_typed(args.pred, VoxelMask, "prediction")
     gt = read_typed(args.gt, VoxelMask, "ground truth")
     prob = read_typed(args.prob, ProbabilityMap3D, "probability map") if args.prob else None
+    for stage, path, grid in (("ground truth", args.gt, gt), ("probability map", args.prob, prob)):
+        if grid is not None and grid.dims != pred.dims:
+            raise StageError(stage, f"{path!r}: dims {grid.dims} != prediction dims {pred.dims}")
     report = score("eval", pred, prob, gt)
     ensure_dir(args.out)
     path = os.path.join(args.out, "metrics.csv")
@@ -148,12 +146,9 @@ def cmd_vessels(args) -> int:
     cfg = VesselBackendConfig.from_dict(read_json(args.config, "backend config") if args.config else {})
     volume = read_typed(args.infile, OctVolume, "input volume")
     boundaries = read_boundary_csv(args.boundaries, volume)
-    contrast = None
-    if args.contrast:
-        contrast = read_typed(args.contrast, EnFaceImage, "shadow contrast").data
-    prob = read_imports(volume.dims, backend_path=cfg.import_path)[2]
+    _, _, prob, contrast = read_imports(volume.dims, backend_path=cfg.path, contrast_path=args.contrast)
     if prob is None:
-        prob = vessel_probability(volume, boundaries, contrast, cfg)
+        prob = vessel_probability(volume, boundaries, None if contrast is None else contrast.data, cfg)
     write_volume(prob, args.out)
     print(f"probability map: {args.out}")
     return 0

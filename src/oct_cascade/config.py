@@ -2,19 +2,25 @@
 
 from __future__ import annotations
 
+import dataclasses
+import sys
 import types
 import typing
 
 from .errors import ConfigError
 
+#: A field type for file paths: a non-empty string.
+Path = typing.NewType("Path", str)
+
 
 class FromDict:
-    """Mixin giving a config dataclass a `from_dict` that checks its input.
+    """Mixin giving a config dataclass a checked `from_dict` and its inverse `to_dict`.
 
     An unknown field, or a value whose JSON type does not match the
     field's annotation, raises ConfigError naming the field. A list for a
-    tuple field becomes a tuple, with int elements of float slots widened.
-    Subclasses name themselves in messages through `section`.
+    tuple field becomes a tuple, an int for a float becomes a float, and
+    an object for a nested config field goes through that config's
+    `from_dict`. Subclasses name themselves in messages through `section`.
     """
 
     section = "config"
@@ -32,6 +38,21 @@ class FromDict:
             for name, value in d.items()
         })
 
+    def to_dict(self) -> dict:
+        """The JSON object that `from_dict` reads back as an equal config."""
+        return {f.name: to_json(getattr(self, f.name)) for f in dataclasses.fields(self)}
+
+
+def to_json(value):
+    """`value` as JSON data: tuples become lists and nested configs their `to_dict`."""
+    if isinstance(value, FromDict):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        return [to_json(v) for v in value]
+    if isinstance(value, dict):
+        return {k: to_json(v) for k, v in value.items()}
+    return value
+
 
 def _checked(value, tp, what: str):
     if typing.get_origin(tp) in (typing.Union, types.UnionType):
@@ -41,11 +62,20 @@ def _checked(value, tp, what: str):
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is tuple:
         if isinstance(value, (list, tuple)) and len(value) == len(args):
-            return tuple(a(_checked(v, a, f"each value of {what}")) for v, a in zip(value, args))
+            return tuple(_checked(v, a, f"each value of {what}") for v, a in zip(value, args))
     elif origin is dict:
         if isinstance(value, dict) and all(isinstance(k, str) for k in value):
             return {k: _checked(v, args[1], f"each value of {what}") for k, v in value.items()}
-    elif type(value) is tp or (tp is float and type(value) is int):
+    elif isinstance(tp, type) and issubclass(tp, FromDict):
+        if isinstance(value, dict):
+            return tp.from_dict(value)
+        raise ConfigError(f"{what} section must be a JSON object, got {value!r}")
+    elif tp is Path:
+        if type(value) is str and value:
+            return value
+    elif tp is float and type(value) is int and abs(value) <= sys.float_info.max:
+        return float(value)
+    elif type(value) is tp:
         return value
     raise ConfigError(f"{what} must be {_describe(tp)}, got {value!r}")
 
@@ -55,4 +85,5 @@ def _describe(tp) -> str:
         return f"a list of {len(typing.get_args(tp))} values"
     if typing.get_origin(tp) is dict:
         return "a JSON object"
-    return {bool: "true or false", int: "an integer", float: "a number", str: "a string"}[tp]
+    return {bool: "true or false", int: "an integer", float: "a number", str: "a string",
+            Path: "a path string"}[tp]

@@ -18,7 +18,7 @@ the two anatomical masks exist to remove.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -103,12 +103,6 @@ class PhantomConfig(FromDict):
             raise ConfigError("the RPE band must be the strictly brightest layer")
         if not (0.0 <= self.vessel_level <= 1.0):
             raise ConfigError("vessel_level must be in [0, 1]")
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["dims"] = list(self.dims)
-        d["vessel_depth_fraction_range"] = list(self.vessel_depth_fraction_range)
-        return d
 
 
 @dataclass(frozen=True)

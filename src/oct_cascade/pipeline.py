@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import json
 import os
+import typing
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -26,15 +27,15 @@ from .cascade import (
     prepare,
     run_cascade,
 )
-from .config import FromDict
+from .config import FromDict, Path, _checked, to_json
 from .enface import ShadowConfig
-from .errors import ConfigError, OctCascadeError, ValidationError
+from .errors import OctCascadeError, ValidationError
 from .fileio import (
     ensure_dir, grid_header, read_boundaries, read_volume, write_boundaries, write_pgm, write_volume,
 )
 from .layers import DpConfig, segment_boundaries
 from .metrics import MetricsReport, score
-from .model import BoundarySet, OctVolume, PixelMask, ProbabilityMap3D, VoxelMask
+from .model import BoundarySet, EnFaceImage, OctVolume, PixelMask, ProbabilityMap3D, VoxelMask
 from .phantom import PhantomConfig, generate
 
 #: Ablation variants in reporting order: (label, use_longitudinal, use_transverse).
@@ -77,25 +78,38 @@ class ReportConfig(FromDict):
     montage: bool = False
 
 
+def _at(section: str | None, key: str, stage: str, default=None):
+    """A PipelineConfig field held at `section`'s `key` (a top-level key when
+    `section` is None), whose faults are StageErrors of `stage`."""
+    return field(default=default, metadata={"at": (section, key, stage)})
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
-    phantom: PhantomConfig | None = None
-    volume_path: str | None = None
-    gt_mask_path: str | None = None
-    boundary_source: str = "classical"       # classical | import
-    boundary_import_path: str | None = None
-    shadow_source: str = "classical"         # classical | import
-    shadow_import_path: str | None = None
-    dp: DpConfig = field(default_factory=DpConfig)
-    shadow: ShadowConfig = field(default_factory=ShadowConfig)
-    backend: VesselBackendConfig = field(default_factory=VesselBackendConfig)
-    infusion: InfusionConfig = field(default_factory=InfusionConfig)
-    output_dir: str = "out"
-    report: ReportConfig = field(default_factory=ReportConfig)
+    """One run's JSON config, flat. Each field declares where it lives in
+    the JSON object; `from_dict` and `to_dict` both read that layout. A
+    section's own faults (not an object, unknown keys) go to the stage of
+    its first field."""
+
+    phantom: PhantomConfig | None = _at("input", "phantom", "input")
+    volume_path: Path | None = _at("input", "volume", "input volume")
+    gt_mask_path: Path | None = _at("input", "ground_truth_mask", "ground truth")
+    boundary_source: str = _at("boundaries", "source", "boundary source", "classical")  # | import
+    boundary_import_path: Path | None = _at("boundaries", "path", "boundary source")
+    dp: DpConfig = _at("boundaries", "dp", "boundary source", DpConfig())
+    shadow_source: str = _at("shadows", "source", "shadow source", "classical")  # | import
+    shadow_import_path: Path | None = _at("shadows", "path", "shadow source")
+    shadow: ShadowConfig = _at("shadows", "config", "shadow source", ShadowConfig())
+    backend: VesselBackendConfig = _at(None, "backend", "backend", VesselBackendConfig())
+    infusion: InfusionConfig = _at(None, "infusion", "infusion", InfusionConfig())
+    output_dir: Path = _at(None, "output_dir", "output", "out")
+    report: ReportConfig = _at(None, "report", "report", ReportConfig())
 
     def __post_init__(self):
         if (self.phantom is None) == (self.volume_path is None):
             raise StageError("input", "config must name exactly one of phantom or volume")
+        if self.phantom is not None and self.gt_mask_path is not None:
+            raise StageError("ground truth", "a phantom input takes no ground_truth_mask")
         for source, path, stage in (
             (self.boundary_source, self.boundary_import_path, "boundary source"),
             (self.shadow_source, self.shadow_import_path, "shadow source"),
@@ -107,50 +121,35 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        d = dict(d)
+        hints = typing.get_type_hints(cls)
+        layout: dict = {}  # section (None for the top level) -> {key: field}
+        for f in dataclasses.fields(cls):
+            layout.setdefault(f.metadata["at"][0], {})[f.metadata["at"][1]] = f
         kwargs: dict = {}
-
-        inp = d.pop("input", None)
-        if not isinstance(inp, dict):
-            raise StageError("input", "config requires an 'input' section")
-        if ("phantom" in inp) == ("volume" in inp):
-            raise StageError("input", "input must contain exactly one of 'phantom' or 'volume'")
-        if "phantom" in inp:
-            kwargs["phantom"] = PhantomConfig.from_dict(_object(inp["phantom"], "phantom", "input"))
-        else:
-            kwargs["volume_path"] = _path(inp["volume"], "volume", "input volume")
-            kwargs["gt_mask_path"] = _path(
-                inp.get("ground_truth_mask"), "ground_truth_mask", "ground truth", optional=True
-            )
-
-        # section, field prefix, the section's own config key, field, config class
-        for key, prefix, own, name, config in (
-            ("boundaries", "boundary", "dp", "dp", DpConfig),
-            ("shadows", "shadow", "config", "shadow", ShadowConfig),
-        ):
-            stage = f"{prefix} source"
-            sec = _section(d, key, stage)
-            source = sec.get("source", "classical")
-            unknown = set(sec) - {"source", own} - ({"path"} if source == "import" else set())
-            if unknown:
-                raise StageError(stage, f"unknown keys {sorted(unknown)}")
-            kwargs[f"{prefix}_source"] = source
-            if source == "import":
-                kwargs[f"{prefix}_import_path"] = _path(sec.get("path"), "path", stage, optional=True)
-            if own in sec:
-                kwargs[name] = config.from_dict(_object(sec[own], own, stage))
-
-        backend = _section(d, "backend", "backend")
-        for key in ("path", "import_path"):
-            _path(backend.get(key), key, "backend", optional=True)
-        kwargs["backend"] = VesselBackendConfig.from_dict(backend)
-        kwargs["infusion"] = InfusionConfig.from_dict(_section(d, "infusion", "infusion"))
-        if "output_dir" in d:
-            kwargs["output_dir"] = _path(d.pop("output_dir"), "output_dir", "output")
-        kwargs["report"] = ReportConfig.from_dict(_section(d, "report", "report"))
-        if d:
-            raise ConfigError(f"unknown pipeline config sections {sorted(d)}")
+        for section, fields in layout.items():
+            known = set(fields)
+            if section is None:
+                sec, stage = d, "pipeline config"
+                known |= set(layout)
+            else:
+                sec, stage = d.get(section, {}), next(iter(fields.values())).metadata["at"][2]
+                if not isinstance(sec, dict):
+                    raise StageError(stage, f"'{section}' section must be a JSON object, got {sec!r}")
+            if set(sec) - known:
+                raise StageError(stage, f"unknown keys {sorted(set(sec) - known)}")
+            for key, f in fields.items():
+                if key in sec:
+                    with _stage(f.metadata["at"][2]):
+                        kwargs[f.name] = _checked(sec[key], hints[f.name], f"'{key}'")
         return cls(**kwargs)
+
+    def to_dict(self) -> dict:
+        """The JSON object that `from_dict` reads back as an equal config."""
+        d: dict = {}
+        for f in dataclasses.fields(self):
+            section, key, _ = f.metadata["at"]
+            (d if section is None else d.setdefault(section, {}))[key] = to_json(getattr(self, f.name))
+        return d
 
     @classmethod
     def from_json(cls, path: str) -> "PipelineConfig":
@@ -159,32 +158,10 @@ class PipelineConfig:
     def with_seed(self, seed: int) -> "PipelineConfig":
         if self.phantom is None:
             raise StageError("input", "seed override requires a phantom input")
-        phantom = PhantomConfig.from_dict({**self.phantom.to_dict(), "seed": seed})
-        return dataclasses.replace(self, phantom=phantom)
+        return dataclasses.replace(self, phantom=dataclasses.replace(self.phantom, seed=seed))
 
     def with_output_dir(self, out: str) -> "PipelineConfig":
         return dataclasses.replace(self, output_dir=out)
-
-
-def _section(d: dict, key: str, stage: str) -> dict:
-    """Pop an optional config section; present and not null, it must be an object."""
-    sec = d.pop(key, None)
-    return {} if sec is None else _object(sec, key, stage)
-
-
-def _object(sec, key: str, stage: str) -> dict:
-    if not isinstance(sec, dict):
-        raise StageError(stage, f"'{key}' section must be a JSON object, got {sec!r}")
-    return sec
-
-
-def _path(value, key: str, stage: str, optional: bool = False) -> str | None:
-    """A path field's value: a non-empty string, or null where optional."""
-    if value is None and optional:
-        return None
-    if not isinstance(value, str) or not value:
-        raise StageError(stage, f"'{key}' must be a path string, got {value!r}")
-    return value
 
 
 def _fmt(v: float | None) -> str:
@@ -233,10 +210,12 @@ def read_typed(path: str, kind: type, stage: str):
 
 
 def read_imports(dims: tuple[int, int, int], gt_path: str | None = None,
-                 shadow_path: str | None = None, backend_path: str | None = None) -> list:
-    """The ground-truth mask, shadow mask and probability map at the paths
-    given (None for each path not given), each read once and checked against
-    a volume of `dims`; a refused file or a mismatch is its stage's StageError."""
+                 shadow_path: str | None = None, backend_path: str | None = None,
+                 contrast_path: str | None = None) -> list:
+    """The ground-truth mask, shadow mask, probability map and shadow
+    contrast image at the paths given (None for each path not given), each
+    read once and checked against a volume of `dims`; a refused file or a
+    mismatch is its stage's StageError."""
     n_slices, _, width = dims
     grids = []
     for stage, path, kind, expected, mismatch in (
@@ -244,6 +223,8 @@ def read_imports(dims: tuple[int, int, int], gt_path: str | None = None,
         ("shadow source", shadow_path, PixelMask, (n_slices, width),
          "shadow mask shape {} != en-face shape {}"),
         ("backend", backend_path, ProbabilityMap3D, dims, "imported probability map vs volume: {} != {}"),
+        ("shadow contrast", contrast_path, EnFaceImage, (n_slices, width),
+         "shadow contrast shape {} != en-face shape {}"),
     ):
         grid = None if path is None else read_typed(path, kind, stage)
         if grid is not None and grid.dims != expected:
@@ -273,8 +254,8 @@ def _resolve(cfg: PipelineConfig, imports: list | None = None) -> tuple:
         volume, gt = generate(cfg.phantom)
     else:
         volume = read_typed(cfg.volume_path, OctVolume, "input volume")
-    gt_mask, shadow_mask, probability = imports or read_imports(
-        volume.dims, cfg.gt_mask_path, cfg.shadow_import_path, cfg.backend.import_path
+    gt_mask, shadow_mask, probability, _ = imports or read_imports(
+        volume.dims, cfg.gt_mask_path, cfg.shadow_import_path, cfg.backend.path
     )
     if cfg.phantom is not None:
         gt_mask = gt.vessel_mask
@@ -379,7 +360,7 @@ def ablate(cfg: PipelineConfig, seeds: list[int]) -> tuple[bool, list[tuple[str,
         label: dataclasses.replace(cfg.infusion, use_longitudinal=use_l, use_transverse=use_t)
         for label, use_l, use_t in VARIANTS
     }
-    imports = read_imports(tuple(cfg.phantom.dims), None, cfg.shadow_import_path, cfg.backend.import_path)
+    imports = read_imports(tuple(cfg.phantom.dims), None, cfg.shadow_import_path, cfg.backend.path)
     rows: list[tuple[int, MetricsReport]] = []
     for seed in seeds:
         volume, gt_mask, boundaries, shadow_mask, prob = _resolve(cfg.with_seed(seed), imports)

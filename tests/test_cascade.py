@@ -98,7 +98,7 @@ def test_import_backend_round_trip(tmp_path):
     volume = OctVolume(rng.uniform(0, 1, (2, 16, 8)))
     p = ProbabilityMap3D(rng.uniform(0, 1, (2, 16, 8)).astype(np.float32))
     write_volume(p, str(tmp_path / "p"))
-    cfg = VesselBackendConfig(kind="import", import_path=str(tmp_path / "p"))
+    cfg = VesselBackendConfig(kind="import", path=str(tmp_path / "p"))
     back = run_cascade(volume, flat_boundaries(2, 8), backend_cfg=cfg,
                        probability=read_volume(str(tmp_path / "p")))
     assert np.array_equal(back.raw_probability.data, p.data)
@@ -120,7 +120,7 @@ def test_backend_weights_validated():
     with pytest.raises(ConfigError):
         VesselBackendConfig(kind="import")
     with pytest.raises(ConfigError, match="classical backend takes no path"):
-        VesselBackendConfig(import_path="prob.json")
+        VesselBackendConfig(path="prob.json")
 
 
 def _random_case(rng, dims=(3, 10, 6)):

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from oct_cascade import cli
-from oct_cascade.errors import ConfigError
 from oct_cascade.fileio import read_volume, write_boundaries, write_volume
 from oct_cascade.model import EnFaceImage, OctVolume, PixelMask, ProbabilityMap3D, VoxelMask
 from oct_cascade.pipeline import PipelineConfig, StageError
@@ -174,7 +173,12 @@ def test_malformed_inputs_exit_2_without_traceback(tmp_path):
          "boundary source", "unknown keys ['typo']"),
         (lambda c: c.update(boundaries={"config": 5}), "boundary source", "unknown keys ['config']"),
         (lambda c: c.update(shadows={"dp": {"max_jump": "x"}}), "shadow source", "unknown keys ['dp']"),
-        (lambda c: c.update(shadows={"path": "x"}), "shadow source", "unknown keys ['path']"),
+        (lambda c: c.update(shadows={"path": "x"}), "shadow source", "classical source takes no path"),
+        (lambda c: c["input"].update(typo=1), "input", "unknown keys ['typo']"),
+        (lambda c: c.update(input={"volume": "v.json", "phantom_typo": {}}),
+         "input", "unknown keys ['phantom_typo']"),
+        (lambda c: c["input"].update(ground_truth_mask="gt.json"),
+         "ground truth", "a phantom input takes no ground_truth_mask"),
     )):
         cfg = json.loads(json.dumps(good))
         change(cfg)
@@ -186,22 +190,22 @@ def test_malformed_inputs_exit_2_without_traceback(tmp_path):
         bad_sections.append((path, stage, culprit))
 
     bad_fields = []
-    for i, (section, fields, culprit) in enumerate((
-        ("infusion", {"transverse_dilation": "x"}, "'transverse_dilation' must be an integer"),
-        ("backend", {"w_shadow": "0"}, "'w_shadow' must be a number"),
-        ("shadows", {"config": {"background_window": 9}}, "'background_window' must be a list"),
-        ("report", {"overlays": "no"}, "'overlays' must be true or false"),
-        ("report", {"extra": 1}, "unknown report config fields"),
-        ("backend", {"kind": "import", "path": "a.json", "import_path": "b.json"},
-         "both 'path' and 'import_path'"),
-        ("backend", {"path": "prob.json"}, "classical backend takes no path"),
+    for i, (section, fields, stage, culprit) in enumerate((
+        ("infusion", {"transverse_dilation": "x"}, "infusion", "'transverse_dilation' must be an integer"),
+        ("backend", {"w_shadow": "0"}, "backend", "'w_shadow' must be a number"),
+        ("shadows", {"config": {"background_window": 9}}, "shadow source",
+         "'background_window' must be a list"),
+        ("report", {"overlays": "no"}, "report", "'overlays' must be true or false"),
+        ("report", {"extra": 1}, "report", "unknown report config fields"),
+        ("backend", {"path": "prob.json"}, "backend", "classical backend takes no path"),
     )):
         cfg = {**good, section: fields}
-        with pytest.raises(ConfigError, match=culprit):
+        with pytest.raises(StageError, match=culprit) as err:
             PipelineConfig.from_dict(cfg)
+        assert err.value.stage == stage
         path = tmp_path / f"bad_field_{i}.json"
         path.write_text(json.dumps(cfg))
-        bad_fields.append((path, "error", culprit))
+        bad_fields.append((path, stage, culprit))
 
     (tmp_path / "vol.json").write_text("[1, 2, 3]")
     (tmp_path / "vol.raw").write_bytes(b"")
@@ -315,6 +319,26 @@ def test_wrong_kind_input_exits_2_naming_the_stage(stage_inputs, capsys, args, s
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.count(stage) == 1 and culprit in err
+
+
+@pytest.mark.parametrize("args, stage, culprit", [
+    (["eval", "--pred", "{d}/mask.json", "--gt", "{d}/narrow_mask.json", "--out", "{d}"],
+     "ground truth", "narrow_mask.json': dims (1, 16, 7) != prediction dims (1, 16, 8)"),
+    (["eval", "--pred", "{d}/mask.json", "--gt", "{d}/mask.json", "--prob", "{d}/narrow_prob.json",
+      "--out", "{d}"], "probability map", "narrow_prob.json': dims (1, 16, 7) != prediction dims"),
+    (["vessels", "--in", "{d}/vol.json", "--boundaries", "{d}/b.csv", "--out", "{d}/p2",
+      "--contrast", "{d}/narrow_enface.json"],
+     "shadow contrast", "narrow_enface.json': shadow contrast shape (1, 7) != en-face shape (1, 8)"),
+], ids=["eval-gt", "eval-prob", "vessels-contrast"])
+def test_wrong_dims_input_exits_2_naming_the_stage(stage_inputs, capsys, args, stage, culprit):
+    write_volume(VoxelMask(np.zeros((1, 16, 7), dtype=bool)), str(stage_inputs / "narrow_mask"))
+    write_volume(ProbabilityMap3D(np.zeros((1, 16, 7), dtype=np.float32)),
+                 str(stage_inputs / "narrow_prob"))
+    write_volume(EnFaceImage(np.zeros((1, 7), dtype=np.float32)), str(stage_inputs / "narrow_enface"))
+    assert run_cli([a.format(d=stage_inputs) for a in args]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"error: {stage}: ") and culprit in err
 
 
 @pytest.mark.parametrize("map_name, culprit", [

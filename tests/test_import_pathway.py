@@ -74,7 +74,7 @@ def test_imported_probability_map_used_verbatim(tmp_path):
 
     result = run_cascade(
         volume,
-        backend_cfg=VesselBackendConfig(kind="import", import_path=str(tmp_path / "p")),
+        backend_cfg=VesselBackendConfig(kind="import", path=str(tmp_path / "p")),
         probability=read_volume(str(tmp_path / "p")),
     )
     assert np.array_equal(result.raw_probability.data, prob.data)
