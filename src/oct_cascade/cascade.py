@@ -64,11 +64,8 @@ class InfusionConfig(FromDict):
 class VesselBackendConfig(FromDict):
     """Source of the per-voxel vessel probability map.
 
-    kind='classical' scores voxels as w_intensity * normalized intensity
-    plus w_shadow * normalized shadow contrast of the column. The default
-    weights lean entirely on intensity: the shadow evidence enters the
-    cascade as the transverse mask, and double-counting it in the score
-    floods the vessel band under the shadow columns.
+    kind='classical' scores voxels by their normalized intensity. The
+    shadow evidence enters the cascade once, as the transverse mask.
 
     kind='import' names the ProbabilityMap3D an external network wrote at
     `path`, the JSON key of every import section; `pipeline` reads it and
@@ -79,8 +76,6 @@ class VesselBackendConfig(FromDict):
 
     kind: str = "classical"
     path: Path | None = None
-    w_intensity: float = 1.0
-    w_shadow: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("classical", "import"):
@@ -89,10 +84,6 @@ class VesselBackendConfig(FromDict):
             raise ConfigError("import backend requires a path")
         if self.kind == "classical" and self.path is not None:
             raise ConfigError("classical backend takes no path; give kind 'import' to import one")
-        if self.w_intensity < 0 or self.w_shadow < 0:
-            raise ConfigError("backend weights must be non-negative")
-        if abs(self.w_intensity + self.w_shadow - 1.0) > 1e-9:
-            raise ConfigError("backend weights must sum to 1")
 
 
 def longitudinal_mask(boundaries: BoundarySet, dims: tuple[int, int, int]) -> VoxelMask:
@@ -122,24 +113,21 @@ def transverse_mask(footprint: PixelMask, dims: tuple[int, int, int], dilation: 
 def vessel_probability(
     volume: OctVolume,
     boundaries: BoundarySet,
-    shadow_contrast: np.ndarray | None = None,
     cfg: VesselBackendConfig | None = None,
 ) -> ProbabilityMap3D:
     """Per-voxel vessel score in [0, 1].
 
-    Classical backend: intensity is min-max normalized using the value
-    range inside the ILM-BM band (vitreous and choroid stay out of the
-    normalization), the column shadow contrast is min-max normalized, and
-    the two are blended by the configured weights. A constant band (no
-    contrast at all) yields an all-zero map and a warning.
+    Classical backend: intensity min-max normalized using the value range
+    inside the ILM-BM band (vitreous and choroid stay out of the
+    normalization), clipped to [0, 1]. A constant band (no contrast at
+    all) yields an all-zero map and a warning.
     """
     cfg = cfg or VesselBackendConfig()
     if cfg.kind == "import":
         raise ConfigError("an import backend scores nothing; pass its map to prepare as probability")
 
     boundaries.check_against(volume.dims)
-    n_slices, height, width = volume.dims
-    z = np.arange(height)[None, :, None]
+    z = np.arange(volume.height)[None, :, None]
     band = (z >= np.ceil(boundaries["ILM"])[:, None, :]) & (
         z <= np.floor(boundaries["BM"])[:, None, :]
     )
@@ -157,30 +145,13 @@ def vessel_probability(
         )
         return ProbabilityMap3D(np.zeros(volume.dims, dtype=np.float32))
 
-    shadow = None
-    if cfg.w_shadow > 0.0:
-        if shadow_contrast is None:
-            raise ConfigError("w_shadow > 0 requires a shadow_contrast map")
-        c = np.asarray(shadow_contrast, dtype=np.float64)
-        if c.shape != (n_slices, width):
-            raise ShapeMismatchError(
-                f"shadow contrast shape {c.shape} != {(n_slices, width)}"
-            )
-        cmin, cmax = float(c.min()), float(c.max())
-        c_norm = np.zeros_like(c) if cmax - cmin < 1e-9 else (c - cmin) / (cmax - cmin)
-        shadow = cfg.w_shadow * c_norm
-
     # One B-scan at a time in float64, so no whole-volume float64 copy is
     # ever live; each slice's arithmetic is what the whole volume's was.
     out = np.empty(volume.dims, dtype=np.float32)
-    for s in range(n_slices):
+    for s in range(volume.n_slices):
         score = volume.data[s].astype(np.float64)
         score -= vmin
         score /= vmax - vmin
-        np.clip(score, 0.0, 1.0, out=score)
-        score *= cfg.w_intensity
-        if shadow is not None:
-            score += shadow[s]
         out[s] = np.clip(score, 0.0, 1.0, out=score)
     return ProbabilityMap3D(out)
 
@@ -275,26 +246,22 @@ def prepare(
 
     Boundary, shadow and probability sources default to the classical
     stages; pass pre-computed values (e.g. network outputs loaded from disk)
-    to replace any of them. Shadows are segmented only when the mask or, to
-    score the map with w_shadow > 0, the soft contrast is needed.
+    to replace any of them. Shadows are segmented only when no mask is given.
     """
-    backend_cfg = backend_cfg or VesselBackendConfig()
     if boundaries is None:
         boundaries = segment_boundaries(volume, dp_cfg)
 
     image = project_rpe(volume, boundaries)  # checks imported boundaries against the volume
-    if shadow_source is not None:
+    if shadow_source is None:
+        shadow_source = segment_shadows(image, shadow_cfg)[0]
+    else:
         require_same_dims(shadow_source, image, "shadow mask vs en-face image")
-    shadow_mask, contrast = shadow_source, None
-    if shadow_source is None or (probability is None and backend_cfg.w_shadow > 0.0):
-        segmented, contrast = segment_shadows(image, shadow_cfg)
-        shadow_mask = shadow_source if shadow_source is not None else segmented
 
     if probability is None:
-        probability = vessel_probability(volume, boundaries, contrast, backend_cfg)
+        probability = vessel_probability(volume, boundaries, backend_cfg)
     else:
         require_same_dims(probability, volume, "imported probability map vs volume")
-    return Prepared(volume, boundaries, image, shadow_mask, probability)
+    return Prepared(volume, boundaries, image, shadow_source, probability)
 
 
 def extract(prepared: Prepared, infusion_cfg: InfusionConfig | None = None) -> CascadeResult:

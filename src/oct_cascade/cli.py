@@ -24,7 +24,7 @@ from .metrics import score
 from .model import EnFaceImage, OctVolume, ProbabilityMap3D, VoxelMask
 from .phantom import PhantomConfig, default_config, generate
 from .pipeline import (
-    PipelineConfig, StageError, ablate, read_boundary_csv, read_imports, read_json, read_typed,
+    PipelineConfig, StageError, ablate, read_boundary_csv, read_config, read_imports, read_typed,
     run_to_files, write_metrics_csv,
 )
 
@@ -47,7 +47,7 @@ def _parse_seeds(text: str) -> list[int]:
 
 def cmd_phantom_gen(args) -> int:
     if args.config:
-        cfg = PhantomConfig.from_dict(read_json(args.config, "phantom config"))
+        cfg = read_config(args.config, PhantomConfig, "phantom config")
     else:
         cfg = default_config(args.scale)
     overrides = {"seed": args.seed, "n_vessels": args.n_vessels, "noise_sigma": args.noise_sigma}
@@ -112,7 +112,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_layers(args) -> int:
-    dp = DpConfig.from_dict(read_json(args.config, "DP config") if args.config else {})
+    dp = read_config(args.config, DpConfig, "DP config") if args.config else DpConfig()
     volume = read_typed(args.infile, OctVolume, "input volume")
     boundaries = segment_boundaries(volume, dp)
     write_boundaries(boundaries, args.out)
@@ -132,7 +132,7 @@ def cmd_enface(args) -> int:
 
 
 def cmd_shadows(args) -> int:
-    cfg = ShadowConfig.from_dict(read_json(args.config, "shadow config") if args.config else {})
+    cfg = read_config(args.config, ShadowConfig, "shadow config") if args.config else ShadowConfig()
     image = read_typed(args.infile, EnFaceImage, "en-face image")
     mask, contrast = segment_shadows(image, cfg)
     write_volume(mask, args.out)
@@ -143,12 +143,13 @@ def cmd_shadows(args) -> int:
 
 
 def cmd_vessels(args) -> int:
-    cfg = VesselBackendConfig.from_dict(read_json(args.config, "backend config") if args.config else {})
+    cfg = (read_config(args.config, VesselBackendConfig, "backend config") if args.config
+           else VesselBackendConfig())
     volume = read_typed(args.infile, OctVolume, "input volume")
     boundaries = read_boundary_csv(args.boundaries, volume)
-    _, _, prob, contrast = read_imports(volume.dims, backend_path=cfg.path, contrast_path=args.contrast)
+    prob = read_imports(volume.dims, backend_path=cfg.path)[2]
     if prob is None:
-        prob = vessel_probability(volume, boundaries, None if contrast is None else contrast.data, cfg)
+        prob = vessel_probability(volume, boundaries, cfg)
     write_volume(prob, args.out)
     print(f"probability map: {args.out}")
     return 0
@@ -216,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_vessels.add_argument("--in", dest="infile", required=True)
     p_vessels.add_argument("--boundaries", required=True)
     p_vessels.add_argument("--out", required=True)
-    p_vessels.add_argument("--contrast", help="shadow contrast container (for w_shadow > 0)")
     p_vessels.add_argument("--config", help="backend config JSON")
     p_vessels.set_defaults(func=cmd_vessels)
 

@@ -28,8 +28,7 @@ class ShadowConfig(FromDict):
     background_window is the (slices, columns) box size of the local
     background estimate; contrast_threshold is the minimum normalized
     darkening (B - e) / B that counts as shadow; components smaller than
-    min_component_px are discarded; dilation_radius optionally grows the
-    final mask by a Chebyshev square.
+    min_component_px are discarded. The transverse mask dilates the rest.
     """
 
     section = "shadow"
@@ -37,7 +36,6 @@ class ShadowConfig(FromDict):
     background_window: tuple[int, int] = (9, 15)
     contrast_threshold: float = 0.15
     min_component_px: int = 10
-    dilation_radius: int = 0
 
     def __post_init__(self):
         ws, wx = self.background_window
@@ -49,8 +47,6 @@ class ShadowConfig(FromDict):
             raise ConfigError("contrast_threshold must be positive")
         if self.min_component_px < 1:
             raise ConfigError("min_component_px must be >= 1")
-        if self.dilation_radius < 0:
-            raise ConfigError("dilation_radius must be >= 0")
 
 
 def project_rpe(volume: OctVolume, boundaries: BoundarySet) -> EnFaceImage:
@@ -96,8 +92,7 @@ def segment_shadows(
     """Segment shadow footprints on an en-face image.
 
     Returns the binary footprint mask and the full normalized contrast map
-    c = max(0, (B - e) / max(B, 1e-6)), which downstream scoring can use
-    as a soft weight.
+    c = max(0, (B - e) / max(B, 1e-6)).
     """
     cfg = cfg or ShadowConfig()
     e = image.data.astype(np.float64)
@@ -111,8 +106,5 @@ def segment_shadows(
         keep = sizes >= cfg.min_component_px
         keep[0] = False
         mask = keep[labels]
-    if cfg.dilation_radius > 0 and mask.any():
-        size = 2 * cfg.dilation_radius + 1
-        mask = ndimage.binary_dilation(mask, structure=np.ones((size, size), dtype=bool))
     return PixelMask(mask), contrast
 

@@ -21,7 +21,7 @@ import numpy as np
 from .config import FromDict
 from .errors import ConfigError, ShapeMismatchError, ValidationError
 from .kernels import dp_trace_batch
-from .model import BoundarySet, OctVolume
+from .model import BOUNDARY_NAMES, BoundarySet, OctVolume
 
 COST_KINDS = ("negative_vertical_gradient", "positive_vertical_gradient", "negative_intensity")
 
@@ -188,5 +188,5 @@ def segment_boundaries(volume: OctVolume, cfg: DpConfig | None = None) -> Bounda
     per-slice `trace_boundary` on the full-height cost image bit for bit.
     """
     surfaces = _segment_stack(volume.data, cfg or DpConfig())
-    return BoundarySet(dict(zip(("ILM", "INL_LOWER", "RPE_UPPER", "BM"), surfaces)))
+    return BoundarySet(dict(zip(BOUNDARY_NAMES, surfaces)))
 

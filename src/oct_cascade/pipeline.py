@@ -35,7 +35,7 @@ from .fileio import (
 )
 from .layers import DpConfig, segment_boundaries
 from .metrics import MetricsReport, score
-from .model import BoundarySet, EnFaceImage, OctVolume, PixelMask, ProbabilityMap3D, VoxelMask
+from .model import BoundarySet, OctVolume, PixelMask, ProbabilityMap3D, VoxelMask
 from .phantom import PhantomConfig, generate
 
 #: Ablation variants in reporting order: (label, use_longitudinal, use_transverse).
@@ -53,7 +53,7 @@ class StageError(OctCascadeError):
     """Failure attributed to a named pipeline stage."""
 
     def __init__(self, stage: str, message: str):
-        self.stage = stage
+        self.stage, self.message = stage, message
         super().__init__(f"{stage}: {message}")
 
 
@@ -153,7 +153,7 @@ class PipelineConfig:
 
     @classmethod
     def from_json(cls, path: str) -> "PipelineConfig":
-        return cls.from_dict(read_json(path, "pipeline config"))
+        return read_config(path, cls, "pipeline config")
 
     def with_seed(self, seed: int) -> "PipelineConfig":
         if self.phantom is None:
@@ -194,6 +194,18 @@ def read_json(path: str, stage: str) -> dict:
     return value
 
 
+def read_config(path: str, cls: type, stage: str):
+    """The `cls` config (anything with a `from_dict`) in the JSON file at
+    `path`. Every fault is a StageError naming the file: of the stage that
+    owns the faulty section, or else of `stage`."""
+    d = read_json(path, stage)
+    try:
+        with _stage(stage):
+            return cls.from_dict(d)
+    except StageError as exc:
+        raise StageError(exc.stage, f"{path!r}: {exc.message}") from exc
+
+
 def _require_file(path: str, stage: str) -> None:
     if not os.path.exists(path) and not os.path.exists(path + ".json"):
         raise StageError(stage, f"no such file {path!r}")
@@ -210,12 +222,11 @@ def read_typed(path: str, kind: type, stage: str):
 
 
 def read_imports(dims: tuple[int, int, int], gt_path: str | None = None,
-                 shadow_path: str | None = None, backend_path: str | None = None,
-                 contrast_path: str | None = None) -> list:
-    """The ground-truth mask, shadow mask, probability map and shadow
-    contrast image at the paths given (None for each path not given), each
-    read once and checked against a volume of `dims`; a refused file or a
-    mismatch is its stage's StageError."""
+                 shadow_path: str | None = None, backend_path: str | None = None) -> list:
+    """The ground-truth mask, shadow mask and probability map at the paths
+    given (None for each path not given), each read once and checked
+    against a volume of `dims`; a refused file or a mismatch is its stage's
+    StageError."""
     n_slices, _, width = dims
     grids = []
     for stage, path, kind, expected, mismatch in (
@@ -223,8 +234,6 @@ def read_imports(dims: tuple[int, int, int], gt_path: str | None = None,
         ("shadow source", shadow_path, PixelMask, (n_slices, width),
          "shadow mask shape {} != en-face shape {}"),
         ("backend", backend_path, ProbabilityMap3D, dims, "imported probability map vs volume: {} != {}"),
-        ("shadow contrast", contrast_path, EnFaceImage, (n_slices, width),
-         "shadow contrast shape {} != en-face shape {}"),
     ):
         grid = None if path is None else read_typed(path, kind, stage)
         if grid is not None and grid.dims != expected:
@@ -254,7 +263,7 @@ def _resolve(cfg: PipelineConfig, imports: list | None = None) -> tuple:
         volume, gt = generate(cfg.phantom)
     else:
         volume = read_typed(cfg.volume_path, OctVolume, "input volume")
-    gt_mask, shadow_mask, probability, _ = imports or read_imports(
+    gt_mask, shadow_mask, probability = imports or read_imports(
         volume.dims, cfg.gt_mask_path, cfg.shadow_import_path, cfg.backend.path
     )
     if cfg.phantom is not None:

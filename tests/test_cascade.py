@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from oct_cascade.cascade import (
     InfusionConfig,
@@ -66,10 +67,32 @@ def test_transverse_mask_depth_invariant():
     assert np.all(mask == mask[:, :1, :])
 
 
+def dilated(footprint: np.ndarray, radius: int) -> np.ndarray:
+    """A footprint grown by a (2r+1)^2 square, as a second dilation before
+    the transverse mask would grow it."""
+    if radius == 0 or not footprint.any():
+        return footprint
+    return ndimage.binary_dilation(footprint, structure=np.ones((2 * radius + 1,) * 2, dtype=bool))
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 8), st.integers(1, 12), st.sampled_from([0.0, 0.05, 0.2, 0.6]),
+       st.integers(0, 2**32 - 1), st.integers(0, 3), st.integers(0, 3))
+def test_square_dilations_compose_in_the_transverse_mask(n_slices, width, density, seed, r1, r2):
+    # Square dilations compose, borders included: dilating the shadow mask
+    # by r1 before the transverse mask's own r2 is one dilation by r1 + r2.
+    fp = np.random.default_rng(seed).random((n_slices, width)) < density
+    dims = (n_slices, 3, width)
+    assert np.array_equal(
+        transverse_mask(PixelMask(dilated(fp, r1)), dims, r2).data,
+        transverse_mask(PixelMask(fp), dims, r1 + r2).data,
+    )
+
+
 def test_constant_volume_yields_zero_map_with_warning():
     volume = OctVolume(np.full((1, 16, 8), 0.5, dtype=np.float32))
     with pytest.warns(RuntimeWarning, match="degenerate"):
-        p = vessel_probability(volume, flat_boundaries(1, 8), None, VesselBackendConfig())
+        p = vessel_probability(volume, flat_boundaries(1, 8), VesselBackendConfig())
     assert not p.data.any()
 
 
@@ -78,19 +101,8 @@ def test_brighter_voxel_scores_higher():
     data[0, 5, 3] = 0.9
     data[0, 10, 3] = 0.3
     volume = OctVolume(data)
-    p = vessel_probability(volume, flat_boundaries(1, 8, bm=14.0), None, VesselBackendConfig())
+    p = vessel_probability(volume, flat_boundaries(1, 8, bm=14.0), VesselBackendConfig())
     assert p.data[0, 5, 3] > p.data[0, 10, 3]
-
-
-def test_shadow_weight_requires_contrast():
-    volume = OctVolume(np.random.default_rng(0).uniform(0, 1, (1, 16, 8)))
-    cfg = VesselBackendConfig(w_intensity=0.8, w_shadow=0.2)
-    with pytest.raises(ConfigError, match="shadow_contrast"):
-        vessel_probability(volume, flat_boundaries(1, 8), None, cfg)
-    contrast = np.zeros((1, 8))
-    contrast[0, 4] = 0.5
-    p = vessel_probability(volume, flat_boundaries(1, 8), contrast, cfg)
-    assert p.dims == volume.dims
 
 
 def test_import_backend_round_trip(tmp_path):
@@ -109,14 +121,16 @@ def test_import_backend_round_trip(tmp_path):
 
     # the cascade reads no file: an import backend without its map is refused
     with pytest.raises(ConfigError, match="import backend"):
-        vessel_probability(volume, flat_boundaries(2, 8), None, cfg)
+        vessel_probability(volume, flat_boundaries(2, 8), cfg)
     with pytest.raises(ConfigError, match="import backend"):
         run_cascade(volume, flat_boundaries(2, 8), backend_cfg=cfg)
 
 
 def test_backend_weights_validated():
-    with pytest.raises(ConfigError):
-        VesselBackendConfig(w_intensity=0.7, w_shadow=0.2)
+    # the shadow evidence enters once, as the transverse mask: no score weights
+    for weight in ("w_intensity", "w_shadow"):
+        with pytest.raises(ConfigError, match=f"unknown backend config fields \\['{weight}'\\]"):
+            VesselBackendConfig.from_dict({weight: 1.0})
     with pytest.raises(ConfigError):
         VesselBackendConfig(kind="import")
     with pytest.raises(ConfigError, match="classical backend takes no path"):

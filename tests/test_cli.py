@@ -192,15 +192,19 @@ def test_malformed_inputs_exit_2_without_traceback(tmp_path):
     bad_fields = []
     for i, (section, fields, stage, culprit) in enumerate((
         ("infusion", {"transverse_dilation": "x"}, "infusion", "'transverse_dilation' must be an integer"),
-        ("backend", {"w_shadow": "0"}, "backend", "'w_shadow' must be a number"),
+        ("backend", {"kind": 5}, "backend", "'kind' must be a string"),
         ("shadows", {"config": {"background_window": 9}}, "shadow source",
          "'background_window' must be a list"),
         ("report", {"overlays": "no"}, "report", "'overlays' must be true or false"),
         ("report", {"extra": 1}, "report", "unknown report config fields"),
         ("backend", {"path": "prob.json"}, "backend", "classical backend takes no path"),
+        # the shadow evidence enters once, as the transverse mask
+        ("backend", {"w_shadow": 0.0}, "backend", "unknown backend config fields ['w_shadow']"),
+        ("shadows", {"config": {"dilation_radius": 1}}, "shadow source",
+         "unknown shadow config fields ['dilation_radius']"),
     )):
         cfg = {**good, section: fields}
-        with pytest.raises(StageError, match=culprit) as err:
+        with pytest.raises(StageError, match=re.escape(culprit)) as err:
             PipelineConfig.from_dict(cfg)
         assert err.value.stage == stage
         path = tmp_path / f"bad_field_{i}.json"
@@ -287,7 +291,8 @@ def stage_inputs(tmp_path):
     ("{not json", "malformed JSON"),
     (None, "No such file"),
     ("[1, 2]", "does not hold a JSON object"),
-], ids=["invalid", "missing", "list"])
+    ('{"no_such_field": 1}', "['no_such_field']"),
+], ids=["invalid", "missing", "list", "unknown-field"])
 def test_bad_config_exits_2_naming_the_stage(stage_inputs, capsys, args, stage, content, culprit):
     config = stage_inputs / "config.json"
     if content is not None:
@@ -303,8 +308,6 @@ def test_bad_config_exits_2_naming_the_stage(stage_inputs, capsys, args, stage, 
     (["enface", "--in", "{d}/mask.json", "--boundaries", "{d}/b.csv", "--out", "{d}/e"],
      "input volume", "an OctVolume"),
     (["shadows", "--in", "{d}/vol.json", "--out", "{d}/sm"], "en-face image", "an EnFaceImage"),
-    (["vessels", "--in", "{d}/vol.json", "--boundaries", "{d}/b.csv", "--out", "{d}/p2",
-      "--contrast", "{d}/mask.json"], "shadow contrast", "an EnFaceImage"),
     (["eval", "--pred", "{d}/prob.json", "--gt", "{d}/mask.json", "--out", "{d}"],
      "prediction", "a VoxelMask"),
     (["eval", "--pred", "{d}/mask.json", "--gt", "{d}/absent.json", "--out", "{d}"],
@@ -312,8 +315,7 @@ def test_bad_config_exits_2_naming_the_stage(stage_inputs, capsys, args, stage, 
     (["eval", "--pred", "{d}/mask.json", "--gt", "{d}/mask.json", "--prob", "{d}/mask.json",
       "--out", "{d}"], "probability map", "a ProbabilityMap3D"),
     (["run", "--config", "{d}/mask_backend.json"], "backend", "a ProbabilityMap3D"),
-], ids=["layers", "enface", "shadows", "vessels-contrast", "eval-pred", "eval-gt", "eval-prob",
-        "run-backend"])
+], ids=["layers", "enface", "shadows", "eval-pred", "eval-gt", "eval-prob", "run-backend"])
 def test_wrong_kind_input_exits_2_naming_the_stage(stage_inputs, capsys, args, stage, culprit):
     assert run_cli([a.format(d=stage_inputs) for a in args]) == 2
     err = capsys.readouterr().err
@@ -326,15 +328,11 @@ def test_wrong_kind_input_exits_2_naming_the_stage(stage_inputs, capsys, args, s
      "ground truth", "narrow_mask.json': dims (1, 16, 7) != prediction dims (1, 16, 8)"),
     (["eval", "--pred", "{d}/mask.json", "--gt", "{d}/mask.json", "--prob", "{d}/narrow_prob.json",
       "--out", "{d}"], "probability map", "narrow_prob.json': dims (1, 16, 7) != prediction dims"),
-    (["vessels", "--in", "{d}/vol.json", "--boundaries", "{d}/b.csv", "--out", "{d}/p2",
-      "--contrast", "{d}/narrow_enface.json"],
-     "shadow contrast", "narrow_enface.json': shadow contrast shape (1, 7) != en-face shape (1, 8)"),
-], ids=["eval-gt", "eval-prob", "vessels-contrast"])
+], ids=["eval-gt", "eval-prob"])
 def test_wrong_dims_input_exits_2_naming_the_stage(stage_inputs, capsys, args, stage, culprit):
     write_volume(VoxelMask(np.zeros((1, 16, 7), dtype=bool)), str(stage_inputs / "narrow_mask"))
     write_volume(ProbabilityMap3D(np.zeros((1, 16, 7), dtype=np.float32)),
                  str(stage_inputs / "narrow_prob"))
-    write_volume(EnFaceImage(np.zeros((1, 7), dtype=np.float32)), str(stage_inputs / "narrow_enface"))
     assert run_cli([a.format(d=stage_inputs) for a in args]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err

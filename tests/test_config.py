@@ -51,7 +51,6 @@ shadows = st.builds(
     background_window=st.tuples(odd_windows, odd_windows),
     contrast_threshold=st.floats(0.01, 2.0),
     min_component_px=st.integers(1, 50),
-    dilation_radius=st.integers(0, 3),
 )
 infusions = st.builds(
     InfusionConfig,
@@ -62,14 +61,9 @@ infusions = st.builds(
     min_component_vox=st.integers(1, 50),
     connectivity=st.sampled_from((6, 26)),
 )
-
-
-@st.composite
-def backends(draw):
-    w_shadow = draw(fractions)
-    path = draw(st.none() | paths)
-    return VesselBackendConfig(kind="classical" if path is None else "import", path=path,
-                               w_intensity=1.0 - w_shadow, w_shadow=w_shadow)
+backends = (st.none() | paths).map(
+    lambda path: VesselBackendConfig(kind="classical" if path is None else "import", path=path)
+)
 
 
 @st.composite
@@ -88,7 +82,7 @@ def pipeline_configs(draw):
         **fields,
         dp=draw(dps),
         shadow=draw(shadows),
-        backend=draw(backends()),
+        backend=draw(backends),
         infusion=draw(infusions),
         output_dir=draw(paths),
         report=draw(st.builds(ReportConfig, overlays=st.booleans(), montage=st.booleans())),
@@ -139,7 +133,6 @@ def test_an_int_for_a_float_field_writes_the_same_json_as_the_float():
             "input": {"phantom": {"noise_sigma": number, "vessel_depth_fraction_range": [number, 1],
                                   "layer_levels": {**DEFAULT_LAYER_LEVELS, "vitreous": number}}},
             "boundaries": {"dp": {"smoothness": number}},
-            "backend": {"w_intensity": 1, "w_shadow": number},
         })
         return json.dumps(cfg.to_dict())
 

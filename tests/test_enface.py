@@ -94,15 +94,6 @@ def test_mask_shrinks_as_threshold_grows():
     assert np.all(hi.data <= lo.data)
 
 
-def test_dilation_grows_mask():
-    img = np.full((16, 20), 0.8)
-    img[:, 9:11] = 0.4
-    base, _ = segment_shadows(EnFaceImage(img))
-    fat, _ = segment_shadows(EnFaceImage(img), ShadowConfig(dilation_radius=1))
-    assert np.all(base.data <= fat.data)
-    assert fat.data[:, 8].all()
-
-
 def test_single_vessel_footprint_darker_by_tenth():
     cfg = PhantomConfig.from_dict(
         {**default_config("desk", seed=7).to_dict(), "n_vessels": 1, "noise_sigma": 0.0}

@@ -32,15 +32,13 @@ def write_footprint(tmp_path, shape) -> str:
     return path
 
 
-@pytest.mark.parametrize("case", ["classical", "imported shadow mask", "w_shadow"])
+@pytest.mark.parametrize("case", ["classical", "imported shadow mask"])
 def test_ablate_rows_equal_run_cascade(tmp_path, case):
     sections, shadow = {}, None
     if case == "imported shadow mask":
         path = write_footprint(tmp_path, (8, 64))
         sections["shadows"] = {"source": "import", "path": path}
         shadow = read_volume(path)
-    if case == "w_shadow":
-        sections["backend"] = {"w_intensity": 0.75, "w_shadow": 0.25}
     cfg = small_config(tmp_path, **sections)
     ablate(cfg, SEEDS)
 
@@ -77,17 +75,13 @@ def test_wrong_shape_shadow_mask_fails_before_boundary_segmentation(tmp_path, mo
     assert err.value.stage == "shadow source"
 
 
-@pytest.mark.parametrize("imported, w_shadow, segmentations", [
-    (False, 0.0, 1),
-    (True, 0.0, 0),   # neither the mask nor the contrast is needed
-    (True, 0.25, 1),  # the classical backend scores with the contrast
-])
-def test_prepare_segments_shadows_only_when_needed(monkeypatch, imported, w_shadow, segmentations):
+@pytest.mark.parametrize("imported, segmentations", [(False, 1), (True, 0)])
+def test_prepare_segments_shadows_only_when_needed(monkeypatch, imported, segmentations):
     volume, gt = generate(PhantomConfig.from_dict(PHANTOM))
     calls = []
     segment = cascade.segment_shadows
     monkeypatch.setattr(cascade, "segment_shadows", lambda *a: calls.append(1) or segment(*a))
-    backend = cascade.VesselBackendConfig(w_intensity=1.0 - w_shadow, w_shadow=w_shadow)
+    backend = cascade.VesselBackendConfig()
     source = gt.shadow_footprint if imported else None
     prepared = prepare(volume, shadow_source=source, backend_cfg=backend)
     assert len(calls) == segmentations

@@ -19,7 +19,6 @@ from scipy import ndimage
 
 from oct_cascade.cascade import (
     InfusionConfig,
-    VesselBackendConfig,
     binarize_and_label,
     infuse,
     run_cascade,
@@ -49,7 +48,7 @@ def project_rpe_reference(volume, boundaries):
     return np.clip(band_mean, 0.0, 1.0).astype(np.float32)
 
 
-def vessel_probability_reference(volume, boundaries, shadow_contrast, cfg):
+def vessel_probability_reference(volume, boundaries):
     """The map, or None where the band is constant (and a warning is due)."""
     data = volume.data.astype(np.float64)
     z = np.arange(volume.height)[None, :, None]
@@ -61,13 +60,7 @@ def vessel_probability_reference(volume, boundaries, shadow_contrast, cfg):
     vmin, vmax = float(data[band].min()), float(data[band].max())
     if vmax - vmin < 1e-9:
         return None
-    score = cfg.w_intensity * np.clip((data - vmin) / (vmax - vmin), 0.0, 1.0)
-    if cfg.w_shadow > 0.0:
-        c = np.asarray(shadow_contrast, dtype=np.float64)
-        cmin, cmax = float(c.min()), float(c.max())
-        c_norm = np.zeros_like(c) if cmax - cmin < 1e-9 else (c - cmin) / (cmax - cmin)
-        score = score + cfg.w_shadow * c_norm[:, None, :]
-    return np.clip(score, 0.0, 1.0).astype(np.float32)
+    return np.clip((data - vmin) / (vmax - vmin), 0.0, 1.0).astype(np.float32)
 
 
 def binarize_and_label_reference(p, cfg):
@@ -130,28 +123,24 @@ def volumes_and_boundaries(draw):
         collapse = rng.random((n_slices, width)) < draw(st.sampled_from([0.0, 0.3, 1.0]))
         depths[3][collapse] = depths[2][collapse]
     boundaries = BoundarySet(dict(zip(BOUNDARY_NAMES, depths)))
-    return OctVolume(data), boundaries, rng
+    return OctVolume(data), boundaries
 
 
 @settings(max_examples=150)
 @given(volumes_and_boundaries())
 def test_project_rpe_equals_whole_volume_reference(case):
-    volume, boundaries, _ = case
+    volume, boundaries = case
     assert np.array_equal(project_rpe(volume, boundaries).data, project_rpe_reference(volume, boundaries))
 
 
 @settings(max_examples=150)
-@given(volumes_and_boundaries(), st.sampled_from([0.0, 0.25, 1.0]), st.booleans())
-def test_vessel_probability_equals_whole_volume_reference(case, w_shadow, flat_contrast):
-    volume, boundaries, rng = case
-    cfg = VesselBackendConfig(w_intensity=1.0 - w_shadow, w_shadow=w_shadow)
-    contrast = rng.random((volume.n_slices, volume.width))
-    if flat_contrast:
-        contrast[:] = 0.2
-    want = vessel_probability_reference(volume, boundaries, contrast, cfg)
+@given(volumes_and_boundaries())
+def test_vessel_probability_equals_whole_volume_reference(case):
+    volume, boundaries = case
+    want = vessel_probability_reference(volume, boundaries)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        got = vessel_probability(volume, boundaries, contrast, cfg).data
+        got = vessel_probability(volume, boundaries).data
     assert any(str(w.message).startswith("degenerate") for w in caught) == (want is None)
     assert np.array_equal(got, np.zeros(volume.dims, np.float32) if want is None else want)
 
