@@ -24,8 +24,8 @@ from .metrics import score
 from .model import EnFaceImage, OctVolume, ProbabilityMap3D, VoxelMask
 from .phantom import PhantomConfig, default_config, generate
 from .pipeline import (
-    PipelineConfig, StageError, ablate, read_boundary_csv, read_config, read_imports, read_typed,
-    run_to_files, write_metrics_csv,
+    PipelineConfig, StageError, _stage, ablate, read_boundary_csv, read_config, read_imports,
+    read_typed, run_to_files, write_metrics_csv,
 )
 
 
@@ -51,9 +51,9 @@ def cmd_phantom_gen(args) -> int:
     else:
         cfg = default_config(args.scale)
     overrides = {"seed": args.seed, "n_vessels": args.n_vessels, "noise_sigma": args.noise_sigma}
-    cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
-
-    volume, gt = generate(cfg)
+    with _stage("phantom config"):
+        cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+        volume, gt = generate(cfg)
     out = args.out
     ensure_dir(out)
     write_volume(volume, os.path.join(out, "volume"))

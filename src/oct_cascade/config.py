@@ -17,10 +17,11 @@ class FromDict:
     """Mixin giving a config dataclass a checked `from_dict` and its inverse `to_dict`.
 
     An unknown field, or a value whose JSON type does not match the
-    field's annotation, raises ConfigError naming the field. A list for a
-    tuple field becomes a tuple, an int for a float becomes a float, and
-    an object for a nested config field goes through that config's
-    `from_dict`. Subclasses name themselves in messages through `section`.
+    field's annotation, raises ConfigError naming the field; so does a
+    NaN or an infinity for a float field. A list for a tuple field becomes
+    a tuple, an int for a float becomes a float, and an object for a
+    nested config field goes through that config's `from_dict`.
+    Subclasses name themselves in messages through `section`.
     """
 
     section = "config"
@@ -73,8 +74,9 @@ def _checked(value, tp, what: str):
     elif tp is Path:
         if type(value) is str and value:
             return value
-    elif tp is float and type(value) is int and abs(value) <= sys.float_info.max:
-        return float(value)
+    elif tp is float:
+        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+            return float(value)  # an int widened; NaN and the infinities refused
     elif type(value) is tp:
         return value
     raise ConfigError(f"{what} must be {_describe(tp)}, got {value!r}")

@@ -6,10 +6,11 @@ path through a per-column search band gives one boundary. One DP,
 `kernels.dp_trace_batch`, does the tracing: `trace_boundary` runs it on a
 single cost image as a stack of one, and `segment_boundaries` on all
 B-scans at once, on the rows their bands reach, giving each the path
-`trace_boundary` gives it alone on the full-height cost image. The four
-boundaries are traced sequentially (ILM, then RPE upper, then BM, then
-INL lower), each band positioned relative to the boundaries already
-found, which guarantees the anatomical ordering by construction.
+`trace_boundary` gives it alone on the full-height cost image, built
+one B-scan at a time as the DP takes it. The four boundaries are traced
+sequentially (ILM, then RPE upper, then BM, then INL lower), each band
+positioned relative to the boundaries already found, which guarantees
+the anatomical ordering by construction.
 """
 
 from __future__ import annotations
@@ -100,13 +101,18 @@ def _trace_stack(bscans, kind, band_lo, band_hi, smoothness, max_jump):
 
     Only rows [min lo, max hi] over all slices and columns enter the DP. A
     row outside every band is a +inf state that never wins, so the paths
-    are those of the full-height images. The B-scans are a volume's [0, 1]
-    intensities, so the costs are finite.
+    are those of the full-height images. Each float64 cost image is built,
+    as the DP takes it, from one more row on either side where the B-scan
+    has one, so the gradient's central differences equal the full-height
+    values. The B-scans are a volume's [0, 1] intensities, so the costs
+    are finite.
     """
     lo, hi = _checked_bands(bscans.shape, band_lo, band_hi)
     top, bottom = int(lo.min()), int(hi.max()) + 1
-    cost = _cost_stack(bscans, kind, top, bottom)
-    return dp_trace_batch(cost, lo - top, hi - top, smoothness, max_jump) + top
+    start, stop = max(top - 1, 0), min(bottom + 1, bscans.shape[1])
+    costs = (_cost_image(bscan[start:stop].astype(np.float64), kind)[top - start :]
+             for bscan in bscans)
+    return dp_trace_batch(costs, lo - top, hi - top, smoothness, max_jump) + top
 
 
 def _checked_bands(shape, band_lo, band_hi):
@@ -130,19 +136,6 @@ def _cost_image(bscan: np.ndarray, kind: str) -> np.ndarray:
         return -bscan
     grad = np.gradient(bscan, axis=0)  # central differences, one-sided at the rows
     return -grad if kind == "negative_vertical_gradient" else grad
-
-
-def _cost_stack(bscans: np.ndarray, kind: str, top: int, bottom: int) -> np.ndarray:
-    """float64 cost images of rows [top, bottom) of a (slices, height, width)
-    stack. Each is built from one more row on either side where the B-scan
-    has one, so the gradient's central differences equal the full-height
-    values; one B-scan at a time, so no float64 copy of the stack is held."""
-    start, stop = max(top - 1, 0), min(bottom + 1, bscans.shape[1])
-    rows = slice(top - start, bottom - start)
-    cost = np.empty((bscans.shape[0], bottom - top, bscans.shape[2]))
-    for s, bscan in enumerate(bscans):
-        cost[s] = _cost_image(bscan[start:stop].astype(np.float64), kind)[rows]
-    return cost
 
 
 def _rows(frac: float, height: int, floor: int = 1) -> int:

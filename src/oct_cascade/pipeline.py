@@ -168,16 +168,24 @@ def _fmt(v: float | None) -> str:
     return "NA" if v is None else format(v, ".10g")
 
 
+_REPORT_HEADER = ["method", "iou", "sen", "acc", "auc", "flags"]
+
+
 def _report_row(r: MetricsReport) -> list[str]:
     return [r.method, _fmt(r.iou), _fmt(r.sen), _fmt(r.acc), _fmt(r.auc), ";".join(r.flags)]
 
 
-def write_metrics_csv(path: str, reports: list[MetricsReport]) -> None:
+def _write_pooled_csv(path: str, header: list[str], rows) -> None:
+    """A metrics CSV: the pooling note, then `header` and `rows`."""
     with open(path, "w", newline="") as fh:
         fh.write(_POOLING_NOTE + "\n")
         writer = csv.writer(fh)
-        writer.writerow(["method", "iou", "sen", "acc", "auc", "flags"])
-        writer.writerows(_report_row(r) for r in reports)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_metrics_csv(path: str, reports: list[MetricsReport]) -> None:
+    _write_pooled_csv(path, _REPORT_HEADER, (_report_row(r) for r in reports))
 
 
 def read_json(path: str, stage: str) -> dict:
@@ -260,7 +268,8 @@ def _resolve(cfg: PipelineConfig, imports: list | None = None) -> tuple:
     probability map. Imports are read and checked before boundary segmentation
     runs, unless `imports` holds what `read_imports` already gave."""
     if cfg.phantom is not None:
-        volume, gt = generate(cfg.phantom)
+        with _stage("input"):
+            volume, gt = generate(cfg.phantom)
     else:
         volume = read_typed(cfg.volume_path, OctVolume, "input volume")
     gt_mask, shadow_mask, probability = imports or read_imports(
@@ -295,10 +304,8 @@ def execute(cfg: PipelineConfig) -> tuple[CascadeResult, OctVolume, VoxelMask | 
 
 
 def _variant_label(inf: InfusionConfig) -> str:
-    for label, use_l, use_t in VARIANTS:
-        if (use_l, use_t) == (inf.use_longitudinal, inf.use_transverse):
-            return label
-    return "custom"
+    labels = {(use_l, use_t): label for label, use_l, use_t in VARIANTS}
+    return labels[inf.use_longitudinal, inf.use_transverse]
 
 
 def _overlay(volume: OctVolume, mask: VoxelMask, s: int) -> np.ndarray:
@@ -380,29 +387,21 @@ def ablate(cfg: PipelineConfig, seeds: list[int]) -> tuple[bool, list[tuple[str,
                 rows.append((seed, score(label, r.mask, r.probability, gt_mask)))
 
     runs_path = os.path.join(out, "ablation_runs.csv")
-    with open(runs_path, "w", newline="") as fh:
-        fh.write(_POOLING_NOTE + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["seed", "method", "iou", "sen", "acc", "auc", "flags"])
-        writer.writerows([seed, *_report_row(r)] for seed, r in rows)
+    _write_pooled_csv(runs_path, ["seed", *_REPORT_HEADER], ([seed, *_report_row(r)] for seed, r in rows))
 
+    keys = ("iou", "sen", "acc", "auc")
+    aggregate, means = [], []
+    for label, _, _ in VARIANTS:
+        reports = [r for _, r in rows if r.method == label]
+        row = [label]
+        for key in keys:
+            vals = [getattr(r, key) for r in reports if getattr(r, key) is not None]
+            row += [_fmt(float(np.mean(vals))), _fmt(float(np.std(vals)))] if vals else ["NA", "NA"]
+        aggregate.append(row)
+        means.append((label, float(np.mean([r.iou for r in reports]))))
     agg_path = os.path.join(out, "ablation.csv")
-    means: list[tuple[str, float]] = []
-    with open(agg_path, "w", newline="") as fh:
-        fh.write(_POOLING_NOTE + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["variant", "iou_mean", "iou_std", "sen_mean", "sen_std",
-             "acc_mean", "acc_std", "auc_mean", "auc_std"]
-        )
-        for label, _, _ in VARIANTS:
-            reports = [r for _, r in rows if r.method == label]
-            row = [label]
-            for key in ("iou", "sen", "acc", "auc"):
-                vals = [getattr(r, key) for r in reports if getattr(r, key) is not None]
-                row += [_fmt(float(np.mean(vals))), _fmt(float(np.std(vals)))] if vals else ["NA", "NA"]
-            writer.writerow(row)
-            means.append((label, float(np.mean([r.iou for r in reports]))))
+    _write_pooled_csv(agg_path, ["variant", *(f"{k}_{m}" for k in keys for m in ("mean", "std"))],
+                      aggregate)
 
     ordered = all(means[i][1] < means[i + 1][1] for i in range(len(means) - 1))
     return ordered, means, {"runs": runs_path, "aggregate": agg_path}

@@ -127,6 +127,23 @@ def test_run_is_idempotent(tmp_path):
     assert file_hashes(tmp_path / "out") == first
 
 
+@pytest.mark.parametrize("command, stage", [
+    ("run", "input"), ("ablate", "input"), ("phantom gen", "phantom config"),
+])
+def test_a_band_too_thin_for_the_vessels_names_the_stage(tmp_path, capsys, command, stage):
+    phantom = {"dims": [2, 64, 48], "vessel_radius": 9.0}
+    config = tmp_path / "config.json"
+    if command == "phantom gen":
+        config.write_text(json.dumps(phantom))
+        args = ["phantom", "gen", "--config", config, "--out", tmp_path / "gen"]
+    else:
+        config.write_text(json.dumps({"input": {"phantom": phantom}, "output_dir": str(tmp_path / "out")}))
+        args = [command, "--config", config, *(["--seeds", "0"] if command == "ablate" else [])]
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {stage}: ILM-INL band") and "too thin" in err
+
+
 def test_missing_shadow_import_names_stage(tmp_path, capsys):
     cfg = pipeline_config(
         tmp_path, shadows={"source": "import", "path": str(tmp_path / "absent.json")}

@@ -139,6 +139,28 @@ def test_an_int_for_a_float_field_writes_the_same_json_as_the_float():
     assert written(0) == written(0.0)
 
 
+@pytest.mark.parametrize("section, fields, stage", [
+    ("boundaries", {"dp": {"smoothness": "NaN"}}, "boundary source"),
+    ("boundaries", {"dp": {"smoothness": "Infinity"}}, "boundary source"),
+    ("boundaries", {"dp": {"rpe_band": ["NaN", 6]}}, "boundary source"),
+    ("boundaries", {"dp": {"ilm_band": [2, "NaN"]}}, "boundary source"),
+    ("input", {"phantom": {"vessel_radius": "NaN"}}, "input"),
+    ("input", {"phantom": {"noise_sigma": "NaN"}}, "input"),
+    ("input", {"phantom": {"noise_sigma": "Infinity"}}, "input"),
+    ("input", {"phantom": {"layer_levels": {**DEFAULT_LAYER_LEVELS, "choroid": "-Infinity"}}}, "input"),
+    ("shadows", {"config": {"contrast_threshold": "NaN"}}, "shadow source"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_a_non_finite_number_is_its_stage_error_naming_the_file(tmp_path, section, fields, stage):
+    d = {"input": {"phantom": {"dims": [2, 64, 48]}}}
+    d[section] = {**d.get(section, {}), **fields}
+    path = tmp_path / "pipeline.json"
+    # json writes and reads NaN and the infinities as bare words
+    path.write_text(json.dumps(d).replace('"NaN"', "NaN").replace('"Infinity"', "Infinity"))
+    with pytest.raises(StageError, match=f"{str(path)!r}: .* must be a number") as err:
+        PipelineConfig.from_json(str(path))
+    assert err.value.stage == stage
+
+
 def test_an_int_beyond_the_float_range_is_refused_as_a_number():
     with pytest.raises(StageError, match="'noise_sigma' must be a number") as err:
         PipelineConfig.from_dict({"input": {"phantom": {"noise_sigma": 10**400}}})

@@ -124,6 +124,19 @@ def test_batch_equals_per_slice_on_random_stacks(case):
 
 
 @settings(max_examples=200)
+@given(dp_stacks())
+def test_batch_takes_a_generator_and_reads_only_the_rows_its_bands_reach(case):
+    cost, lo, hi, lam, jump = case
+    # NaN rows below the stack would poison any path that read them
+    taller = np.concatenate([cost, np.full((len(cost), 3, cost.shape[2]), np.nan)], axis=1)
+    for batched in (lambda: kernels.dp_trace_batch((c for c in cost), lo, hi, lam, jump),
+                    lambda: kernels.dp_trace_batch(taller, lo, hi, lam, jump)):
+        assert_matches_per_slice(
+            batched, lambda s: dp_trace(cost[s], lo[s], hi[s], lam, jump), len(cost)
+        )
+
+
+@settings(max_examples=200)
 @given(dp_stacks(min_height=2), st.sampled_from(layers.COST_KINDS))
 def test_row_window_equals_full_height_trace(case, kind):
     # _trace_stack feeds the DP only the rows its bands reach, with the cost

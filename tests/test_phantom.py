@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from oct_cascade import kernels
 from oct_cascade.errors import ConfigError
 from oct_cascade.phantom import PhantomConfig, default_config, generate
 
+import phantom_reference
 from conftest import clean_config
 
 
@@ -124,3 +129,38 @@ def test_noise_free_vitreous_is_flat():
     volume, _ = generate(cfg)
     # rows above every ILM are pure vitreous plateau when noise is off
     assert np.all(volume.data[:, :5, :] == np.float32(cfg.layer_levels["vitreous"]))
+
+
+@st.composite
+def tube_scenes(draw):
+    """A small volume with some voxels already inside vessels, and tubes
+    whose axes may sit past any edge of it, so chords are clipped at the
+    top, bottom, left and right. Axes drawn from a few rows and columns
+    make overlapping tubes common."""
+    n_slices, height, width = draw(st.integers(1, 3)), draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    radius = draw(st.floats(0.5, 4.0))
+    n_vessels = draw(st.integers(0, 4))
+    reach = radius + 2.0
+    zs = st.sampled_from([-reach, -1.0, 0.0, 0.5, height / 2, height - 1.0, height - 0.5, height + reach])
+    xs = st.sampled_from([-reach, -0.5, 0.0, 1.25, width / 2, width - 1.0, width + 0.5, width + reach])
+    axes = st.one_of(zs, st.floats(-reach, height + reach)), st.one_of(xs, st.floats(-reach, width + reach))
+    zc = draw(hnp.arrays(np.float64, (n_vessels, n_slices), elements=axes[0]))
+    xc = draw(hnp.arrays(np.float64, (n_vessels, n_slices), elements=axes[1]))
+    dims = (n_slices, height, width)
+    data = draw(hnp.arrays(np.float64, dims, elements=st.floats(0.0, 1.0)))
+    vmask = draw(hnp.arrays(np.bool_, dims))
+    level = draw(st.floats(0.0, 1.0))
+    atten = draw(st.floats(0.01, 1.0))
+    return data, vmask, zc, xc, radius, level, atten
+
+
+@settings(max_examples=300)
+@given(tube_scenes())
+def test_tube_passes_write_the_bytes_of_the_reference(scene):
+    data, vmask, zc, xc, radius, level, atten = scene
+    got, want = (data.copy(), vmask.copy()), (data.copy(), vmask.copy())
+    for module, (d, m) in ((kernels, got), (phantom_reference, want)):
+        module.raster_tubes(d, m, zc, xc, radius, level)
+        module.apply_shadows(d, m, zc, xc, radius, atten)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert np.array_equal(got[1], want[1])

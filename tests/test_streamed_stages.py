@@ -5,7 +5,8 @@ binarize_and_label and infuse avoid whole-volume index and product
 copies, and binarize_and_label labels only the foreground's bounding box.
 The references below are the earlier whole-volume bodies; the streamed
 stages must reproduce them bit for bit, run_cascade must stay within 4x
-the volume's bytes of traced allocation, and auc within 10x the map's.
+the volume's bytes of traced allocation, segment_boundaries within 2x,
+and auc within 10x the map's.
 """
 
 import csv
@@ -26,6 +27,7 @@ from oct_cascade.cascade import (
 )
 from oct_cascade.enface import project_rpe
 from oct_cascade.fileio import write_boundaries
+from oct_cascade.layers import segment_boundaries
 from oct_cascade.metrics import auc
 from oct_cascade.model import BOUNDARY_NAMES, BoundarySet, OctVolume, ProbabilityMap3D, VoxelMask
 
@@ -240,6 +242,21 @@ def test_run_cascade_allocates_at_most_4x_volume(desk_phantom):
         tracemalloc.stop()
     growth = (peak - entry) / volume.data.nbytes
     assert growth <= 4.0, f"run_cascade allocated {growth:.2f}x the volume's bytes"
+
+
+def test_segment_boundaries_allocates_at_most_2x_volume(desk_phantom):
+    """Each B-scan's float64 cost image goes into the DP's table as it is
+    built, so no whole-stack cost array is held next to the table."""
+    _, volume, _ = desk_phantom
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        segment_boundaries(volume)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    growth = (peak - entry) / volume.data.nbytes
+    assert growth <= 2.0, f"segment_boundaries allocated {growth:.2f}x the volume's bytes"
 
 
 def test_auc_allocates_at_most_10x_the_map():
