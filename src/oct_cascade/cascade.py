@@ -86,14 +86,16 @@ class VesselBackendConfig(FromDict):
             raise ConfigError("classical backend takes no path; give kind 'import' to import one")
 
 
+def _band(boundaries: BoundarySet, upper: str, lower: str, dims: tuple[int, int, int]) -> np.ndarray:
+    """The bool voxels of `BoundarySet.voxel_band`'s band, with volume axis order."""
+    lo, hi = boundaries.voxel_band(upper, lower, dims)
+    z = np.arange(dims[1])[None, :, None]
+    return (z >= lo[:, None, :]) & (z <= hi[:, None, :])
+
+
 def longitudinal_mask(boundaries: BoundarySet, dims: tuple[int, int, int]) -> VoxelMask:
-    """Voxels with ceil(ILM) <= z <= floor(INL_LOWER) at their column."""
-    boundaries.check_against(dims)
-    _, height, _ = dims
-    z = np.arange(height)[None, :, None]
-    lo = np.ceil(boundaries["ILM"])[:, None, :]
-    hi = np.floor(boundaries["INL_LOWER"])[:, None, :]
-    return VoxelMask((z >= lo) & (z <= hi))
+    """The voxels of the ILM-INL_LOWER band."""
+    return VoxelMask(_band(boundaries, "ILM", "INL_LOWER", dims))
 
 
 def transverse_mask(footprint: PixelMask, dims: tuple[int, int, int], dilation: int = 0) -> VoxelMask:
@@ -126,11 +128,7 @@ def vessel_probability(
     if cfg.kind == "import":
         raise ConfigError("an import backend scores nothing; pass its map to prepare as probability")
 
-    boundaries.check_against(volume.dims)
-    z = np.arange(volume.height)[None, :, None]
-    band = (z >= np.ceil(boundaries["ILM"])[:, None, :]) & (
-        z <= np.floor(boundaries["BM"])[:, None, :]
-    )
+    band = _band(boundaries, "ILM", "BM", volume.dims)
     if not band.any():
         band = True  # empty band: normalize over the whole volume
     # The float32 range is exactly the range of its float64 widening.

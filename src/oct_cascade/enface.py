@@ -52,16 +52,12 @@ class ShadowConfig(FromDict):
 def project_rpe(volume: OctVolume, boundaries: BoundarySet) -> EnFaceImage:
     """Mean intensity over the voxelized RPE band, per (slice, column).
 
-    The band at (s, x) is ceil(RPE_UPPER) <= z <= floor(BM); where that is
-    empty the single voxel at round(RPE_UPPER) is used instead.
+    The band at (s, x) is `BoundarySet.voxel_band`'s RPE_UPPER-BM band;
+    where that is empty the single voxel at round(RPE_UPPER) is used
+    instead. Checked boundaries keep every such depth inside the volume.
     """
-    boundaries.check_against(volume.dims)
+    z_lo, z_hi = boundaries.voxel_band("RPE_UPPER", "BM", volume.dims)
     n_slices, height, width = volume.dims
-
-    z_lo = np.ceil(boundaries["RPE_UPPER"]).astype(np.int64)
-    z_hi = np.floor(boundaries["BM"]).astype(np.int64)
-    z_lo = np.clip(z_lo, 0, height - 1)
-    z_hi = np.clip(z_hi, 0, height - 1)
 
     # Band mean via a float64 depth prefix sum, one B-scan at a time:
     # sum over [lo, hi] = P[hi+1] - P[lo].
@@ -79,7 +75,7 @@ def project_rpe(volume: OctVolume, boundaries: BoundarySet) -> EnFaceImage:
     band_mean = (hi_take - lo_take) / safe_count
 
     if empty.any():
-        z_fb = np.clip(np.rint(boundaries["RPE_UPPER"]).astype(np.int64), 0, height - 1)
+        z_fb = np.rint(boundaries["RPE_UPPER"]).astype(np.int64)
         fallback = np.take_along_axis(volume.data, z_fb[:, None, :], axis=1)[:, 0, :]
         band_mean = np.where(empty, fallback.astype(np.float64), band_mean)
 

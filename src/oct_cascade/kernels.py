@@ -141,7 +141,7 @@ def apply_shadows(data, vmask, zc, xc, radius, atten):
     height = data.shape[1]
     edge = radius + 0.5
     for s, x, dx, _, bottom in _chords(zc, xc, radius, data.shape[2]):
-        zb = bottom + 1
+        zb = max(bottom + 1, 0)  # a tube wholly above the volume shades every row
         if zb >= height:
             continue
         t = dx / edge

@@ -24,6 +24,7 @@ from .errors import ConfigError, ShapeMismatchError, ValidationError
 from .kernels import dp_trace_batch
 from .model import BOUNDARY_NAMES, BoundarySet, OctVolume
 
+#: The kinds of cost image `_cost_image` builds.
 COST_KINDS = ("negative_vertical_gradient", "positive_vertical_gradient", "negative_intensity")
 
 
@@ -46,21 +47,12 @@ class DpConfig(FromDict):
     rpe_band: tuple[float, int] = (0.06, 6)      # [ILM + frac*H, H - rows]
     bm_band: tuple[float, float] = (0.005, 0.13)  # [RPE + frac*H, RPE + frac*H]
     inl_band: tuple[float, float] = (0.015, 0.045)  # [ILM + frac*H, RPE - frac*H]
-    cost_kinds: tuple[str, str, str, str] = (
-        "negative_vertical_gradient",  # ILM: dark above, bright below
-        "positive_vertical_gradient",  # INL lower: bright above, dark below
-        "negative_intensity",          # RPE upper: ride the brightest band
-        "positive_vertical_gradient",  # BM: bright above, dark below
-    )
 
     def __post_init__(self):
         if self.smoothness < 0:
             raise ConfigError("smoothness must be >= 0")
         if self.max_jump < 1:
             raise ConfigError("max_jump must be >= 1")
-        for kind in self.cost_kinds:
-            if kind not in COST_KINDS:
-                raise ConfigError(f"unknown cost kind {kind!r}")
 
 
 def trace_boundary(cost, band_lo, band_hi, smoothness=0.5, max_jump=2):
@@ -89,6 +81,8 @@ def trace_boundary(cost, band_lo, band_hi, smoothness=0.5, max_jump=2):
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
         raise ShapeMismatchError(f"cost must be 2D, got ndim={cost.ndim}")
+    if cost.shape[1] == 0:
+        raise ShapeMismatchError("cost image has no columns")
     if not np.isfinite(cost).all():
         raise ValidationError("cost image contains non-finite values")
     lo, hi = _checked_bands(cost.shape, band_lo, band_hi)
@@ -148,26 +142,29 @@ def _segment_stack(bscans: np.ndarray, cfg: DpConfig):
     are float64, whatever the stack's dtype."""
     height = bscans.shape[1]
     lam, jump = cfg.smoothness, cfg.max_jump
-    k_ilm, k_inl, k_rpe, k_bm = cfg.cost_kinds
 
+    # ILM: dark above, bright below
     ilm_lo, ilm_frac = cfg.ilm_band
-    ilm = _trace_stack(bscans, k_ilm, ilm_lo, int(ilm_frac * height), lam, jump)
+    ilm = _trace_stack(bscans, "negative_vertical_gradient", ilm_lo, int(ilm_frac * height), lam, jump)
 
+    # RPE upper: ride the brightest band
     rpe_hi = height - cfg.rpe_band[1]
     rpe_lo = np.minimum(ilm + _rows(cfg.rpe_band[0], height, 4), rpe_hi - 1)
-    rpe = _trace_stack(bscans, k_rpe, rpe_lo, rpe_hi, lam, jump)
+    rpe = _trace_stack(bscans, "negative_intensity", rpe_lo, rpe_hi, lam, jump)
     rpe = np.maximum(rpe, ilm)
 
+    # BM: bright above, dark below
     bm_lo = np.minimum(rpe + _rows(cfg.bm_band[0], height), height - 2)
     bm_hi = np.minimum(rpe + _rows(cfg.bm_band[1], height, 2), height - 2)
-    bm = _trace_stack(bscans, k_bm, bm_lo, np.maximum(bm_hi, bm_lo), lam, jump)
+    bm = _trace_stack(bscans, "positive_vertical_gradient", bm_lo, np.maximum(bm_hi, bm_lo), lam, jump)
     bm = np.maximum(bm, rpe)
 
+    # INL lower: bright above, dark below
     inl_lo = ilm + _rows(cfg.inl_band[0], height, 2)
     inl_hi = np.maximum(rpe - _rows(cfg.inl_band[1], height, 4), inl_lo)
     inl_lo = np.minimum(inl_lo, height - 1)
     inl_hi = np.minimum(inl_hi, height - 1)
-    inl = _trace_stack(bscans, k_inl, inl_lo, inl_hi, lam, jump)
+    inl = _trace_stack(bscans, "positive_vertical_gradient", inl_lo, inl_hi, lam, jump)
     inl = np.clip(inl, ilm, rpe)
 
     return ilm, inl, rpe, bm

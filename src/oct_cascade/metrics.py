@@ -124,40 +124,28 @@ def build_report(method: str, c: ConfusionCounts, auc_value: float | None = None
     )
 
 
-def auc(
-    scores: ProbabilityMap3D | np.ndarray,
-    gt: VoxelMask | np.ndarray,
-    region: VoxelMask | None = None,
-) -> float:
+def auc(scores: ProbabilityMap3D | np.ndarray, gt: VoxelMask | np.ndarray) -> float:
     """ROC area of the scores against a binary ground truth.
 
-    Thresholds sweep every distinct score value inside `region` (the whole
-    grid when absent); at each, voxels scoring at or above it count as
-    positive. The sorted scores give each threshold's run start, hence how
-    many voxels reach it; a binary search of each positive score among the
-    thresholds, counted up, gives how many of those are true positives. The
-    trapezoidal area, formed in place in the curve's two buffers, equals
-    the pairwise ranking statistic with ties counted half. Raises
-    UndefinedAucError when the ground truth is single-class there and
-    ValidationError when a score is not finite.
+    Thresholds sweep every distinct score value; at each, voxels scoring at
+    or above it count as positive. The sorted scores give each threshold's
+    run start, hence how many voxels reach it; a binary search of each
+    positive score among the thresholds, counted up, gives how many of
+    those are true positives. The trapezoidal area, formed in place in the
+    curve's two buffers, equals the pairwise ranking statistic with ties
+    counted half. Raises UndefinedAucError when the ground truth is
+    single-class and ValidationError when a score is not finite.
     """
     s = scores.data if isinstance(scores, ProbabilityMap3D) else np.asarray(scores)
     g = gt.data if isinstance(gt, VoxelMask) else np.asarray(gt, dtype=bool)
     if s.shape != g.shape:
         raise ShapeMismatchError(f"scores shape {s.shape} != ground truth shape {g.shape}")
-    if region is not None:
-        if region.data.shape != g.shape:
-            raise ShapeMismatchError(
-                f"region shape {region.data.shape} != scores shape {g.shape}"
-            )
-        s = s[region.data]
-        g = g[region.data]
     # float32 widens to float64 exactly, so it is ranked as is; any other
     # dtype is ranked as float64.
     if s.dtype != np.float32:
         s = s.astype(np.float64, copy=False)
     s = s.ravel()
-    g = np.asarray(g, dtype=bool).ravel()
+    g = g.ravel()
 
     n_pos = int(g.sum())
     n_neg = g.size - n_pos

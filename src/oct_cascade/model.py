@@ -198,6 +198,20 @@ class BoundarySet:
                 f"BM depth {bm[sl, x]} exceeds height-1={h - 1} at (slice={sl}, column={x})"
             )
 
+    def voxel_band(
+        self, upper: str, lower: str, dims: tuple[int, int, int]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The voxels from surface `upper` down to surface `lower`, checked
+        against a volume's dims: per (slice, column), the (n_slices, width)
+        int64 first and last depths ceil(upper) and floor(lower), both in
+        [0, height). A column whose last depth is above its first has an
+        empty band."""
+        self.check_against(dims)
+        return (
+            np.ceil(self.surfaces[upper]).astype(np.int64),
+            np.floor(self.surfaces[lower]).astype(np.int64),
+        )
+
 
 class EnFaceImage(Grid):
     """A 2D (n_slices, width) transverse projection image in [0, 1]."""

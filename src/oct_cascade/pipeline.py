@@ -296,7 +296,6 @@ def execute(cfg: PipelineConfig) -> tuple[CascadeResult, OctVolume, VoxelMask | 
             shadow_source=shadow_mask,
             backend_cfg=cfg.backend,
             infusion_cfg=cfg.infusion,
-            dp_cfg=cfg.dp,
             shadow_cfg=cfg.shadow,
             probability=probability,
         )

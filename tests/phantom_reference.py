@@ -60,7 +60,7 @@ def apply_shadows(data, vmask, zc, xc, radius, atten):
                 h = math.sqrt(dd)
                 if int(math.floor(zv + h)) < int(math.ceil(zv - h)):
                     continue
-                zb = min(int(math.floor(zv + h)), height - 1) + 1
+                zb = max(min(int(math.floor(zv + h)), height - 1) + 1, 0)
                 if zb >= height:
                     continue
                 t = abs(x - xv) / edge

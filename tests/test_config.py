@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oct_cascade.cascade import InfusionConfig, VesselBackendConfig
 from oct_cascade.enface import ShadowConfig
-from oct_cascade.layers import COST_KINDS, DpConfig
+from oct_cascade.layers import DpConfig
 from oct_cascade.phantom import DEFAULT_LAYER_LEVELS, PhantomConfig
 from oct_cascade.pipeline import PipelineConfig, ReportConfig, StageError
 
@@ -44,7 +44,6 @@ dps = st.builds(
     rpe_band=st.tuples(fractions, st.integers(0, 10)),
     bm_band=st.tuples(fractions, fractions),
     inl_band=st.tuples(fractions, fractions),
-    cost_kinds=st.tuples(*[st.sampled_from(COST_KINDS)] * 4),
 )
 shadows = st.builds(
     ShadowConfig,

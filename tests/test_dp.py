@@ -111,3 +111,10 @@ def test_non_finite_cost_rejected():
     cost[2, 1] = np.nan
     with pytest.raises(ValidationError, match="non-finite"):
         trace_boundary(cost, 0, 5)
+
+
+def test_zero_width_cost_rejected():
+    from oct_cascade.errors import ShapeMismatchError
+
+    with pytest.raises(ShapeMismatchError, match="no columns"):
+        trace_boundary(np.zeros((5, 0)), 0, 0)

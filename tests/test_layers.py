@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from oct_cascade.fileio import write_boundaries
 from oct_cascade.layers import DpConfig, segment_boundaries
 from oct_cascade.model import BOUNDARY_NAMES, OctVolume
 from oct_cascade.phantom import generate
-from oct_cascade.pipeline import StageError, read_boundary_csv
+from oct_cascade.pipeline import StageError, read_boundary_csv, read_config
 
 from conftest import clean_config
 
@@ -77,12 +79,16 @@ def test_import_rejects_wrong_width(tmp_path, clean_phantom):
     assert err.value.stage == "boundary source"
 
 
-def test_dp_config_validation():
+def test_dp_config_validation(tmp_path):
     from oct_cascade.errors import ConfigError
 
     with pytest.raises(ConfigError):
         DpConfig(smoothness=-0.5)
     with pytest.raises(ConfigError):
         DpConfig(max_jump=0)
-    with pytest.raises(ConfigError):
-        DpConfig.from_dict({"cost_kinds": ["sobel", "x", "y", "z"]})
+    # each boundary's cost kind follows from the anatomy, so it is no field
+    path = tmp_path / "dp.json"
+    path.write_text(json.dumps({"cost_kinds": ["sobel", "x", "y", "z"]}))
+    with pytest.raises(StageError, match=r"dp\.json': unknown DP config fields \['cost_kinds'\]") as err:
+        read_config(str(path), DpConfig, "DP config")
+    assert err.value.stage == "DP config"

@@ -118,16 +118,6 @@ def test_auc_invariant_under_monotone_transform():
     assert auc(s1, g) == auc(s2, g)
 
 
-def test_auc_region_restriction():
-    scores = np.array([0.9, 0.1, 0.5, 0.6], dtype=np.float32).reshape(1, 1, 4)
-    labels = np.array([1, 0, 1, 0], dtype=bool).reshape(1, 1, 4)
-    region = np.array([1, 1, 0, 0], dtype=bool).reshape(1, 1, 4)
-    full = auc(ProbabilityMap3D(scores), VoxelMask(labels))
-    sub = auc(ProbabilityMap3D(scores), VoxelMask(labels), VoxelMask(region))
-    assert sub == 1.0
-    assert full == 0.75
-
-
 def argsort_auc(scores, labels):
     """The earlier implementation: a stable descending argsort of float64
     scores, labels gathered through it, ROC points at the ends of tie runs."""
@@ -151,7 +141,7 @@ def argsort_auc(scores, labels):
 
 @st.composite
 def auc_cases(draw):
-    """Scores (float32 or float64), labels and an optional region.
+    """Scores (float32 or float64) and labels.
 
     Score kinds: fine-grained values, a coarse grid that forces heavy ties,
     one repeated value, signed zeros, and values multiplied by a 0/1 mask as
@@ -173,27 +163,23 @@ def auc_cases(draw):
         s = draw(hnp.arrays(dtype, n, elements=st.sampled_from([-0.0, 0.0, 0.25])))
     else:
         s = draw(fine) * draw(hnp.arrays(bool, n))
-    labels = draw(hnp.arrays(bool, n))
-    region = draw(st.none() | hnp.arrays(bool, n))
-    return s, labels, region
+    return s, draw(hnp.arrays(bool, n))
 
 
 @settings(max_examples=400, deadline=None)
 @given(auc_cases())
 def test_auc_equals_argsort_oracle_exactly(case):
-    s, labels, region = case
+    s, labels = case
     shape = (1, 1, s.size)
     scores = ProbabilityMap3D(s.reshape(shape)) if s.dtype == np.float32 else s.reshape(shape)
     gt = VoxelMask(labels.reshape(shape))
-    keep = np.ones(s.size, dtype=bool) if region is None else region
-    roi = None if region is None else VoxelMask(region.reshape(shape))
     try:
-        want = argsort_auc(s[keep], labels[keep])
+        want = argsort_auc(s, labels)
     except UndefinedAucError:
         with pytest.raises(UndefinedAucError):
-            auc(scores, gt, roi)
+            auc(scores, gt)
         return
-    assert auc(scores, gt, roi) == want
+    assert auc(scores, gt) == want
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

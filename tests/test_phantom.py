@@ -164,3 +164,11 @@ def test_tube_passes_write_the_bytes_of_the_reference(scene):
         module.apply_shadows(d, m, zc, xc, radius, atten)
     assert got[0].tobytes() == want[0].tobytes()
     assert np.array_equal(got[1], want[1])
+
+
+def test_tube_above_the_volume_shades_every_row():
+    for module in (kernels, phantom_reference):
+        data = np.ones((1, 10, 3))
+        vmask = np.zeros(data.shape, dtype=bool)
+        module.apply_shadows(data, vmask, np.array([[-6.0]]), np.array([[1.0]]), 2.0, 0.5)
+        assert np.all(data[0, :, 1] == 0.5), module.__name__

@@ -3,10 +3,11 @@
 project_rpe and vessel_probability work one B-scan at a time, and
 binarize_and_label and infuse avoid whole-volume index and product
 copies, and binarize_and_label labels only the foreground's bounding box.
-The references below are the earlier whole-volume bodies; the streamed
-stages must reproduce them bit for bit, run_cascade must stay within 4x
-the volume's bytes of traced allocation, segment_boundaries within 2x,
-and auc within 10x the map's.
+longitudinal_mask, project_rpe and vessel_probability take their bands
+from BoundarySet.voxel_band. The references below are the earlier
+whole-volume bodies; the streamed stages must reproduce them bit for
+bit, run_cascade must stay within 4x the volume's bytes of traced
+allocation, segment_boundaries within 2x, and auc within 10x the map's.
 """
 
 import csv
@@ -14,6 +15,7 @@ import tracemalloc
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
@@ -22,10 +24,12 @@ from oct_cascade.cascade import (
     InfusionConfig,
     binarize_and_label,
     infuse,
+    longitudinal_mask,
     run_cascade,
     vessel_probability,
 )
 from oct_cascade.enface import project_rpe
+from oct_cascade.errors import ShapeMismatchError, ValidationError
 from oct_cascade.fileio import write_boundaries
 from oct_cascade.layers import segment_boundaries
 from oct_cascade.metrics import auc
@@ -48,6 +52,15 @@ def project_rpe_reference(volume, boundaries):
         fallback = np.take_along_axis(data, z_fb[:, None, :], axis=1)[:, 0, :]
         band_mean = np.where(empty, fallback, band_mean)
     return np.clip(band_mean, 0.0, 1.0).astype(np.float32)
+
+
+def longitudinal_mask_reference(boundaries, dims):
+    boundaries.check_against(dims)
+    _, height, _ = dims
+    z = np.arange(height)[None, :, None]
+    lo = np.ceil(boundaries["ILM"])[:, None, :]
+    hi = np.floor(boundaries["INL_LOWER"])[:, None, :]
+    return (z >= lo) & (z <= hi)
 
 
 def vessel_probability_reference(volume, boundaries):
@@ -111,7 +124,9 @@ def volumes_and_boundaries(draw):
     """Small random volumes (or constant ones) with ordered boundaries on a
     quarter-voxel grid. Some cells get BM == RPE_UPPER, which leaves their
     RPE band empty where the depth is fractional; a flat case puts all four
-    surfaces at one fractional depth, so the ILM-BM band is empty too."""
+    surfaces at one fractional depth, so the ILM-BM band is empty too. Some
+    examples pin the top surfaces to depth 0 and the bottom ones to
+    height-1 in some columns, so bands reach both ends of the volume."""
     n_slices, height, width = draw(st.integers(1, 4)), draw(st.integers(8, 20)), draw(st.integers(8, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
@@ -124,8 +139,20 @@ def volumes_and_boundaries(draw):
         depths = np.sort(np.round(rng.uniform(0, height - 1, (4, n_slices, width)) * 4) / 4, axis=0)
         collapse = rng.random((n_slices, width)) < draw(st.sampled_from([0.0, 0.3, 1.0]))
         depths[3][collapse] = depths[2][collapse]
+    if draw(st.booleans()):
+        pinned = rng.random((n_slices, width)) < draw(st.sampled_from([0.3, 1.0]))
+        depths[4 - draw(st.integers(1, 4)) :, pinned] = height - 1
+        depths[: draw(st.integers(0, 4)), pinned] = 0
     boundaries = BoundarySet(dict(zip(BOUNDARY_NAMES, depths)))
     return OctVolume(data), boundaries
+
+
+@settings(max_examples=150)
+@given(volumes_and_boundaries())
+def test_longitudinal_mask_equals_whole_volume_reference(case):
+    volume, boundaries = case
+    want = longitudinal_mask_reference(boundaries, volume.dims)
+    assert np.array_equal(longitudinal_mask(boundaries, volume.dims).data, want)
 
 
 @settings(max_examples=150)
@@ -145,6 +172,27 @@ def test_vessel_probability_equals_whole_volume_reference(case):
         got = vessel_probability(volume, boundaries).data
     assert any(str(w.message).startswith("degenerate") for w in caught) == (want is None)
     assert np.array_equal(got, np.zeros(volume.dims, np.float32) if want is None else want)
+
+
+BAND_STAGES = {
+    "longitudinal_mask": lambda volume, boundaries: longitudinal_mask(boundaries, volume.dims),
+    "project_rpe": project_rpe,
+    "vessel_probability": vessel_probability,
+}
+
+
+@pytest.mark.parametrize("stage", sorted(BAND_STAGES))
+def test_band_stages_check_the_boundaries_against_the_volume(stage):
+    volume = OctVolume(np.random.default_rng(0).random((2, 10, 8), dtype=np.float32))
+    depths = np.broadcast_to(np.array([1.0, 3.0, 5.0, 9.0])[:, None, None], (4, 2, 8))
+    run = BAND_STAGES[stage]
+    run(volume, BoundarySet(dict(zip(BOUNDARY_NAMES, depths))))  # BM at height-1 is inside
+    with pytest.raises(ShapeMismatchError, match="boundary grid"):
+        run(volume, BoundarySet(dict(zip(BOUNDARY_NAMES, depths[:, :, :7]))))
+    beyond = depths.copy()
+    beyond[3, 1, 4] = 9.25
+    with pytest.raises(ValidationError, match="BM depth 9.25 exceeds height-1=9"):
+        run(volume, BoundarySet(dict(zip(BOUNDARY_NAMES, beyond))))
 
 
 @st.composite
