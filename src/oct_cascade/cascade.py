@@ -11,6 +11,10 @@ Either mask multiplies a per-voxel probability map produced by a pluggable
 backend - the built-in classical scorer, or any externally trained model
 whose output is imported through the float32 grid container - after which
 the map is thresholded and cleaned by connected-component size.
+
+The cascade infuses one B-scan at a time: each prior stays in its own
+dimensions (a depth band per A-scan, an en-face footprint) and is expanded
+only over the B-scan being multiplied.
 """
 
 from __future__ import annotations
@@ -98,9 +102,9 @@ def longitudinal_mask(boundaries: BoundarySet, dims: tuple[int, int, int]) -> Vo
     return VoxelMask(_band(boundaries, "ILM", "INL_LOWER", dims))
 
 
-def transverse_mask(footprint: PixelMask, dims: tuple[int, int, int], dilation: int = 0) -> VoxelMask:
-    """Footprint dilated by a (2d+1)^2 square, extruded along depth."""
-    n_slices, height, width = dims
+def _dilated_footprint(footprint: PixelMask, dims: tuple[int, int, int], dilation: int) -> np.ndarray:
+    """The (slices, width) footprint dilated by a (2d+1)^2 square, checked against `dims`."""
+    n_slices, _, width = dims
     if footprint.shape != (n_slices, width):
         raise ShapeMismatchError(
             f"footprint shape {footprint.shape} != volume transverse dims {(n_slices, width)}"
@@ -109,6 +113,12 @@ def transverse_mask(footprint: PixelMask, dims: tuple[int, int, int], dilation: 
     if dilation > 0 and fp.any():
         size = 2 * dilation + 1
         fp = ndimage.binary_dilation(fp, structure=np.ones((size, size), dtype=bool))
+    return fp
+
+
+def transverse_mask(footprint: PixelMask, dims: tuple[int, int, int], dilation: int = 0) -> VoxelMask:
+    """Footprint dilated by a (2d+1)^2 square, extruded along depth."""
+    fp = _dilated_footprint(footprint, dims, dilation)
     return VoxelMask(np.broadcast_to(fp[:, None, :], dims))
 
 
@@ -154,25 +164,35 @@ def vessel_probability(
     return ProbabilityMap3D(out)
 
 
+def _infuse(p: ProbabilityMap3D, keeps) -> ProbabilityMap3D:
+    """`p` times the bool keep image `keeps` yields for each B-scan in turn,
+    into one new map. Scores are finite and >= 0, so multiplying by a keep
+    image is multiplying by each of the 0/1 masks it is the AND of."""
+    out = np.empty(p.dims, dtype=np.float32)
+    for s, keep in enumerate(keeps):
+        np.multiply(p.data[s], keep, out=out[s])
+    return ProbabilityMap3D(out)
+
+
 def infuse(
     p: ProbabilityMap3D,
     longitudinal: VoxelMask | None = None,
     transverse: VoxelMask | None = None,
 ) -> ProbabilityMap3D:
-    """Pointwise-multiply the map by every provided mask's indicator.
+    """Pointwise-multiply the map by every provided mask's indicator, one
+    B-scan at a time, into one new map.
 
     Absent masks are the identity, so infusion is idempotent for fixed
     masks and never increases any voxel's score.
     """
-    out = p.data
+    masks = []
     for mask in (longitudinal, transverse):
         if mask is not None:
             require_same_dims(p, mask, "probability map vs mask")
-            if out is p.data:
-                out = out * mask.data
-            else:
-                out *= mask.data
-    return ProbabilityMap3D(out)
+            masks.append(mask.data)
+    if not masks:
+        return p
+    return _infuse(p, (np.logical_and.reduce([m[s] for m in masks]) for s in range(p.dims[0])))
 
 
 def binarize_and_label(p: ProbabilityMap3D, cfg: InfusionConfig) -> tuple[VoxelMask, int]:
@@ -262,21 +282,41 @@ def prepare(
     return Prepared(volume, boundaries, image, shadow_source, probability)
 
 
+def _keep_images(dims: tuple[int, int, int], band, footprint):
+    """Each B-scan's bool keep image: the voxels of `band` (first and last
+    depths per A-scan) within the columns of `footprint`. Either prior may be
+    None; a footprint alone yields its (width,) row, which broadcasts."""
+    z = np.arange(dims[1])[:, None]
+    for s in range(dims[0]):
+        if band is None:
+            yield footprint[s]
+            continue
+        keep = (z >= band[0][s]) & (z <= band[1][s])
+        if footprint is not None:
+            keep &= footprint[s]
+        yield keep
+
+
 def extract(prepared: Prepared, infusion_cfg: InfusionConfig | None = None) -> CascadeResult:
     """Infuse the raw map with the priors the flags enable, then binarize.
 
-    Only the enabled masks are built, so one `prepare` serves every
-    variant of the ablation.
+    The priors stay in their own dimensions: the ILM-INL band as per-A-scan
+    first and last depths, the dilated shadow footprint as a (slices,
+    width) image. Each B-scan's keep image is built from them as it is
+    multiplied, so one `prepare` serves every variant of the ablation and
+    no whole-volume prior is built.
     """
     cfg = infusion_cfg or InfusionConfig()
     dims = prepared.volume.dims
-    lm = longitudinal_mask(prepared.boundaries, dims) if cfg.use_longitudinal else None
-    tm = (
-        transverse_mask(prepared.shadow_mask, dims, cfg.transverse_dilation)
-        if cfg.use_transverse
-        else None
-    )
-    infused = infuse(prepared.raw_probability, lm, tm)
+    infused = prepared.raw_probability
+    if cfg.use_longitudinal or cfg.use_transverse:
+        band = prepared.boundaries.voxel_band("ILM", "INL_LOWER", dims) if cfg.use_longitudinal else None
+        fp = (
+            _dilated_footprint(prepared.shadow_mask, dims, cfg.transverse_dilation)
+            if cfg.use_transverse
+            else None
+        )
+        infused = _infuse(infused, _keep_images(dims, band, fp))
     mask, n_components = binarize_and_label(infused, cfg)
     return CascadeResult(**vars(prepared), mask=mask, probability=infused, component_count=n_components)
 

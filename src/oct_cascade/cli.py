@@ -24,8 +24,8 @@ from .metrics import score
 from .model import EnFaceImage, OctVolume, ProbabilityMap3D, VoxelMask
 from .phantom import PhantomConfig, default_config, generate
 from .pipeline import (
-    PipelineConfig, StageError, _stage, ablate, read_boundary_csv, read_config, read_imports,
-    read_typed, run_to_files, write_metrics_csv,
+    PipelineConfig, StageError, _output, _stage, ablate, read_boundary_csv, read_config,
+    read_imports, read_typed, run_to_files, write_metrics_csv,
 )
 
 
@@ -55,19 +55,20 @@ def cmd_phantom_gen(args) -> int:
         cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
         volume, gt = generate(cfg)
     out = args.out
-    ensure_dir(out)
-    write_volume(volume, os.path.join(out, "volume"))
-    write_boundaries(gt.boundaries, os.path.join(out, "gt_boundaries.csv"))
-    write_volume(gt.vessel_mask, os.path.join(out, "gt_vessel_mask"))
-    write_volume(gt.shadow_footprint, os.path.join(out, "gt_shadow_footprint"))
-    with open(os.path.join(out, "gt_centerlines.csv"), "w", newline="") as fh:
-        fh.write("vessel,slice,depth,column\n")
-        for v, line in enumerate(gt.centerlines):
-            for s in range(line.shape[0]):
-                fh.write(f"{v},{s},{line[s, 0]!r},{line[s, 1]!r}\n")
-    with open(os.path.join(out, "phantom_config.json"), "w") as fh:
-        json.dump(cfg.to_dict(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    with _output(out):
+        ensure_dir(out)
+        write_volume(volume, os.path.join(out, "volume"))
+        write_boundaries(gt.boundaries, os.path.join(out, "gt_boundaries.csv"))
+        write_volume(gt.vessel_mask, os.path.join(out, "gt_vessel_mask"))
+        write_volume(gt.shadow_footprint, os.path.join(out, "gt_shadow_footprint"))
+        with open(os.path.join(out, "gt_centerlines.csv"), "w", newline="") as fh:
+            fh.write("vessel,slice,depth,column\n")
+            for v, line in enumerate(gt.centerlines):
+                for s in range(line.shape[0]):
+                    fh.write(f"{v},{s},{line[s, 0]!r},{line[s, 1]!r}\n")
+        with open(os.path.join(out, "phantom_config.json"), "w") as fh:
+            json.dump(cfg.to_dict(), fh, indent=1, sort_keys=True)
+            fh.write("\n")
     print(f"phantom: dims={cfg.dims} n_vessels={cfg.n_vessels} seed={cfg.seed} -> {out}")
     return 0
 
@@ -104,8 +105,9 @@ def cmd_eval(args) -> int:
         if grid is not None and grid.dims != pred.dims:
             raise StageError(stage, f"{path!r}: dims {grid.dims} != prediction dims {pred.dims}")
     report = score("eval", pred, prob, gt)
-    ensure_dir(args.out)
     path = os.path.join(args.out, "metrics.csv")
+    with _output(args.out):
+        ensure_dir(args.out)
     write_metrics_csv(path, [report])
     print(f"metrics: {path}")
     return 0
@@ -115,7 +117,8 @@ def cmd_layers(args) -> int:
     dp = read_config(args.config, DpConfig, "DP config") if args.config else DpConfig()
     volume = read_typed(args.infile, OctVolume, "input volume")
     boundaries = segment_boundaries(volume, dp)
-    write_boundaries(boundaries, args.out)
+    with _output(args.out):
+        write_boundaries(boundaries, args.out)
     print(f"boundaries: {args.out}")
     return 0
 
@@ -124,9 +127,10 @@ def cmd_enface(args) -> int:
     volume = read_typed(args.infile, OctVolume, "input volume")
     boundaries = read_boundary_csv(args.boundaries, volume)
     image = project_rpe(volume, boundaries)
-    write_volume(image, args.out)
-    if args.pgm:
-        write_pgm(image.data, args.pgm)
+    with _output(args.out):  # the error names whichever file failed
+        write_volume(image, args.out)
+        if args.pgm:
+            write_pgm(image.data, args.pgm)
     print(f"enface: {args.out}")
     return 0
 
@@ -135,9 +139,10 @@ def cmd_shadows(args) -> int:
     cfg = read_config(args.config, ShadowConfig, "shadow config") if args.config else ShadowConfig()
     image = read_typed(args.infile, EnFaceImage, "en-face image")
     mask, contrast = segment_shadows(image, cfg)
-    write_volume(mask, args.out)
-    if args.contrast:
-        write_volume(EnFaceImage(np.clip(contrast, 0.0, 1.0)), args.contrast)
+    with _output(args.out):
+        write_volume(mask, args.out)
+        if args.contrast:
+            write_volume(EnFaceImage(np.clip(contrast, 0.0, 1.0)), args.contrast)
     print(f"shadow mask: {args.out}")
     return 0
 
@@ -150,7 +155,8 @@ def cmd_vessels(args) -> int:
     prob = read_imports(volume.dims, backend_path=cfg.path)[2]
     if prob is None:
         prob = vessel_probability(volume, boundaries, cfg)
-    write_volume(prob, args.out)
+    with _output(args.out):
+        write_volume(prob, args.out)
     print(f"probability map: {args.out}")
     return 0
 
@@ -230,9 +236,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except OctCascadeError as exc:  # a StageError's message starts with its stage
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
         return 2
 
 

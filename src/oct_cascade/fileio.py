@@ -34,7 +34,8 @@ def write_volume(value: Grid, path: str) -> None:
     """Write a grid value as `<path>.json` + `<path>.raw`.
 
     `path` may name either the base or the .json file; the .raw sibling is
-    derived. The parent directory must already exist.
+    derived. The parent directory must already exist. A failure to write
+    is the OSError naming the file.
     """
     base = _base_path(path)
     if not isinstance(value, GRID_TYPES):
@@ -52,14 +53,11 @@ def write_volume(value: Grid, path: str) -> None:
     }
     # No copy when the data already has the stored dtype and layout.
     payload = np.ascontiguousarray(value.data, dtype=stored)
-    try:
-        with open(base + ".json", "w") as fh:
-            json.dump(header, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        with open(base + ".raw", "wb") as fh:
-            fh.write(payload)
-    except OSError as exc:
-        raise CorruptFileError(f"failed writing grid container {base!r}: {exc}") from exc
+    with open(base + ".json", "w") as fh:
+        json.dump(header, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    with open(base + ".raw", "wb") as fh:
+        fh.write(payload)
 
 
 def _read_header(path: str) -> tuple[str, type[Grid], tuple[int, ...], list | None]:

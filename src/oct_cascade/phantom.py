@@ -179,13 +179,14 @@ def _surfaces(cfg: PhantomConfig) -> BoundarySet:
     return BoundarySet(surfaces)
 
 
-def _layer_cake(cfg: PhantomConfig, b: BoundarySet) -> np.ndarray:
+def _layer_cake(cfg: PhantomConfig, b: BoundarySet, s: int) -> np.ndarray:
+    """B-scan `s` of the layered anatomy, (1, height, width) float64."""
     _, height, _ = cfg.dims
     z = np.arange(height, dtype=np.float64)[None, :, None]
-    ilm = b["ILM"][:, None, :]
-    inl = b["INL_LOWER"][:, None, :]
-    rpe = b["RPE_UPPER"][:, None, :]
-    bm = b["BM"][:, None, :]
+    ilm = b["ILM"][s, None, None, :]
+    inl = b["INL_LOWER"][s, None, None, :]
+    rpe = b["RPE_UPPER"][s, None, None, :]
+    bm = b["BM"][s, None, None, :]
     layer_index = (
         (z >= ilm).astype(np.int8)
         + (z >= inl).astype(np.int8)
@@ -250,23 +251,27 @@ def generate(cfg: PhantomConfig) -> tuple[OctVolume, PhantomGroundTruth]:
     """Generate one phantom volume and its ground truth.
 
     Deterministic in `cfg` (including the seed): two calls produce
-    byte-identical volumes and masks.
+    byte-identical volumes and masks. The volume is built one B-scan at a
+    time in float64 (layers, tubes, shadows, speckle, clip) and stored as
+    float32; a voxel is only touched by the chords of its own B-scan, and
+    the speckle drawn per B-scan continues one Philox stream, so the bytes
+    are those of a whole-volume build.
     """
-    n_slices, height, width = cfg.dims
     boundaries = _surfaces(cfg)
-    data = _layer_cake(cfg, boundaries)
-    vmask = np.zeros(cfg.dims, dtype=bool)
-
     zc, xc = _vessel_paths(cfg, boundaries)
-    kernels.raster_tubes(data, vmask, zc, xc, cfg.vessel_radius, cfg.vessel_level)
-    kernels.apply_shadows(data, vmask, zc, xc, cfg.vessel_radius, cfg.shadow_attenuation)
+    noise_rng = _stream(cfg.seed, _STREAM_NOISE)
+    out = np.empty(cfg.dims, dtype=np.float32)
+    vmask = np.zeros(cfg.dims, dtype=bool)
+    for s in range(cfg.dims[0]):
+        data, at = _layer_cake(cfg, boundaries, s), slice(s, s + 1)
+        tubes = (vmask[at], zc[:, at], xc[:, at], cfg.vessel_radius)
+        kernels.raster_tubes(data, *tubes, cfg.vessel_level)
+        kernels.apply_shadows(data, *tubes, cfg.shadow_attenuation)
+        if cfg.noise_sigma > 0:
+            data += noise_rng.normal(0.0, cfg.noise_sigma, size=data.shape)
+        out[at] = np.clip(data, 0.0, 1.0, out=data)
 
-    if cfg.noise_sigma > 0:
-        noise_rng = _stream(cfg.seed, _STREAM_NOISE)
-        data = data + noise_rng.normal(0.0, cfg.noise_sigma, size=cfg.dims)
-    np.clip(data, 0.0, 1.0, out=data)
-
-    volume = OctVolume(data.astype(np.float32))
+    volume = OctVolume(out)
     footprint = PixelMask(vmask.any(axis=1))
     centerlines = []
     for v in range(cfg.n_vessels):

@@ -68,6 +68,16 @@ def _stage(name: str):
         raise StageError(name, str(exc)) from exc
 
 
+@contextmanager
+def _output(path: str):
+    """Re-raise a failure to write in the block as a StageError of stage
+    `output` naming the file (`path`, where the error names none)."""
+    try:
+        yield
+    except OSError as exc:
+        raise StageError("output", f"cannot write {exc.filename or path!r}: {exc.strerror or exc}") from exc
+
+
 @dataclass(frozen=True)
 class ReportConfig(FromDict):
     """Which optional images `run` writes next to the masks."""
@@ -177,7 +187,7 @@ def _report_row(r: MetricsReport) -> list[str]:
 
 def _write_pooled_csv(path: str, header: list[str], rows) -> None:
     """A metrics CSV: the pooling note, then `header` and `rows`."""
-    with open(path, "w", newline="") as fh:
+    with _output(path), open(path, "w", newline="") as fh:
         fh.write(_POOLING_NOTE + "\n")
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -316,41 +326,47 @@ def _overlay(volume: OctVolume, mask: VoxelMask, s: int) -> np.ndarray:
 def run_to_files(cfg: PipelineConfig) -> dict[str, str]:
     """Run the configured cascade and write the report files.
 
-    Returns a name -> path map of everything written.
+    Only what is written and scored, and the volume for the overlays,
+    outlive the cascade: the raw probability map is freed before anything
+    is written. Returns a name -> path map of everything written.
     """
     result, volume, gt_mask = execute(cfg)
+    boundaries, enface, shadow_mask = result.boundaries, result.enface, result.shadow_mask
+    mask, probability = result.mask, result.probability
+    del result
     out = cfg.output_dir
-    ensure_dir(out)
     written: dict[str, str] = {}
 
     def path(name: str) -> str:
         return os.path.join(out, name)
 
-    write_volume(result.mask, path("mask"))
-    written["mask"] = path("mask.json")
-    write_volume(result.probability, path("prob"))
-    written["prob"] = path("prob.json")
-    write_boundaries(result.boundaries, path("boundaries.csv"))
-    written["boundaries"] = path("boundaries.csv")
-    write_pgm(result.enface.data, path("enface.pgm"))
-    written["enface"] = path("enface.pgm")
-    write_pgm(result.shadow_mask.data, path("shadow_mask.pgm"))
-    written["shadow_mask"] = path("shadow_mask.pgm")
+    with _output(out):
+        ensure_dir(out)
+        write_volume(mask, path("mask"))
+        written["mask"] = path("mask.json")
+        write_volume(probability, path("prob"))
+        written["prob"] = path("prob.json")
+        write_boundaries(boundaries, path("boundaries.csv"))
+        written["boundaries"] = path("boundaries.csv")
+        write_pgm(enface.data, path("enface.pgm"))
+        written["enface"] = path("enface.pgm")
+        write_pgm(shadow_mask.data, path("shadow_mask.pgm"))
+        written["shadow_mask"] = path("shadow_mask.pgm")
 
-    if cfg.report.overlays:
-        overlay_dir = path("overlays")
-        ensure_dir(overlay_dir)
-        for s in range(volume.n_slices):
-            write_pgm(_overlay(volume, result.mask, s), os.path.join(overlay_dir, f"slice_{s:03d}.pgm"))
-        written["overlays"] = overlay_dir
-    if cfg.report.montage:
-        step = max(1, volume.n_slices // 8)
-        panels = [_overlay(volume, result.mask, s) for s in range(0, volume.n_slices, step)]
-        write_pgm(np.hstack(panels), path("montage.pgm"))
-        written["montage"] = path("montage.pgm")
+        if cfg.report.overlays:
+            overlay_dir = path("overlays")
+            ensure_dir(overlay_dir)
+            for s in range(volume.n_slices):
+                write_pgm(_overlay(volume, mask, s), os.path.join(overlay_dir, f"slice_{s:03d}.pgm"))
+            written["overlays"] = overlay_dir
+        if cfg.report.montage:
+            step = max(1, volume.n_slices // 8)
+            panels = [_overlay(volume, mask, s) for s in range(0, volume.n_slices, step)]
+            write_pgm(np.hstack(panels), path("montage.pgm"))
+            written["montage"] = path("montage.pgm")
 
     if gt_mask is not None:
-        report = score(_variant_label(cfg.infusion), result.mask, result.probability, gt_mask)
+        report = score(_variant_label(cfg.infusion), mask, probability, gt_mask)
         write_metrics_csv(path("metrics.csv"), [report])
         written["metrics"] = path("metrics.csv")
     return written
@@ -370,7 +386,8 @@ def ablate(cfg: PipelineConfig, seeds: list[int]) -> tuple[bool, list[tuple[str,
         raise StageError("input", "ablation requires at least one seed")
 
     out = cfg.output_dir
-    ensure_dir(out)
+    with _output(out):
+        ensure_dir(out)
     infusions = {
         label: dataclasses.replace(cfg.infusion, use_longitudinal=use_l, use_transverse=use_t)
         for label, use_l, use_t in VARIANTS

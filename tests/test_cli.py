@@ -409,6 +409,25 @@ def test_bad_boundaries_exit_2_naming_the_stage(stage_inputs, capsys, command, c
     assert err.count("boundary source") == 1 and culprit in err
 
 
+@pytest.mark.parametrize("args, culprit", [
+    (["phantom", "gen", "--out", "{d}/taken"], "taken"),
+    (["run", "--config", "{d}/pipeline.json", "--out", "{d}/taken"], "taken"),
+    (["ablate", "--config", "{d}/pipeline.json", "--seeds", "0", "--out", "{d}/taken"], "taken"),
+    (["eval", "--pred", "{d}/mask.json", "--gt", "{d}/mask.json", "--out", "{d}/taken"], "taken"),
+    (["layers", "--in", "{d}/vol.json", "--out", "{d}/dir"], "dir"),
+], ids=["phantom-gen", "run", "ablate", "eval", "layers"])
+def test_unwritable_output_exits_2_naming_the_stage(stage_inputs, capsys, args, culprit):
+    """An --out that is an existing file, where a directory is written, or a
+    directory, where a file is written, is the output stage's error."""
+    pipeline_config(stage_inputs)
+    (stage_inputs / "taken").write_text("")
+    (stage_inputs / "dir").mkdir()
+    assert run_cli([a.format(d=stage_inputs) for a in args]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: output: ") and repr(str(stage_inputs / culprit)) in err
+
+
 def test_eval_identical_masks(tmp_path):
     rng = np.random.default_rng(0)
     mask = VoxelMask(rng.random((3, 8, 8)) < 0.2)

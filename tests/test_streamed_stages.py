@@ -3,11 +3,15 @@
 project_rpe and vessel_probability work one B-scan at a time, and
 binarize_and_label and infuse avoid whole-volume index and product
 copies, and binarize_and_label labels only the foreground's bounding box.
-longitudinal_mask, project_rpe and vessel_probability take their bands
-from BoundarySet.voxel_band. The references below are the earlier
-whole-volume bodies; the streamed stages must reproduce them bit for
-bit, run_cascade must stay within 4x the volume's bytes of traced
-allocation, segment_boundaries within 2x, and auc within 10x the map's.
+extract infuses one B-scan at a time from the ILM-INL band's depths and
+the dilated en-face footprint, building no whole-volume prior.
+longitudinal_mask, project_rpe, vessel_probability and extract take their
+bands from BoundarySet.voxel_band. The references below are the earlier
+whole-volume bodies; the streamed stages must reproduce them bit for bit.
+Traced allocation must stay within these multiples of the volume's
+bytes: run_cascade 2.75x, run_to_files 4x (a volume read from disk, with
+its ground truth and overlays), segment_boundaries 2x and generate 2x of
+its float32 volume; auc within 10x the map's.
 """
 
 import csv
@@ -20,9 +24,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+from oct_cascade import pipeline
 from oct_cascade.cascade import (
     InfusionConfig,
+    Prepared,
     binarize_and_label,
+    extract,
     infuse,
     longitudinal_mask,
     run_cascade,
@@ -30,10 +37,13 @@ from oct_cascade.cascade import (
 )
 from oct_cascade.enface import project_rpe
 from oct_cascade.errors import ShapeMismatchError, ValidationError
-from oct_cascade.fileio import write_boundaries
+from oct_cascade.fileio import write_boundaries, write_volume
 from oct_cascade.layers import segment_boundaries
 from oct_cascade.metrics import auc
-from oct_cascade.model import BOUNDARY_NAMES, BoundarySet, OctVolume, ProbabilityMap3D, VoxelMask
+from oct_cascade.model import (
+    BOUNDARY_NAMES, BoundarySet, EnFaceImage, OctVolume, PixelMask, ProbabilityMap3D, VoxelMask,
+)
+from oct_cascade.phantom import generate
 
 
 def project_rpe_reference(volume, boundaries):
@@ -263,6 +273,39 @@ def test_infuse_equals_whole_volume_reference(case, use_l, use_t):
     assert np.array_equal(got.data, infuse_reference(p, masks))
 
 
+@settings(max_examples=150)
+@given(
+    volumes_and_boundaries(),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    st.integers(0, 2),
+    st.booleans(),
+    st.booleans(),
+)
+def test_extract_equals_infusion_with_whole_volume_masks(case, seed, density, dilation, use_l, use_t):
+    """extract's map and mask are those of the whole-volume masks: the
+    ILM-INL band and the dilated footprint broadcast along depth."""
+    volume, boundaries = case
+    n_slices, _, width = volume.dims
+    footprint = np.random.default_rng(seed).random((n_slices, width)) < density
+    cfg = InfusionConfig(use_longitudinal=use_l, use_transverse=use_t, transverse_dilation=dilation,
+                         min_component_vox=1)
+    prepared = Prepared(volume, boundaries, EnFaceImage(np.zeros((n_slices, width), np.float32)),
+                        PixelMask(footprint), ProbabilityMap3D(volume.data))
+    result = extract(prepared, cfg)
+
+    dilated = footprint
+    if dilation and footprint.any():
+        dilated = ndimage.binary_dilation(footprint, structure=np.ones((2 * dilation + 1,) * 2, bool))
+    masks = [
+        longitudinal_mask_reference(boundaries, volume.dims) if use_l else None,
+        np.broadcast_to(dilated[:, None, :], volume.dims) if use_t else None,
+    ]
+    want = infuse_reference(volume.data, masks)
+    assert np.array_equal(result.probability.data, want)
+    assert np.array_equal(result.mask.data, binarize_and_label_reference(want, cfg)[0])
+
+
 def test_write_boundaries_equals_per_cell_repr(tmp_path):
     rng = np.random.default_rng(3)
     depths = np.sort(rng.uniform(0, 40, (4, 3, 7)), axis=0)
@@ -279,31 +322,53 @@ def test_write_boundaries_equals_per_cell_repr(tmp_path):
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
-def test_run_cascade_allocates_at_most_4x_volume(desk_phantom):
-    _, volume, _ = desk_phantom
+def _traced_growth(fn, *args) -> int:
+    """The bytes `fn(*args)` allocates at its peak above what was live on entry."""
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
-        run_cascade(volume)
+        fn(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    growth = (peak - entry) / volume.data.nbytes
-    assert growth <= 4.0, f"run_cascade allocated {growth:.2f}x the volume's bytes"
+    return peak - entry
+
+
+def test_run_cascade_allocates_at_most_2_75x_volume(desk_phantom):
+    """Infusion multiplies each B-scan by its keep image, so no whole-volume
+    prior mask is live next to the raw and infused maps."""
+    _, volume, _ = desk_phantom
+    growth = _traced_growth(run_cascade, volume) / volume.data.nbytes
+    assert growth <= 2.75, f"run_cascade allocated {growth:.2f}x the volume's bytes"
+
+
+def test_run_to_files_allocates_at_most_4x_volume(desk_phantom, tmp_path):
+    """The volume read from disk, its ground truth, the outputs and one
+    stage's working set: the raw map is freed before anything is written."""
+    _, volume, gt = desk_phantom
+    write_volume(volume, str(tmp_path / "volume"))
+    write_volume(gt.vessel_mask, str(tmp_path / "gt"))
+    cfg = pipeline.PipelineConfig.from_dict({
+        "input": {"volume": str(tmp_path / "volume"), "ground_truth_mask": str(tmp_path / "gt")},
+        "output_dir": str(tmp_path / "out"),
+        "report": {"overlays": True},
+    })
+    growth = _traced_growth(pipeline.run_to_files, cfg) / volume.data.nbytes
+    assert growth <= 4.0, f"run_to_files allocated {growth:.2f}x the volume's bytes"
+
+
+def test_generate_allocates_at_most_2x_its_volume(desk_phantom):
+    """Each B-scan is built in float64 and stored as float32 as it is done."""
+    cfg, volume, _ = desk_phantom
+    growth = _traced_growth(generate, cfg) / volume.data.nbytes
+    assert growth <= 2.0, f"generate allocated {growth:.2f}x its volume's bytes"
 
 
 def test_segment_boundaries_allocates_at_most_2x_volume(desk_phantom):
     """Each B-scan's float64 cost image goes into the DP's table as it is
     built, so no whole-stack cost array is held next to the table."""
     _, volume, _ = desk_phantom
-    tracemalloc.start()
-    try:
-        entry = tracemalloc.get_traced_memory()[0]
-        segment_boundaries(volume)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    growth = (peak - entry) / volume.data.nbytes
+    growth = _traced_growth(segment_boundaries, volume) / volume.data.nbytes
     assert growth <= 2.0, f"segment_boundaries allocated {growth:.2f}x the volume's bytes"
 
 
@@ -314,12 +379,5 @@ def test_auc_allocates_at_most_10x_the_map():
     dims = (32, 192, 160)
     scores = ProbabilityMap3D(rng.random(dims, dtype=np.float32))
     gt = VoxelMask(rng.random(dims) < 0.02)
-    tracemalloc.start()
-    try:
-        entry = tracemalloc.get_traced_memory()[0]
-        auc(scores, gt)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    growth = (peak - entry) / scores.data.nbytes
+    growth = _traced_growth(auc, scores, gt) / scores.data.nbytes
     assert growth <= 10.0, f"auc allocated {growth:.2f}x the map's bytes"

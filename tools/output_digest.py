@@ -1,7 +1,7 @@
 """Print the sha256 of every file the acceptance workflows write.
 
 Runs `python -m oct_cascade` in child processes, in a fresh temporary
-directory, for four workflows:
+directory, for these workflows:
 
 * criterion 8: `phantom gen --seed 3` plus `run` on its 8x96x64 phantom
   config (the acceptance suite's determinism check);
@@ -14,7 +14,8 @@ directory, for four workflows:
   `prob.json`;
 * paper: `phantom gen --scale paper` (19x496x384), a classical `run` on the
   written volume with overlays, and a `run` on it with every stage imported
-  as above, the backend from that classical run's `prob.json`.
+  as above, the backend from that classical run's `prob.json`;
+* held-out: `phantom gen --seed 7919` on the desk defaults (32x192x160).
 
 The Python, numpy and scipy versions that wrote the files come first, as
 `# <name> <version>` lines. Each other line is
@@ -129,6 +130,8 @@ def main() -> None:
         run = os.path.join(out, "paper", "run")
         _run(src, configs, "paper-run", {"input": _input(gen), "report": {"overlays": True}}, run)
         _run(src, configs, "paper-import", _imported(gen, run), os.path.join(out, "paper", "import"))
+
+        _oct_cascade(src, "phantom", "gen", "--seed", "7919", "--out", os.path.join(out, "held-out"))
         print("\n".join(_versions() + _digests(out)))
 
 
