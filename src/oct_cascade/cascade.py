@@ -90,16 +90,11 @@ class VesselBackendConfig(FromDict):
             raise ConfigError("classical backend takes no path; give kind 'import' to import one")
 
 
-def _band(boundaries: BoundarySet, upper: str, lower: str, dims: tuple[int, int, int]) -> np.ndarray:
-    """The bool voxels of `BoundarySet.voxel_band`'s band, with volume axis order."""
-    lo, hi = boundaries.voxel_band(upper, lower, dims)
-    z = np.arange(dims[1])[None, :, None]
-    return (z >= lo[:, None, :]) & (z <= hi[:, None, :])
-
-
 def longitudinal_mask(boundaries: BoundarySet, dims: tuple[int, int, int]) -> VoxelMask:
     """The voxels of the ILM-INL_LOWER band."""
-    return VoxelMask(_band(boundaries, "ILM", "INL_LOWER", dims))
+    lo, hi = boundaries.voxel_band("ILM", "INL_LOWER", dims)
+    z = np.arange(dims[1])[None, :, None]
+    return VoxelMask((z >= lo[:, None, :]) & (z <= hi[:, None, :]))
 
 
 def _dilated_footprint(footprint: PixelMask, dims: tuple[int, int, int], dilation: int) -> np.ndarray:
@@ -138,12 +133,18 @@ def vessel_probability(
     if cfg.kind == "import":
         raise ConfigError("an import backend scores nothing; pass its map to prepare as probability")
 
-    band = _band(boundaries, "ILM", "BM", volume.dims)
-    if not band.any():
-        band = True  # empty band: normalize over the whole volume
-    # The float32 range is exactly the range of its float64 widening.
-    vmin = float(volume.data.min(where=band, initial=np.inf))
-    vmax = float(volume.data.max(where=band, initial=-np.inf))
+    # The band's range, one B-scan at a time from its depths. The float32
+    # range is exactly the range of its float64 widening.
+    lo, hi = boundaries.voxel_band("ILM", "BM", volume.dims)
+    if (hi >= lo).any():
+        z = np.arange(volume.height)[:, None]
+        vmin, vmax = np.inf, -np.inf
+        for s in range(volume.n_slices):
+            band = (z >= lo[s]) & (z <= hi[s])
+            vmin = min(vmin, float(volume.data[s].min(where=band, initial=np.inf)))
+            vmax = max(vmax, float(volume.data[s].max(where=band, initial=-np.inf)))
+    else:  # empty band: normalize over the whole volume
+        vmin, vmax = float(volume.data.min()), float(volume.data.max())
     if vmax - vmin < 1e-9:
         warnings.warn(
             "degenerate intensity normalization (constant ILM-BM band); "
@@ -233,9 +234,12 @@ def binarize_and_label(p: ProbabilityMap3D, cfg: InfusionConfig) -> tuple[VoxelM
 
 @dataclass(frozen=True)
 class Prepared:
-    """The stage outputs every infusion variant of one volume shares."""
+    """The stage outputs every infusion variant of one volume shares.
 
-    volume: OctVolume
+    The volume itself is not among them: extraction never reads the
+    intensities, so a caller may free the volume once `prepare` returns.
+    """
+
     boundaries: BoundarySet
     enface: EnFaceImage
     shadow_mask: PixelMask
@@ -279,7 +283,7 @@ def prepare(
         probability = vessel_probability(volume, boundaries, backend_cfg)
     else:
         require_same_dims(probability, volume, "imported probability map vs volume")
-    return Prepared(volume, boundaries, image, shadow_source, probability)
+    return Prepared(boundaries, image, shadow_source, probability)
 
 
 def _keep_images(dims: tuple[int, int, int], band, footprint):
@@ -304,10 +308,10 @@ def extract(prepared: Prepared, infusion_cfg: InfusionConfig | None = None) -> C
     first and last depths, the dilated shadow footprint as a (slices,
     width) image. Each B-scan's keep image is built from them as it is
     multiplied, so one `prepare` serves every variant of the ablation and
-    no whole-volume prior is built.
+    no whole-volume prior is built. The volume's dims are the raw map's.
     """
     cfg = infusion_cfg or InfusionConfig()
-    dims = prepared.volume.dims
+    dims = prepared.raw_probability.dims
     infused = prepared.raw_probability
     if cfg.use_longitudinal or cfg.use_transverse:
         band = prepared.boundaries.voxel_band("ILM", "INL_LOWER", dims) if cfg.use_longitudinal else None

@@ -322,15 +322,25 @@ def _refuse_boundaries(path: str, raw: bytes, reason: str) -> NoReturn:
     raise late or CorruptFileError(f"{path!r}: {reason}")
 
 
+def gray_levels(image: np.ndarray) -> np.ndarray:
+    """The uint8 gray levels of a [0, 1] float array: rint(clip(v, 0, 1) * 255),
+    in the array's own float precision."""
+    return np.rint(np.clip(image, 0.0, 1.0) * 255.0).astype(np.uint8)
+
+
 def write_pgm(image: np.ndarray, path: str) -> None:
-    """Write a [0, 1] float or boolean 2D array as a binary 8-bit PGM."""
+    """Write a 2D image as a binary 8-bit PGM: a uint8 array as the gray
+    levels it holds, a boolean one as 0 and 255, and a [0, 1] float one by
+    `gray_levels`."""
     arr = np.asarray(image)
     if arr.ndim != 2:
         raise ValidationError(f"PGM image must be 2D, got ndim={arr.ndim}")
-    if arr.dtype == bool:
+    if arr.dtype == np.uint8:
+        gray = arr
+    elif arr.dtype == bool:
         gray = np.where(arr, 255, 0).astype(np.uint8)
     else:
-        gray = np.rint(np.clip(arr, 0.0, 1.0) * 255.0).astype(np.uint8)
+        gray = gray_levels(arr)
     h, w = gray.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))

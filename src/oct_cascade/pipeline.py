@@ -22,16 +22,17 @@ import numpy as np
 from .cascade import (
     CascadeResult,
     InfusionConfig,
+    Prepared,
     VesselBackendConfig,
     extract,
     prepare,
-    run_cascade,
 )
 from .config import FromDict, Path, _checked, to_json
 from .enface import ShadowConfig
 from .errors import OctCascadeError, ValidationError
 from .fileio import (
-    ensure_dir, grid_header, read_boundaries, read_volume, write_boundaries, write_pgm, write_volume,
+    ensure_dir, gray_levels, grid_header, read_boundaries, read_volume, write_boundaries, write_pgm,
+    write_volume,
 )
 from .layers import DpConfig, segment_boundaries
 from .metrics import MetricsReport, score
@@ -273,10 +274,13 @@ def read_boundary_csv(path: str, volume: OctVolume) -> BoundarySet:
     return boundaries
 
 
-def _resolve(cfg: PipelineConfig, imports: list | None = None) -> tuple:
-    """Volume, ground-truth mask, boundaries, imported shadow mask and imported
-    probability map. Imports are read and checked before boundary segmentation
-    runs, unless `imports` holds what `read_imports` already gave."""
+def _prepare(
+    cfg: PipelineConfig, imports: list | None = None
+) -> tuple[Prepared, OctVolume, VoxelMask | None]:
+    """Resolve the configured sources and run `prepare`: the prepared stages,
+    the volume and the ground-truth mask. Imports are read and checked
+    before boundary segmentation runs, unless `imports` holds what
+    `read_imports` already gave."""
     if cfg.phantom is not None:
         with _stage("input"):
             volume, gt = generate(cfg.phantom)
@@ -293,23 +297,16 @@ def _resolve(cfg: PipelineConfig, imports: list | None = None) -> tuple:
     else:
         with _stage("boundary segmentation"):
             boundaries = segment_boundaries(volume, cfg.dp)
-    return volume, gt_mask, boundaries, shadow_mask, probability
+    with _stage("cascade"):
+        prepared = prepare(volume, boundaries, shadow_mask, cfg.backend, cfg.dp, cfg.shadow, probability)
+    return prepared, volume, gt_mask
 
 
 def execute(cfg: PipelineConfig) -> tuple[CascadeResult, OctVolume, VoxelMask | None]:
     """Resolve sources and run the cascade once. No files are written."""
-    volume, gt_mask, boundaries, shadow_mask, probability = _resolve(cfg)
+    prepared, volume, gt_mask = _prepare(cfg)
     with _stage("cascade"):
-        result = run_cascade(
-            volume,
-            boundaries=boundaries,
-            shadow_source=shadow_mask,
-            backend_cfg=cfg.backend,
-            infusion_cfg=cfg.infusion,
-            shadow_cfg=cfg.shadow,
-            probability=probability,
-        )
-    return result, volume, gt_mask
+        return extract(prepared, cfg.infusion), volume, gt_mask
 
 
 def _variant_label(inf: InfusionConfig) -> str:
@@ -317,31 +314,50 @@ def _variant_label(inf: InfusionConfig) -> str:
     return labels[inf.use_longitudinal, inf.use_transverse]
 
 
-def _overlay(volume: OctVolume, mask: VoxelMask, s: int) -> np.ndarray:
-    img = volume.data[s].astype(np.float64)
-    img[mask.data[s]] = 1.0
+def _gray(volume: OctVolume) -> np.ndarray:
+    """The volume's uint8 gray levels, quantized one B-scan at a time from
+    float64 as `write_pgm` quantizes a float64 image."""
+    gray = np.empty(volume.dims, dtype=np.uint8)
+    for s in range(volume.n_slices):
+        gray[s] = gray_levels(volume.data[s].astype(np.float64))
+    return gray
+
+
+def _overlay(gray: np.ndarray, mask: VoxelMask, s: int) -> np.ndarray:
+    """B-scan `s`'s gray levels, white where the mask is set."""
+    img = gray[s].copy()
+    img[mask.data[s]] = 255
     return img
 
 
 def run_to_files(cfg: PipelineConfig) -> dict[str, str]:
     """Run the configured cascade and write the report files.
 
-    Only what is written and scored, and the volume for the overlays,
-    outlive the cascade: the raw probability map is freed before anything
-    is written. Returns a name -> path map of everything written.
+    The output directory is made before any stage runs. The float volume
+    is freed once `prepare` returns: the overlays are drawn from its uint8
+    gray levels, which are freed once they are written. Only what is
+    written and scored outlives `extract`: the raw probability map is
+    freed before anything is written. Returns a name -> path map of
+    everything written.
     """
-    result, volume, gt_mask = execute(cfg)
+    out = cfg.output_dir
+    with _output(out):
+        ensure_dir(out)
+    prepared, volume, gt_mask = _prepare(cfg)
+    gray = _gray(volume) if cfg.report.overlays or cfg.report.montage else None
+    del volume
+    with _stage("cascade"):
+        result = extract(prepared, cfg.infusion)
+    del prepared
     boundaries, enface, shadow_mask = result.boundaries, result.enface, result.shadow_mask
     mask, probability = result.mask, result.probability
     del result
-    out = cfg.output_dir
     written: dict[str, str] = {}
 
     def path(name: str) -> str:
         return os.path.join(out, name)
 
     with _output(out):
-        ensure_dir(out)
         write_volume(mask, path("mask"))
         written["mask"] = path("mask.json")
         write_volume(probability, path("prob"))
@@ -353,17 +369,19 @@ def run_to_files(cfg: PipelineConfig) -> dict[str, str]:
         write_pgm(shadow_mask.data, path("shadow_mask.pgm"))
         written["shadow_mask"] = path("shadow_mask.pgm")
 
+        n_slices = mask.dims[0]
         if cfg.report.overlays:
             overlay_dir = path("overlays")
             ensure_dir(overlay_dir)
-            for s in range(volume.n_slices):
-                write_pgm(_overlay(volume, mask, s), os.path.join(overlay_dir, f"slice_{s:03d}.pgm"))
+            for s in range(n_slices):
+                write_pgm(_overlay(gray, mask, s), os.path.join(overlay_dir, f"slice_{s:03d}.pgm"))
             written["overlays"] = overlay_dir
         if cfg.report.montage:
-            step = max(1, volume.n_slices // 8)
-            panels = [_overlay(volume, mask, s) for s in range(0, volume.n_slices, step)]
+            step = max(1, n_slices // 8)
+            panels = [_overlay(gray, mask, s) for s in range(0, n_slices, step)]
             write_pgm(np.hstack(panels), path("montage.pgm"))
             written["montage"] = path("montage.pgm")
+    del gray
 
     if gt_mask is not None:
         report = score(_variant_label(cfg.infusion), mask, probability, gt_mask)
@@ -395,9 +413,8 @@ def ablate(cfg: PipelineConfig, seeds: list[int]) -> tuple[bool, list[tuple[str,
     imports = read_imports(tuple(cfg.phantom.dims), None, cfg.shadow_import_path, cfg.backend.path)
     rows: list[tuple[int, MetricsReport]] = []
     for seed in seeds:
-        volume, gt_mask, boundaries, shadow_mask, prob = _resolve(cfg.with_seed(seed), imports)
+        prepared, _, gt_mask = _prepare(cfg.with_seed(seed), imports)
         with _stage("cascade"):
-            prepared = prepare(volume, boundaries, shadow_mask, cfg.backend, cfg.dp, cfg.shadow, prob)
             for label, infusion in infusions.items():
                 r = extract(prepared, infusion)
                 rows.append((seed, score(label, r.mask, r.probability, gt_mask)))

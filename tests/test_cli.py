@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from oct_cascade import cli
+from oct_cascade import cli, pipeline
 from oct_cascade.fileio import read_volume, write_boundaries, write_volume
 from oct_cascade.model import EnFaceImage, OctVolume, PixelMask, ProbabilityMap3D, VoxelMask
 from oct_cascade.pipeline import PipelineConfig, StageError
@@ -426,6 +426,18 @@ def test_unwritable_output_exits_2_naming_the_stage(stage_inputs, capsys, args, 
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("error: output: ") and repr(str(stage_inputs / culprit)) in err
+
+
+def test_run_into_an_existing_file_fails_before_boundary_segmentation(tmp_path, capsys, monkeypatch):
+    """`run` makes its output directory before any stage runs."""
+    calls = []
+    segment = pipeline.segment_boundaries
+    monkeypatch.setattr(pipeline, "segment_boundaries", lambda *a: calls.append(1) or segment(*a))
+    (tmp_path / "taken").write_text("")
+    assert run_cli(["run", "--config", pipeline_config(tmp_path), "--out", tmp_path / "taken"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: output: ") and repr(str(tmp_path / "taken")) in err
+    assert calls == []
 
 
 def test_eval_identical_masks(tmp_path):

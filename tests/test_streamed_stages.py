@@ -9,9 +9,10 @@ longitudinal_mask, project_rpe, vessel_probability and extract take their
 bands from BoundarySet.voxel_band. The references below are the earlier
 whole-volume bodies; the streamed stages must reproduce them bit for bit.
 Traced allocation must stay within these multiples of the volume's
-bytes: run_cascade 2.75x, run_to_files 4x (a volume read from disk, with
-its ground truth and overlays), segment_boundaries 2x and generate 2x of
-its float32 volume; auc within 10x the map's.
+bytes: run_cascade 2.75x, run_to_files 3.25x (a volume read from disk, with
+its ground truth and overlays, from classical or imported sources),
+segment_boundaries 2x and generate 2x of its float32 volume; auc within
+10x the map's.
 """
 
 import csv
@@ -20,7 +21,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
@@ -86,6 +87,27 @@ def vessel_probability_reference(volume, boundaries):
     if vmax - vmin < 1e-9:
         return None
     return np.clip((data - vmin) / (vmax - vmin), 0.0, 1.0).astype(np.float32)
+
+
+def vessel_probability_band_reference(volume, boundaries):
+    """The body that took the ILM-BM band's range over a whole-volume bool
+    band; the map, or None where the band is constant."""
+    lo, hi = boundaries.voxel_band("ILM", "BM", volume.dims)
+    z = np.arange(volume.height)[None, :, None]
+    band = (z >= lo[:, None, :]) & (z <= hi[:, None, :])
+    if not band.any():
+        band = True
+    vmin = float(volume.data.min(where=band, initial=np.inf))
+    vmax = float(volume.data.max(where=band, initial=-np.inf))
+    if vmax - vmin < 1e-9:
+        return None
+    out = np.empty(volume.dims, dtype=np.float32)
+    for s in range(volume.n_slices):
+        score = volume.data[s].astype(np.float64)
+        score -= vmin
+        score /= vmax - vmin
+        out[s] = np.clip(score, 0.0, 1.0, out=score)
+    return out
 
 
 def binarize_and_label_reference(p, cfg):
@@ -177,6 +199,37 @@ def test_project_rpe_equals_whole_volume_reference(case):
 def test_vessel_probability_equals_whole_volume_reference(case):
     volume, boundaries = case
     want = vessel_probability_reference(volume, boundaries)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = vessel_probability(volume, boundaries).data
+    assert any(str(w.message).startswith("degenerate") for w in caught) == (want is None)
+    assert np.array_equal(got, np.zeros(volume.dims, np.float32) if want is None else want)
+
+
+def _layered_case(data: np.ndarray, ilm, bm):
+    """`data` with ILM and INL_LOWER at depth `ilm` and RPE_UPPER and BM at
+    `bm`, each one depth or one per slice; where both are one fractional
+    depth, the ILM-BM band is empty."""
+    n_slices, _, width = data.shape
+    top, bottom = (np.repeat(np.resize(np.asarray(d, float), (n_slices, 1)), width, axis=1)
+                   for d in (ilm, bm))
+    return OctVolume(data), BoundarySet(dict(zip(BOUNDARY_NAMES, (top, top, bottom, bottom))))
+
+
+_RANDOM = np.random.default_rng(5).random((3, 10, 8), dtype=np.float32)
+_CONSTANT = np.full((3, 10, 8), 0.3, np.float32)
+
+
+@settings(max_examples=150)
+@given(volumes_and_boundaries())
+@example(_layered_case(_RANDOM, 4.5, 4.5))  # empty band: the whole volume's range
+@example(_layered_case(_CONSTANT, 4.5, 4.5))  # empty band, constant volume
+@example(_layered_case(_CONSTANT, 4.0, 4.0))  # constant one-row band
+@example(_layered_case(_RANDOM, [4.5, 2.0, 4.5], [4.5, 7.0, 4.5]))  # a band in one slice only
+def test_vessel_probability_equals_whole_volume_band_body(case):
+    """The band's range taken one B-scan at a time is that of the whole-volume band."""
+    volume, boundaries = case
+    want = vessel_probability_band_reference(volume, boundaries)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         got = vessel_probability(volume, boundaries).data
@@ -290,7 +343,7 @@ def test_extract_equals_infusion_with_whole_volume_masks(case, seed, density, di
     footprint = np.random.default_rng(seed).random((n_slices, width)) < density
     cfg = InfusionConfig(use_longitudinal=use_l, use_transverse=use_t, transverse_dilation=dilation,
                          min_component_vox=1)
-    prepared = Prepared(volume, boundaries, EnFaceImage(np.zeros((n_slices, width), np.float32)),
+    prepared = Prepared(boundaries, EnFaceImage(np.zeros((n_slices, width), np.float32)),
                         PixelMask(footprint), ProbabilityMap3D(volume.data))
     result = extract(prepared, cfg)
 
@@ -342,19 +395,43 @@ def test_run_cascade_allocates_at_most_2_75x_volume(desk_phantom):
     assert growth <= 2.75, f"run_cascade allocated {growth:.2f}x the volume's bytes"
 
 
-def test_run_to_files_allocates_at_most_4x_volume(desk_phantom, tmp_path):
-    """The volume read from disk, its ground truth, the outputs and one
-    stage's working set: the raw map is freed before anything is written."""
-    _, volume, gt = desk_phantom
+def _run_to_files_growth(tmp_path, volume, gt, imported: bool) -> float:
+    """run_to_files' traced growth over the volume's bytes, on `volume` read
+    from disk with its ground truth and overlays; with `imported`, the
+    boundaries and a noisy probability map are read from disk too."""
     write_volume(volume, str(tmp_path / "volume"))
     write_volume(gt.vessel_mask, str(tmp_path / "gt"))
-    cfg = pipeline.PipelineConfig.from_dict({
+    d = {
         "input": {"volume": str(tmp_path / "volume"), "ground_truth_mask": str(tmp_path / "gt")},
         "output_dir": str(tmp_path / "out"),
         "report": {"overlays": True},
-    })
-    growth = _traced_growth(pipeline.run_to_files, cfg) / volume.data.nbytes
-    assert growth <= 4.0, f"run_to_files allocated {growth:.2f}x the volume's bytes"
+    }
+    if imported:
+        write_boundaries(gt.boundaries, str(tmp_path / "boundaries.csv"))
+        noise = np.random.default_rng(1).normal(0.0, 0.15, volume.dims)
+        prob = np.clip(0.75 * gt.vessel_mask.data + noise, 0.0, 1.0).astype(np.float32)
+        write_volume(ProbabilityMap3D(prob), str(tmp_path / "prob"))
+        del noise, prob
+        d["boundaries"] = {"source": "import", "path": str(tmp_path / "boundaries.csv")}
+        d["backend"] = {"kind": "import", "path": str(tmp_path / "prob.json")}
+    cfg = pipeline.PipelineConfig.from_dict(d)
+    return _traced_growth(pipeline.run_to_files, cfg) / volume.data.nbytes
+
+
+def test_run_to_files_allocates_at_most_3_25x_volume(desk_phantom, tmp_path):
+    """The volume read from disk, its ground truth, the outputs and one
+    stage's working set: the float volume is freed once `prepare` returns,
+    and the raw map before anything is written."""
+    _, volume, gt = desk_phantom
+    growth = _run_to_files_growth(tmp_path, volume, gt, imported=False)
+    assert growth <= 3.25, f"run_to_files allocated {growth:.2f}x the volume's bytes"
+
+
+def test_run_to_files_with_imported_sources_allocates_at_most_3_25x_volume(desk_phantom, tmp_path):
+    """The same bound with the boundaries and probability map imported."""
+    _, volume, gt = desk_phantom
+    growth = _run_to_files_growth(tmp_path, volume, gt, imported=True)
+    assert growth <= 3.25, f"run_to_files allocated {growth:.2f}x the volume's bytes"
 
 
 def test_generate_allocates_at_most_2x_its_volume(desk_phantom):

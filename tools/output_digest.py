@@ -15,6 +15,8 @@ directory, for these workflows:
 * paper: `phantom gen --scale paper` (19x496x384), a classical `run` on the
   written volume with overlays, and a `run` on it with every stage imported
   as above, the backend from that classical run's `prob.json`;
+* montage: that imported paper `run` again, with `report.montage` on and
+  the overlays off;
 * held-out: `phantom gen --seed 7919` on the desk defaults (32x192x160).
 
 The Python, numpy and scipy versions that wrote the files come first, as
@@ -130,6 +132,8 @@ def main() -> None:
         run = os.path.join(out, "paper", "run")
         _run(src, configs, "paper-run", {"input": _input(gen), "report": {"overlays": True}}, run)
         _run(src, configs, "paper-import", _imported(gen, run), os.path.join(out, "paper", "import"))
+        _run(src, configs, "montage", {**_imported(gen, run), "report": {"overlays": False, "montage": True}},
+             os.path.join(out, "montage"))
 
         _oct_cascade(src, "phantom", "gen", "--seed", "7919", "--out", os.path.join(out, "held-out"))
         print("\n".join(_versions() + _digests(out)))
