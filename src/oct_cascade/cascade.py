@@ -165,13 +165,23 @@ def vessel_probability(
     return ProbabilityMap3D(out)
 
 
-def _infuse(p: ProbabilityMap3D, keeps) -> ProbabilityMap3D:
-    """`p` times the bool keep image `keeps` yields for each B-scan in turn,
-    into one new map. Scores are finite and >= 0, so multiplying by a keep
-    image is multiplying by each of the 0/1 masks it is the AND of."""
-    out = np.empty(p.dims, dtype=np.float32)
-    for s, keep in enumerate(keeps):
-        np.multiply(p.data[s], keep, out=out[s])
+def _infuse(p: ProbabilityMap3D, band, footprint) -> ProbabilityMap3D:
+    """`p` times each B-scan's keep image, the voxels of `band` (first and
+    last depths per A-scan) in the columns `footprint` keeps (all of them
+    where it is None), into a new map that starts at zeros.
+
+    Only the rows from the B-scan's shallowest first depth to its deepest
+    last depth, in the kept columns, are multiplied: a finite score >= 0
+    times 0 is +0.0, so every voxel left out is what the product gives it.
+    """
+    out = np.zeros(p.dims, dtype=np.float32)
+    lo, hi = band
+    for s in range(p.dims[0]):
+        cols = slice(None) if footprint is None else np.flatnonzero(footprint[s])
+        top, bottom = int(lo[s].min()), int(hi[s].max()) + 1
+        z = np.arange(top, bottom)[:, None]
+        keep = (z >= lo[s, cols]) & (z <= hi[s, cols])
+        out[s, top:bottom][:, cols] = p.data[s, top:bottom][:, cols] * keep
     return ProbabilityMap3D(out)
 
 
@@ -193,7 +203,10 @@ def infuse(
             masks.append(mask.data)
     if not masks:
         return p
-    return _infuse(p, (np.logical_and.reduce([m[s] for m in masks]) for s in range(p.dims[0])))
+    out = np.empty(p.dims, dtype=np.float32)
+    for s in range(p.dims[0]):
+        np.multiply(p.data[s], np.logical_and.reduce([m[s] for m in masks]), out=out[s])
+    return ProbabilityMap3D(out)
 
 
 def binarize_and_label(p: ProbabilityMap3D, cfg: InfusionConfig) -> tuple[VoxelMask, int]:
@@ -286,41 +299,31 @@ def prepare(
     return Prepared(boundaries, image, shadow_source, probability)
 
 
-def _keep_images(dims: tuple[int, int, int], band, footprint):
-    """Each B-scan's bool keep image: the voxels of `band` (first and last
-    depths per A-scan) within the columns of `footprint`. Either prior may be
-    None; a footprint alone yields its (width,) row, which broadcasts."""
-    z = np.arange(dims[1])[:, None]
-    for s in range(dims[0]):
-        if band is None:
-            yield footprint[s]
-            continue
-        keep = (z >= band[0][s]) & (z <= band[1][s])
-        if footprint is not None:
-            keep &= footprint[s]
-        yield keep
-
-
 def extract(prepared: Prepared, infusion_cfg: InfusionConfig | None = None) -> CascadeResult:
     """Infuse the raw map with the priors the flags enable, then binarize.
 
     The priors stay in their own dimensions: the ILM-INL band as per-A-scan
     first and last depths, the dilated shadow footprint as a (slices,
     width) image. Each B-scan's keep image is built from them as it is
-    multiplied, so one `prepare` serves every variant of the ablation and
-    no whole-volume prior is built. The volume's dims are the raw map's.
+    multiplied, over the band's rows (the whole height without the
+    longitudinal prior) in the footprint's columns, so one `prepare` serves
+    every variant of the ablation and no whole-volume prior is built. The
+    volume's dims are the raw map's.
     """
     cfg = infusion_cfg or InfusionConfig()
     dims = prepared.raw_probability.dims
     infused = prepared.raw_probability
     if cfg.use_longitudinal or cfg.use_transverse:
-        band = prepared.boundaries.voxel_band("ILM", "INL_LOWER", dims) if cfg.use_longitudinal else None
+        if cfg.use_longitudinal:
+            band = prepared.boundaries.voxel_band("ILM", "INL_LOWER", dims)
+        else:  # the whole height
+            band = (np.zeros((dims[0], dims[2]), np.int64), np.full((dims[0], dims[2]), dims[1] - 1))
         fp = (
             _dilated_footprint(prepared.shadow_mask, dims, cfg.transverse_dilation)
             if cfg.use_transverse
             else None
         )
-        infused = _infuse(infused, _keep_images(dims, band, fp))
+        infused = _infuse(infused, band, fp)
     mask, n_components = binarize_and_label(infused, cfg)
     return CascadeResult(**vars(prepared), mask=mask, probability=infused, component_count=n_components)
 

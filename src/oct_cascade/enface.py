@@ -60,12 +60,15 @@ def project_rpe(volume: OctVolume, boundaries: BoundarySet) -> EnFaceImage:
     n_slices, height, width = volume.dims
 
     # Band mean via a float64 depth prefix sum, one B-scan at a time:
-    # sum over [lo, hi] = P[hi+1] - P[lo].
+    # sum over [lo, hi] = P[hi+1] - P[lo]. Each B-scan's sum runs from row
+    # 0 down to the deepest row it reads, so its entries are the
+    # full-height sum's.
     prefix = np.zeros((height + 1, width))
     hi_take = np.empty((n_slices, width))
     lo_take = np.empty((n_slices, width))
     for s in range(n_slices):
-        np.cumsum(volume.data[s], axis=0, dtype=np.float64, out=prefix[1:])
+        rows = max(int(z_hi[s].max()) + 1, int(z_lo[s].max()))
+        np.cumsum(volume.data[s, :rows], axis=0, dtype=np.float64, out=prefix[1 : rows + 1])
         hi_take[s] = np.take_along_axis(prefix, z_hi[s][None, :] + 1, axis=0)[0]
         lo_take[s] = np.take_along_axis(prefix, z_lo[s][None, :], axis=0)[0]
     count = z_hi - z_lo + 1

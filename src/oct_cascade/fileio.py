@@ -122,18 +122,23 @@ def read_volume(path: str) -> Grid:
     name = base + ".raw"
     stored = cls.stored_dtype()
     n_expected = math.prod(dims)
+    # The file's size is checked before any of it is read, so a payload of
+    # the wrong size costs no buffer of its size; a read that comes up short
+    # (the file shrank meanwhile) fails the same check.
     try:
         with open(name, "rb") as fh:
-            raw = fh.read()
+            n_bytes = os.fstat(fh.fileno()).st_size
+            if n_bytes == n_expected * stored.itemsize:
+                data = np.empty(dims, dtype=stored)
+                n_bytes = fh.readinto(data)
     except OSError as exc:
         raise CorruptFileError(f"cannot read grid payload {name!r}: {exc}") from exc
-    if len(raw) != n_expected * stored.itemsize:
+    if n_bytes != n_expected * stored.itemsize:
         raise CorruptFileError(
-            f"{name!r}: payload has {len(raw) // stored.itemsize} elements, "
+            f"{name!r}: payload has {n_bytes // stored.itemsize} elements, "
             f"header dims {dims} require {n_expected}"
         )
 
-    data = np.frombuffer(raw, dtype=stored).reshape(dims)
     try:
         if cls.kind == "mask":
             # Only a payload with a byte above 1 is searched for the first

@@ -4,10 +4,11 @@ Each B-scan is handled independently: a cost image is built from the
 intensity or its vertical gradient, and the minimum-cost left-to-right
 path through a per-column search band gives one boundary. One DP,
 `kernels.dp_trace_batch`, does the tracing: `trace_boundary` runs it on a
-single cost image as a stack of one, and `segment_boundaries` on all
-B-scans at once, on the rows their bands reach, giving each the path
-`trace_boundary` gives it alone on the full-height cost image, built
-one B-scan at a time as the DP takes it. The four boundaries are traced
+single cost image as a stack of one, and `segment_boundaries` on the
+B-scans in as few groups as keep its table within the volume's bytes,
+on the rows their bands reach, giving each the path `trace_boundary`
+gives it alone on the full-height cost image, built one B-scan at a time
+as the DP takes it. The four boundaries are traced
 sequentially (ILM, then RPE upper, then BM, then INL lower), each band
 positioned relative to the boundaries already found, which guarantees
 the anatomical ordering by construction.
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import FromDict
-from .errors import ConfigError, ShapeMismatchError, ValidationError
+from .errors import ConfigError, InfeasibleBandError, ShapeMismatchError, ValidationError
 from .kernels import dp_trace_batch
 from .model import BOUNDARY_NAMES, BoundarySet, OctVolume
 
@@ -91,7 +92,7 @@ def trace_boundary(cost, band_lo, band_hi, smoothness=0.5, max_jump=2):
 
 def _trace_stack(bscans, kind, band_lo, band_hi, smoothness, max_jump):
     """trace_boundary on the `kind` cost image of every B-scan of a
-    (slices, height, width) stack at once; bands broadcast to (slices, width).
+    (slices, height, width) stack; bands broadcast to (slices, width).
 
     Only rows [min lo, max hi] over all slices and columns enter the DP. A
     row outside every band is a +inf state that never wins, so the paths
@@ -100,13 +101,30 @@ def _trace_stack(bscans, kind, band_lo, band_hi, smoothness, max_jump):
     has one, so the gradient's central differences equal the full-height
     values. The B-scans are a volume's [0, 1] intensities, so the costs
     are finite.
+
+    The slices are traced in the fewest contiguous groups whose DP table,
+    width x (J + g * (rows + J)) float64 for g slices of `rows` rows and
+    J = max_jump, fits in the stack's own bytes (at least one slice per
+    group). Slices are independent in the DP, so the paths are those of
+    one call over the whole stack, and an infeasible band still names the
+    first such slice by its index in the stack.
     """
     lo, hi = _checked_bands(bscans.shape, band_lo, band_hi)
     top, bottom = int(lo.min()), int(hi.max()) + 1
     start, stop = max(top - 1, 0), min(bottom + 1, bscans.shape[1])
-    costs = (_cost_image(bscan[start:stop].astype(np.float64), kind)[top - start :]
-             for bscan in bscans)
-    return dp_trace_batch(costs, lo - top, hi - top, smoothness, max_jump) + top
+    n_slices, _, width = bscans.shape
+    jump = int(max_jump)
+    group = max(1, (bscans.nbytes // (8 * width) - jump) // (bottom - top + jump))
+    paths = []
+    for first in range(0, n_slices, group):
+        part = slice(first, first + group)
+        costs = (_cost_image(bscan[start:stop].astype(np.float64), kind)[top - start :]
+                 for bscan in bscans[part])
+        try:
+            paths.append(dp_trace_batch(costs, lo[part] - top, hi[part] - top, smoothness, jump))
+        except InfeasibleBandError as exc:
+            raise InfeasibleBandError(exc.column, slice=first + exc.slice) from None
+    return np.concatenate(paths) + top
 
 
 def _checked_bands(shape, band_lo, band_hi):
@@ -138,8 +156,8 @@ def _rows(frac: float, height: int, floor: int = 1) -> int:
 
 def _segment_stack(bscans: np.ndarray, cfg: DpConfig):
     """The four boundaries of a (slices, height, width) stack of B-scans,
-    each traced over all slices with one batched DP call. The cost images
-    are float64, whatever the stack's dtype."""
+    each traced over all slices by `_trace_stack`. The cost images are
+    float64, whatever the stack's dtype."""
     height = bscans.shape[1]
     lam, jump = cfg.smoothness, cfg.max_jump
 
@@ -173,9 +191,12 @@ def _segment_stack(bscans: np.ndarray, cfg: DpConfig):
 def segment_boundaries(volume: OctVolume, cfg: DpConfig | None = None) -> BoundarySet:
     """Trace all four boundaries on every slice of a volume.
 
-    Slices are independent; each boundary is traced over all of them with
-    one batched DP call on the rows its bands reach, which equals the
-    per-slice `trace_boundary` on the full-height cost image bit for bit.
+    Slices are independent; each boundary is traced by batched DP calls
+    on the rows its bands reach, over groups of slices whose table fits
+    in the volume's bytes, which equals the per-slice `trace_boundary` on
+    the full-height cost image bit for bit. Beyond the volume and the
+    boundaries, the DP's table and one B-scan's cost image are the
+    largest blocks live at once.
     """
     surfaces = _segment_stack(volume.data, cfg or DpConfig())
     return BoundarySet(dict(zip(BOUNDARY_NAMES, surfaces)))

@@ -1,4 +1,7 @@
 import json
+import os
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from oct_cascade import fileio
 from oct_cascade.errors import CorruptFileError, OctCascadeError, ValidationError
 from oct_cascade.fileio import (
     grid_header,
@@ -65,6 +69,30 @@ def test_truncated_payload_is_corrupt(tmp_path):
     raw = (tmp_path / "vol.raw").read_bytes()
     (tmp_path / "vol.raw").write_bytes(raw[:-4])  # one element short
     with pytest.raises(CorruptFileError, match="127"):
+        read_volume(str(tmp_path / "vol"))
+
+
+def test_oversized_payload_is_refused_before_it_is_read(tmp_path):
+    # a sparse 1 GiB payload behind an 8x8x8 header: its size alone refuses it
+    write_volume(OctVolume(np.zeros((8, 8, 8), dtype=np.float32)), str(tmp_path / "vol"))
+    os.truncate(tmp_path / "vol.raw", 1 << 30)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(CorruptFileError, match=r"vol\.raw.*268435456 elements.*require 512"):
+            read_volume(str(tmp_path / "vol"))
+        growth = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert growth < 1 << 20, f"refusing the payload allocated {growth} bytes"
+
+
+def test_payload_that_shrinks_after_its_size_is_taken_is_corrupt(tmp_path, monkeypatch):
+    write_volume(OctVolume(np.zeros((2, 8, 8), dtype=np.float32)), str(tmp_path / "vol"))
+    os.truncate(tmp_path / "vol.raw", 127 * 4)
+    stat = types.SimpleNamespace(st_size=128 * 4)
+    monkeypatch.setattr(fileio, "os", types.SimpleNamespace(fstat=lambda fd: stat))
+    with pytest.raises(CorruptFileError, match=r"vol\.raw.*127 elements.*require 128"):
         read_volume(str(tmp_path / "vol"))
 
 

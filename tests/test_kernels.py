@@ -2,6 +2,8 @@
 reference `dp_reference.dp_trace`, and so must the layer tracers built on
 it: `trace_boundary` on one image and `segment_boundaries` on a volume."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,11 +67,11 @@ def test_backends_agree_bit_for_bit(monkeypatch):
 
 
 @st.composite
-def dp_stacks(draw, min_height=1):
+def dp_stacks(draw, min_height=1, max_slices=4, min_width=1):
     """Small cost stacks with per-slice bands that are wide or narrow and
     drift by up to 4 rows per column, so some outrun max_jump and leave no
     feasible path."""
-    n_slices, width = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    n_slices, width = draw(st.integers(1, max_slices)), draw(st.integers(min_width, 8))
     height = draw(st.integers(min_height, 10))
     max_jump = draw(st.integers(1, 3))
     lam = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]))
@@ -147,6 +149,32 @@ def test_row_window_equals_full_height_trace(case, kind):
         lambda s: dp_trace(layers._cost_image(bscans[s], kind), lo[s], hi[s], lam, jump),
         len(bscans),
     )
+
+
+@settings(max_examples=200)
+@given(dp_stacks(min_height=3, max_slices=8, min_width=2), st.sampled_from(layers.COST_KINDS),
+       st.booleans())
+def test_float32_stack_traced_in_groups_equals_per_slice_trace(case, kind, infeasible_last):
+    # the first slice's band spans the height, so the DP table of the whole
+    # float32 stack outgrows the stack's bytes and _trace_stack splits it;
+    # an infeasible band in a later group is named by its slice in the stack
+    cost, lo, hi, lam, jump = case
+    bscans = cost.astype(np.float32)
+    n_slices, height, width = bscans.shape
+    lo[0], hi[0] = 0, height - 1
+    if n_slices > 1 and infeasible_last:
+        # columns alternate between the top and bottom rows, past max_jump
+        jump = min(jump, height - 2)
+        lo[-1] = hi[-1] = np.where(np.arange(width) % 2, height - 1, 0)
+    with mock.patch.object(layers, "dp_trace_batch", wraps=kernels.dp_trace_batch) as dp:
+        assert_matches_per_slice(
+            lambda: layers._trace_stack(bscans, kind, lo, hi, lam, jump),
+            lambda s: dp_trace(layers._cost_image(bscans[s].astype(np.float64), kind),
+                               lo[s], hi[s], lam, jump),
+            n_slices,
+        )
+    # each DP call took part of the stack
+    assert all(len(call.args[1]) < n_slices for call in dp.call_args_list) or n_slices == 1
 
 
 def test_infeasible_stack_names_slice_and_column():

@@ -3,9 +3,13 @@ one `extract` per variant, scored by `metrics.score`."""
 
 import csv
 import dataclasses
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oct_cascade import cascade, fileio, pipeline
 from oct_cascade.cascade import extract, prepare, run_cascade
@@ -33,24 +37,41 @@ def write_footprint(tmp_path, shape) -> str:
 
 
 @pytest.mark.parametrize("case", ["classical", "imported shadow mask"])
-def test_ablate_rows_equal_run_cascade(tmp_path, case):
-    sections, shadow = {}, None
-    if case == "imported shadow mask":
-        path = write_footprint(tmp_path, (8, 64))
-        sections["shadows"] = {"source": "import", "path": path}
-        shadow = read_volume(path)
-    cfg = small_config(tmp_path, **sections)
-    ablate(cfg, SEEDS)
+@settings(max_examples=6)
+@given(
+    seeds=st.lists(st.integers(0, 3), min_size=1, max_size=2, unique=True),
+    imported_map=st.booleans(),
+    infusion=st.fixed_dictionaries({
+        "transverse_dilation": st.integers(0, 2),
+        "connectivity": st.sampled_from([6, 26]),
+        "min_component_vox": st.integers(1, 12),
+    }),
+)
+def test_ablate_rows_equal_run_cascade(case, seeds, imported_map, infusion):
+    with tempfile.TemporaryDirectory() as root:
+        root = pathlib.Path(root)
+        sections, shadow, probability = {"infusion": infusion}, None, None
+        if case == "imported shadow mask":
+            path = write_footprint(root, (8, 64))
+            sections["shadows"] = {"source": "import", "path": path}
+            shadow = read_volume(path)
+        if imported_map:
+            prob = np.random.default_rng(7).random((8, 96, 64), dtype=np.float32) ** 4
+            write_volume(ProbabilityMap3D(prob), str(root / "prob"))
+            sections["backend"] = {"kind": "import", "path": str(root / "prob.json")}
+            probability = read_volume(str(root / "prob"))
+        cfg = small_config(root, **sections)
+        ablate(cfg, seeds)
 
-    with open(tmp_path / "ablate" / "ablation_runs.csv", newline="") as fh:
-        written = list(csv.reader(fh))[2:]
+        with open(root / "ablate" / "ablation_runs.csv", newline="") as fh:
+            written = list(csv.reader(fh))[2:]
     expected = []
-    for seed in SEEDS:
+    for seed in seeds:
         volume, gt = generate(cfg.with_seed(seed).phantom)
         for label, use_l, use_t in VARIANTS:
             infusion = dataclasses.replace(cfg.infusion, use_longitudinal=use_l, use_transverse=use_t)
-            r = run_cascade(volume, shadow_source=shadow, backend_cfg=cfg.backend,
-                            infusion_cfg=infusion, dp_cfg=cfg.dp, shadow_cfg=cfg.shadow)
+            r = run_cascade(volume, shadow_source=shadow, backend_cfg=cfg.backend, infusion_cfg=infusion,
+                            dp_cfg=cfg.dp, shadow_cfg=cfg.shadow, probability=probability)
             report = score(label, r.mask, r.probability, gt.vessel_mask)
             expected.append([str(seed), *pipeline._report_row(report)])
     assert written == expected

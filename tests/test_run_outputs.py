@@ -1,6 +1,6 @@
 """What `run_to_files` writes equals the in-memory cascade of `execute`,
 over drawn configs: classical or imported sources, the infusion flags and
-the report images. `run_to_files` frees the volume after `prepare` and
+the report images; a second run writes the same files byte for byte. `run_to_files` frees the volume after `prepare` and
 draws its overlays from 8-bit gray levels, so each overlay and the montage
 are checked against `write_pgm` of the float64 overlay that B-scan's
 intensities give, white where the mask is set."""
@@ -60,6 +60,15 @@ def read_bytes(path: str) -> bytes:
         return fh.read()
 
 
+def tree_bytes(root: str) -> dict[str, bytes]:
+    """Every file under `root`, by its path relative to `root`."""
+    return {
+        os.path.relpath(os.path.join(where, name), root): read_bytes(os.path.join(where, name))
+        for where, _, names in os.walk(root)
+        for name in names
+    }
+
+
 @settings(max_examples=12)
 @given(
     seed=st.integers(0, 3),
@@ -81,6 +90,10 @@ def test_written_outputs_equal_execute(seed, imported, infusion, report):
             {**sections, "infusion": infusion, "report": report, "output_dir": out}
         )
         written = pipeline.run_to_files(cfg)
+        # a second run into another directory writes the same files, byte for byte
+        again = os.path.join(root, "again")
+        pipeline.run_to_files(cfg.with_output_dir(again))
+        assert tree_bytes(again) == tree_bytes(out)
         result, volume, gt_mask = pipeline.execute(cfg)
 
         assert np.array_equal(read_volume(os.path.join(out, "mask")).data, result.mask.data)

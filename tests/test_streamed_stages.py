@@ -11,7 +11,7 @@ whole-volume bodies; the streamed stages must reproduce them bit for bit.
 Traced allocation must stay within these multiples of the volume's
 bytes: run_cascade 2.75x, run_to_files 3.25x (a volume read from disk, with
 its ground truth and overlays, from classical or imported sources),
-segment_boundaries 2x and generate 2x of its float32 volume; auc within
+segment_boundaries 1.3x and generate 2x of its float32 volume; auc within
 10x the map's.
 """
 
@@ -189,13 +189,6 @@ def test_longitudinal_mask_equals_whole_volume_reference(case):
 
 @settings(max_examples=150)
 @given(volumes_and_boundaries())
-def test_project_rpe_equals_whole_volume_reference(case):
-    volume, boundaries = case
-    assert np.array_equal(project_rpe(volume, boundaries).data, project_rpe_reference(volume, boundaries))
-
-
-@settings(max_examples=150)
-@given(volumes_and_boundaries())
 def test_vessel_probability_equals_whole_volume_reference(case):
     volume, boundaries = case
     want = vessel_probability_reference(volume, boundaries)
@@ -206,18 +199,30 @@ def test_vessel_probability_equals_whole_volume_reference(case):
     assert np.array_equal(got, np.zeros(volume.dims, np.float32) if want is None else want)
 
 
-def _layered_case(data: np.ndarray, ilm, bm):
-    """`data` with ILM and INL_LOWER at depth `ilm` and RPE_UPPER and BM at
-    `bm`, each one depth or one per slice; where both are one fractional
-    depth, the ILM-BM band is empty."""
+def _layered_case(data: np.ndarray, ilm, bm, rpe=None):
+    """`data` with ILM and INL_LOWER at depth `ilm` and RPE_UPPER (`rpe`,
+    else `bm`) and BM at `bm`, each one depth or one per slice; where both
+    are one fractional depth, the ILM-BM band is empty."""
     n_slices, _, width = data.shape
-    top, bottom = (np.repeat(np.resize(np.asarray(d, float), (n_slices, 1)), width, axis=1)
-                   for d in (ilm, bm))
-    return OctVolume(data), BoundarySet(dict(zip(BOUNDARY_NAMES, (top, top, bottom, bottom))))
+    top, upper, bottom = (np.repeat(np.resize(np.asarray(d, float), (n_slices, 1)), width, axis=1)
+                          for d in (ilm, bm if rpe is None else rpe, bm))
+    return OctVolume(data), BoundarySet(dict(zip(BOUNDARY_NAMES, (top, top, upper, bottom))))
 
 
 _RANDOM = np.random.default_rng(5).random((3, 10, 8), dtype=np.float32)
 _CONSTANT = np.full((3, 10, 8), 0.3, np.float32)
+
+
+@settings(max_examples=150)
+@given(volumes_and_boundaries())
+# BM on the bottom row, so the prefix sum runs over the whole height
+@example(_layered_case(_RANDOM, 1.0, 9.0, rpe=[3.0, 6.5, 9.0]))
+# empty RPE-BM bands whose first depth, one row below the last, is the
+# deepest prefix row read: at the bottom row, and mid-height
+@example(_layered_case(_RANDOM, 1.0, [8.5, 8.5, 4.5]))
+def test_project_rpe_equals_whole_volume_reference(case):
+    volume, boundaries = case
+    assert np.array_equal(project_rpe(volume, boundaries).data, project_rpe_reference(volume, boundaries))
 
 
 @settings(max_examples=150)
@@ -441,12 +446,13 @@ def test_generate_allocates_at_most_2x_its_volume(desk_phantom):
     assert growth <= 2.0, f"generate allocated {growth:.2f}x its volume's bytes"
 
 
-def test_segment_boundaries_allocates_at_most_2x_volume(desk_phantom):
+def test_segment_boundaries_allocates_at_most_1_3x_volume(desk_phantom):
     """Each B-scan's float64 cost image goes into the DP's table as it is
-    built, so no whole-stack cost array is held next to the table."""
+    built, so no whole-stack cost array is held next to the table, and the
+    slices are traced in groups whose table fits in the volume's bytes."""
     _, volume, _ = desk_phantom
     growth = _traced_growth(segment_boundaries, volume) / volume.data.nbytes
-    assert growth <= 2.0, f"segment_boundaries allocated {growth:.2f}x the volume's bytes"
+    assert growth <= 1.3, f"segment_boundaries allocated {growth:.2f}x the volume's bytes"
 
 
 def test_auc_allocates_at_most_10x_the_map():
