@@ -12,9 +12,10 @@ backend - the built-in classical scorer, or any externally trained model
 whose output is imported through the float32 grid container - after which
 the map is thresholded and cleaned by connected-component size.
 
-The cascade infuses one B-scan at a time: each prior stays in its own
-dimensions (a depth band per A-scan, an en-face footprint) and is expanded
-only over the B-scan being multiplied.
+The cascade (`extract`) infuses one B-scan at a time: each prior stays in
+its own dimensions (a depth band per A-scan, an en-face footprint) and is
+expanded only over the B-scan being multiplied. `infuse` is the
+whole-volume product of the masks, the reference it reproduces.
 """
 
 from __future__ import annotations
@@ -106,8 +107,11 @@ def _dilated_footprint(footprint: PixelMask, dims: tuple[int, int, int], dilatio
         )
     fp = footprint.data
     if dilation > 0 and fp.any():
-        size = 2 * dilation + 1
-        fp = ndimage.binary_dilation(fp, structure=np.ones((size, size), dtype=bool))
+        # The square reaches no further along an axis than its length - 1,
+        # and a maximum filter applies it one axis at a time: a half-width
+        # beyond the footprint costs no larger structure.
+        size = [2 * min(dilation, n - 1) + 1 for n in fp.shape]
+        fp = ndimage.maximum_filter(fp, size=size, mode="constant")
     return fp
 
 
@@ -167,17 +171,22 @@ def vessel_probability(
 
 def _infuse(p: ProbabilityMap3D, band, footprint) -> ProbabilityMap3D:
     """`p` times each B-scan's keep image, the voxels of `band` (first and
-    last depths per A-scan) in the columns `footprint` keeps (all of them
-    where it is None), into a new map that starts at zeros.
+    last depths per A-scan, every depth where it is None) in the columns
+    `footprint` keeps (all of them where it is None), into a new map that
+    starts at zeros.
 
     Only the rows from the B-scan's shallowest first depth to its deepest
-    last depth, in the kept columns, are multiplied: a finite score >= 0
-    times 0 is +0.0, so every voxel left out is what the product gives it.
+    last depth, in the kept columns, are multiplied; without a band the
+    kept columns are copied whole. Every voxel left out stays +0.0, what
+    the product gives a finite score >= 0 other than -0.0.
     """
     out = np.zeros(p.dims, dtype=np.float32)
-    lo, hi = band
     for s in range(p.dims[0]):
         cols = slice(None) if footprint is None else np.flatnonzero(footprint[s])
+        if band is None:
+            out[s][:, cols] = p.data[s][:, cols]
+            continue
+        lo, hi = band
         top, bottom = int(lo[s].min()), int(hi[s].max()) + 1
         z = np.arange(top, bottom)[:, None]
         keep = (z >= lo[s, cols]) & (z <= hi[s, cols])
@@ -190,23 +199,18 @@ def infuse(
     longitudinal: VoxelMask | None = None,
     transverse: VoxelMask | None = None,
 ) -> ProbabilityMap3D:
-    """Pointwise-multiply the map by every provided mask's indicator, one
-    B-scan at a time, into one new map.
+    """Pointwise-multiply the map by every provided mask's indicator: the
+    whole-volume reference of the infusion `extract` streams.
 
     Absent masks are the identity, so infusion is idempotent for fixed
     masks and never increases any voxel's score.
     """
-    masks = []
+    out = p.data
     for mask in (longitudinal, transverse):
         if mask is not None:
             require_same_dims(p, mask, "probability map vs mask")
-            masks.append(mask.data)
-    if not masks:
-        return p
-    out = np.empty(p.dims, dtype=np.float32)
-    for s in range(p.dims[0]):
-        np.multiply(p.data[s], np.logical_and.reduce([m[s] for m in masks]), out=out[s])
-    return ProbabilityMap3D(out)
+            out = out * mask.data
+    return p if out is p.data else ProbabilityMap3D(out)
 
 
 def binarize_and_label(p: ProbabilityMap3D, cfg: InfusionConfig) -> tuple[VoxelMask, int]:
@@ -305,19 +309,16 @@ def extract(prepared: Prepared, infusion_cfg: InfusionConfig | None = None) -> C
     The priors stay in their own dimensions: the ILM-INL band as per-A-scan
     first and last depths, the dilated shadow footprint as a (slices,
     width) image. Each B-scan's keep image is built from them as it is
-    multiplied, over the band's rows (the whole height without the
-    longitudinal prior) in the footprint's columns, so one `prepare` serves
-    every variant of the ablation and no whole-volume prior is built. The
-    volume's dims are the raw map's.
+    multiplied, over the band's rows in the footprint's columns; without
+    the longitudinal prior (band None) the kept columns are copied whole.
+    So one `prepare` serves every variant of the ablation and no
+    whole-volume prior is built. The volume's dims are the raw map's.
     """
     cfg = infusion_cfg or InfusionConfig()
     dims = prepared.raw_probability.dims
     infused = prepared.raw_probability
     if cfg.use_longitudinal or cfg.use_transverse:
-        if cfg.use_longitudinal:
-            band = prepared.boundaries.voxel_band("ILM", "INL_LOWER", dims)
-        else:  # the whole height
-            band = (np.zeros((dims[0], dims[2]), np.int64), np.full((dims[0], dims[2]), dims[1] - 1))
+        band = prepared.boundaries.voxel_band("ILM", "INL_LOWER", dims) if cfg.use_longitudinal else None
         fp = (
             _dilated_footprint(prepared.shadow_mask, dims, cfg.transverse_dilation)
             if cfg.use_transverse

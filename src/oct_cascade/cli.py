@@ -18,7 +18,7 @@ import numpy as np
 from .cascade import VesselBackendConfig, vessel_probability
 from .enface import ShadowConfig, project_rpe, segment_shadows
 from .errors import OctCascadeError
-from .fileio import ensure_dir, write_boundaries, write_pgm, write_volume
+from .fileio import write_boundaries, write_pgm, write_volume
 from .layers import DpConfig, segment_boundaries
 from .metrics import score
 from .model import EnFaceImage, OctVolume, ProbabilityMap3D, VoxelMask
@@ -56,7 +56,7 @@ def cmd_phantom_gen(args) -> int:
         volume, gt = generate(cfg)
     out = args.out
     with _output(out):
-        ensure_dir(out)
+        os.makedirs(out, exist_ok=True)
         write_volume(volume, os.path.join(out, "volume"))
         write_boundaries(gt.boundaries, os.path.join(out, "gt_boundaries.csv"))
         write_volume(gt.vessel_mask, os.path.join(out, "gt_vessel_mask"))
@@ -107,7 +107,7 @@ def cmd_eval(args) -> int:
     report = score("eval", pred, prob, gt)
     path = os.path.join(args.out, "metrics.csv")
     with _output(args.out):
-        ensure_dir(args.out)
+        os.makedirs(args.out, exist_ok=True)
     write_metrics_csv(path, [report])
     print(f"metrics: {path}")
     return 0

@@ -335,22 +335,13 @@ def gray_levels(image: np.ndarray) -> np.ndarray:
 
 def write_pgm(image: np.ndarray, path: str) -> None:
     """Write a 2D image as a binary 8-bit PGM: a uint8 array as the gray
-    levels it holds, a boolean one as 0 and 255, and a [0, 1] float one by
-    `gray_levels`."""
+    levels it holds, a boolean or [0, 1] float one by `gray_levels` (which
+    maps False and True to 0 and 255)."""
     arr = np.asarray(image)
     if arr.ndim != 2:
         raise ValidationError(f"PGM image must be 2D, got ndim={arr.ndim}")
-    if arr.dtype == np.uint8:
-        gray = arr
-    elif arr.dtype == bool:
-        gray = np.where(arr, 255, 0).astype(np.uint8)
-    else:
-        gray = gray_levels(arr)
+    gray = arr if arr.dtype == np.uint8 else gray_levels(arr)
     h, w = gray.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(gray.tobytes(order="C"))
-
-
-def ensure_dir(path: str) -> None:
-    os.makedirs(path, exist_ok=True)

@@ -36,9 +36,10 @@ def dp_trace_batch(cost, band_lo, band_hi, lam, max_jump):
     returned, as (slices, width) int64 depths.
 
     The costs go into one (width, J + slices * (depth + J)) float64 table,
-    J = max_jump and depth = max band_hi + 1, +inf outside each band: row x
-    is column x of every slice end to end, after J rows of +inf and with J
-    more after each slice, so a shift by up to J stays in its own slice.
+    depth = max band_hi + 1 and J = min(max_jump, depth - 1), +inf outside
+    each band: row x is column x of every slice end to end, after J rows of
+    +inf and with J more after each slice, so a shift by up to J stays in
+    its own slice. No longer step joins two of the depth rows.
     From the right, row x += the minimum over |k| <= J of row x+1 shifted
     by k plus lam * |k|. Rounding is monotone, so each |k| costs
     min(shift -k, shift +k) + lam * |k| and one more minimum. The walk back
@@ -51,8 +52,8 @@ def dp_trace_batch(cost, band_lo, band_hi, lam, max_jump):
     lo = np.asarray(band_lo, dtype=np.int32)[:, :, None]
     hi = np.asarray(band_hi, dtype=np.int32)[:, :, None]
     n_slices, width = lo.shape[:2]
-    lam, jump = float(lam), int(max_jump)
     height = int(hi.max()) + 1
+    lam, jump = float(lam), min(int(max_jump), height - 1)
     stride = height + jump
     z = np.arange(height, dtype=np.int32)
     table = np.full((width, jump + n_slices * stride), np.inf)

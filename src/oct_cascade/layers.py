@@ -104,16 +104,17 @@ def _trace_stack(bscans, kind, band_lo, band_hi, smoothness, max_jump):
 
     The slices are traced in the fewest contiguous groups whose DP table,
     width x (J + g * (rows + J)) float64 for g slices of `rows` rows and
-    J = max_jump, fits in the stack's own bytes (at least one slice per
-    group). Slices are independent in the DP, so the paths are those of
-    one call over the whole stack, and an infeasible band still names the
-    first such slice by its index in the stack.
+    J = min(max_jump, rows - 1), the kernel's bound, fits in the stack's
+    own bytes (at least one slice per group). Slices are independent in
+    the DP, so the paths are those of one call over the whole stack, and
+    an infeasible band still names the first such slice by its index in
+    the stack.
     """
     lo, hi = _checked_bands(bscans.shape, band_lo, band_hi)
     top, bottom = int(lo.min()), int(hi.max()) + 1
     start, stop = max(top - 1, 0), min(bottom + 1, bscans.shape[1])
     n_slices, _, width = bscans.shape
-    jump = int(max_jump)
+    jump = min(int(max_jump), bottom - top - 1)
     group = max(1, (bscans.nbytes // (8 * width) - jump) // (bottom - top + jump))
     paths = []
     for first in range(0, n_slices, group):
@@ -154,11 +155,18 @@ def _rows(frac: float, height: int, floor: int = 1) -> int:
     return max(floor, int(round(frac * height)))
 
 
-def _segment_stack(bscans: np.ndarray, cfg: DpConfig):
-    """The four boundaries of a (slices, height, width) stack of B-scans,
-    each traced over all slices by `_trace_stack`. The cost images are
-    float64, whatever the stack's dtype."""
-    height = bscans.shape[1]
+def segment_boundaries(volume: OctVolume, cfg: DpConfig | None = None) -> BoundarySet:
+    """Trace all four boundaries on every slice of a volume.
+
+    Slices are independent; each boundary is traced by batched DP calls
+    on the rows its bands reach, over groups of slices whose table fits
+    in the volume's bytes, which equals the per-slice `trace_boundary` on
+    the full-height cost image bit for bit. Beyond the volume and the
+    boundaries, the DP's table and one B-scan's cost image are the
+    largest blocks live at once.
+    """
+    cfg = cfg or DpConfig()
+    bscans, height = volume.data, volume.height
     lam, jump = cfg.smoothness, cfg.max_jump
 
     # ILM: dark above, bright below
@@ -185,19 +193,4 @@ def _segment_stack(bscans: np.ndarray, cfg: DpConfig):
     inl = _trace_stack(bscans, "positive_vertical_gradient", inl_lo, inl_hi, lam, jump)
     inl = np.clip(inl, ilm, rpe)
 
-    return ilm, inl, rpe, bm
-
-
-def segment_boundaries(volume: OctVolume, cfg: DpConfig | None = None) -> BoundarySet:
-    """Trace all four boundaries on every slice of a volume.
-
-    Slices are independent; each boundary is traced by batched DP calls
-    on the rows its bands reach, over groups of slices whose table fits
-    in the volume's bytes, which equals the per-slice `trace_boundary` on
-    the full-height cost image bit for bit. Beyond the volume and the
-    boundaries, the DP's table and one B-scan's cost image are the
-    largest blocks live at once.
-    """
-    surfaces = _segment_stack(volume.data, cfg or DpConfig())
-    return BoundarySet(dict(zip(BOUNDARY_NAMES, surfaces)))
-
+    return BoundarySet(dict(zip(BOUNDARY_NAMES, (ilm, inl, rpe, bm))))

@@ -86,42 +86,37 @@ def confusion(pred: VoxelMask, gt: VoxelMask) -> ConfusionCounts:
     return ConfusionCounts(tp=tp, tn=tn, fp=fp, fn=fn)
 
 
-def _ratio(num: int, den: int) -> tuple[float, bool]:
+def _ratios(c: ConfusionCounts) -> dict[str, tuple[float, bool]]:
+    """Each ratio's value and whether it is a degenerate 0/0, in report order."""
+    terms = {
+        "iou": (c.tp, c.tp + c.fp + c.fn),
+        "sen": (c.tp, c.tp + c.fn),
+        "acc": (c.tp + c.tn, c.total),
+    }
     # 0/0 compares nothing against nothing: a perfect match, flagged.
-    if den == 0:
-        return 1.0, True
-    return num / den, False
+    return {name: (num / den, False) if den else (1.0, True) for name, (num, den) in terms.items()}
 
 
 def iou(c: ConfusionCounts) -> float:
-    return _ratio(c.tp, c.tp + c.fp + c.fn)[0]
+    return _ratios(c)["iou"][0]
 
 
 def sen(c: ConfusionCounts) -> float:
-    return _ratio(c.tp, c.tp + c.fn)[0]
+    return _ratios(c)["sen"][0]
 
 
 def acc(c: ConfusionCounts) -> float:
-    return _ratio(c.tp + c.tn, c.total)[0]
+    return _ratios(c)["acc"][0]
 
 
 def build_report(method: str, c: ConfusionCounts, auc_value: float | None = None) -> MetricsReport:
     """Assemble a MetricsReport, flagging any degenerate 0/0 ratio."""
-    flags = []
-    iou_v, d = _ratio(c.tp, c.tp + c.fp + c.fn)
-    if d:
-        flags.append("iou_degenerate")
-    sen_v, d = _ratio(c.tp, c.tp + c.fn)
-    if d:
-        flags.append("sen_degenerate")
-    acc_v, d = _ratio(c.tp + c.tn, c.total)
-    if d:
-        flags.append("acc_degenerate")
+    ratios = _ratios(c)
+    flags = [f"{name}_degenerate" for name, (_, degenerate) in ratios.items() if degenerate]
     if auc_value is None:
         flags.append("auc_unavailable")
-    return MetricsReport(
-        method=method, iou=iou_v, sen=sen_v, acc=acc_v, auc=auc_value, flags=tuple(flags)
-    )
+    values = {name: value for name, (value, _) in ratios.items()}
+    return MetricsReport(method=method, **values, auc=auc_value, flags=tuple(flags))
 
 
 def auc(scores: ProbabilityMap3D | np.ndarray, gt: VoxelMask | np.ndarray) -> float:

@@ -31,8 +31,7 @@ from .config import FromDict, Path, _checked, to_json
 from .enface import ShadowConfig
 from .errors import OctCascadeError, ValidationError
 from .fileio import (
-    ensure_dir, gray_levels, grid_header, read_boundaries, read_volume, write_boundaries, write_pgm,
-    write_volume,
+    gray_levels, grid_header, read_boundaries, read_volume, write_boundaries, write_pgm, write_volume,
 )
 from .layers import DpConfig, segment_boundaries
 from .metrics import MetricsReport, score
@@ -342,7 +341,7 @@ def run_to_files(cfg: PipelineConfig) -> dict[str, str]:
     """
     out = cfg.output_dir
     with _output(out):
-        ensure_dir(out)
+        os.makedirs(out, exist_ok=True)
     prepared, volume, gt_mask = _prepare(cfg)
     gray = _gray(volume) if cfg.report.overlays or cfg.report.montage else None
     del volume
@@ -372,7 +371,7 @@ def run_to_files(cfg: PipelineConfig) -> dict[str, str]:
         n_slices = mask.dims[0]
         if cfg.report.overlays:
             overlay_dir = path("overlays")
-            ensure_dir(overlay_dir)
+            os.makedirs(overlay_dir, exist_ok=True)
             for s in range(n_slices):
                 write_pgm(_overlay(gray, mask, s), os.path.join(overlay_dir, f"slice_{s:03d}.pgm"))
             written["overlays"] = overlay_dir
@@ -405,7 +404,7 @@ def ablate(cfg: PipelineConfig, seeds: list[int]) -> tuple[bool, list[tuple[str,
 
     out = cfg.output_dir
     with _output(out):
-        ensure_dir(out)
+        os.makedirs(out, exist_ok=True)
     infusions = {
         label: dataclasses.replace(cfg.infusion, use_longitudinal=use_l, use_transverse=use_t)
         for label, use_l, use_t in VARIANTS

@@ -6,8 +6,10 @@ from scipy import ndimage
 
 from oct_cascade.cascade import (
     InfusionConfig,
+    Prepared,
     VesselBackendConfig,
     binarize_and_label,
+    extract,
     infuse,
     longitudinal_mask,
     run_cascade,
@@ -18,6 +20,7 @@ from oct_cascade.errors import ConfigError, InfeasibleBandError, ShapeMismatchEr
 from oct_cascade.fileio import read_volume, write_volume
 from oct_cascade.layers import segment_boundaries
 from oct_cascade.model import (
+    EnFaceImage,
     OctVolume,
     PixelMask,
     ProbabilityMap3D,
@@ -87,6 +90,39 @@ def test_square_dilations_compose_in_the_transverse_mask(n_slices, width, densit
         transverse_mask(PixelMask(dilated(fp, r1)), dims, r2).data,
         transverse_mask(PixelMask(fp), dims, r1 + r2).data,
     )
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 8), st.integers(1, 12), st.sampled_from([0.0, 0.05, 0.2, 0.6]),
+       st.integers(0, 2**32 - 1), st.integers(0, 20))
+def test_transverse_mask_is_the_square_dilation_for_any_half_width(n_slices, width, density, seed, d):
+    # Half-widths beyond the footprint's sides included, where the square
+    # is larger than the footprint itself.
+    fp = np.random.default_rng(seed).random((n_slices, width)) < density
+    dims = (n_slices, 3, width)
+    want = np.broadcast_to(dilated(fp, d)[:, None, :], dims)
+    assert np.array_equal(transverse_mask(PixelMask(fp), dims, d).data, want)
+
+
+@pytest.mark.parametrize("dims", [(8, 96, 64), (19, 496, 384)], ids=["criterion-8", "paper"])
+def test_a_huge_transverse_dilation_equals_the_footprint_s_longest_side(dims):
+    """A square of half-width max(slices, width) already reaches every
+    pixel from any pixel, so 10**6 builds no larger structure."""
+    n_slices, _, width = dims
+    fp = np.zeros((n_slices, width), dtype=bool)
+    fp[n_slices // 2, width // 3] = True
+    side = max(n_slices, width)
+    huge = transverse_mask(PixelMask(fp), dims, 10**6).data
+    assert np.array_equal(huge, transverse_mask(PixelMask(fp), dims, side).data) and huge.all()
+
+    scores = 0.6 * np.random.default_rng(3).random(dims, dtype=np.float32)
+    prepared = Prepared(flat_boundaries(n_slices, width, 10.0, 40.0, 60.0, 80.0),
+                        EnFaceImage(np.zeros(fp.shape, np.float32)), PixelMask(fp), ProbabilityMap3D(scores))
+    for use_l in (False, True):
+        got, want = (extract(prepared, InfusionConfig(use_longitudinal=use_l, transverse_dilation=d))
+                     for d in (10**6, side))
+        assert np.array_equal(got.probability.data, want.probability.data)
+        assert np.array_equal(got.mask.data, want.mask.data)
 
 
 def test_constant_volume_yields_zero_map_with_warning():

@@ -11,6 +11,7 @@ import pytest
 from oct_cascade import cli, pipeline
 from oct_cascade.fileio import read_volume, write_boundaries, write_volume
 from oct_cascade.model import EnFaceImage, OctVolume, PixelMask, ProbabilityMap3D, VoxelMask
+from oct_cascade.phantom import PhantomConfig, generate
 from oct_cascade.pipeline import PipelineConfig, StageError
 
 from test_enface import flat_boundaries
@@ -538,6 +539,37 @@ def test_stage_commands_chain(tmp_path):
     b = read_boundary_csv(str(boundaries), volume)
     direct = vessel_probability(volume, b)
     assert np.array_equal(read_volume(str(prob)).data, direct.data)
+
+
+def test_layers_with_a_huge_max_jump_writes_what_height_minus_one_does(tmp_path):
+    """A jump as deep as the DP's table or deeper reaches only its +inf
+    pads, so it is clamped rather than allocated."""
+    write_volume(generate(PhantomConfig(dims=(2, 96, 64)))[0], str(tmp_path / "vol"))
+    for jump in (95, 10**12):
+        (tmp_path / "dp.json").write_text(json.dumps({"max_jump": jump}))
+        assert run_cli(["layers", "--in", tmp_path / "vol.json", "--out", tmp_path / f"{jump}.csv",
+                        "--config", tmp_path / "dp.json"]) == 0
+    assert (tmp_path / f"{10**12}.csv").read_bytes() == (tmp_path / "95.csv").read_bytes()
+
+
+@pytest.mark.parametrize("section, huge, clamped", [
+    (lambda v: {"boundaries": {"dp": {"max_jump": v}}}, 10**12, 95),
+    (lambda v: {"infusion": {"transverse_dilation": v}}, 10**6, 64),
+], ids=["max_jump", "transverse_dilation"])
+def test_run_with_a_huge_value_writes_what_the_clamped_value_does(tmp_path, section, huge, clamped):
+    """The criterion-8 phantom run with a max_jump beyond its height or a
+    transverse dilation beyond its longest en-face side."""
+    hashes = []
+    for value in (huge, clamped):
+        cfg = {
+            "input": {"phantom": {"dims": [8, 96, 64], "n_vessels": 2, "seed": 3}},
+            "output_dir": str(tmp_path / str(value)),
+            **section(value),
+        }
+        (tmp_path / "pipeline.json").write_text(json.dumps(cfg))
+        assert run_cli(["run", "--config", tmp_path / "pipeline.json"]) == 0
+        hashes.append(file_hashes(tmp_path / str(value)))
+    assert hashes[0] == hashes[1]
 
 
 def test_seed_parsing():

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oct_cascade.errors import ConfigError, InfeasibleBandError
 from oct_cascade.layers import trace_boundary
@@ -118,3 +120,26 @@ def test_zero_width_cost_rejected():
 
     with pytest.raises(ShapeMismatchError, match="no columns"):
         trace_boundary(np.zeros((5, 0)), 0, 0)
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 8), st.integers(1, 6), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.5, 3.0]))
+def test_a_jump_beyond_the_image_traces_as_height_minus_one(height, width, seed, lam):
+    """A jump as deep as the image or deeper reaches only +inf pads, so
+    10**12 gives the paths, and the band errors, of height - 1: the
+    paths the unclamped per-B-scan reference gives."""
+    rng = np.random.default_rng(seed)
+    cost = dyadic_costs(rng, height, width)
+    lo = rng.integers(0, height, width)
+    hi = np.minimum(lo + rng.integers(-1, height, width), height - 1)  # -1 leaves a band empty
+
+    def outcome(max_jump):
+        try:
+            return trace_boundary(cost, lo, hi, smoothness=lam, max_jump=max_jump).tolist()
+        except ConfigError as exc:
+            return str(exc)
+
+    got = outcome(10**12)
+    assert got == outcome(height - 1)
+    if not isinstance(got, str):
+        assert got == dp_trace(cost, lo, hi, lam, height - 1).tolist()

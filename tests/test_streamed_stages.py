@@ -1,10 +1,11 @@
 """The large-array stages against their whole-volume float64 originals.
 
 project_rpe and vessel_probability work one B-scan at a time, and
-binarize_and_label and infuse avoid whole-volume index and product
-copies, and binarize_and_label labels only the foreground's bounding box.
-extract infuses one B-scan at a time from the ILM-INL band's depths and
-the dilated en-face footprint, building no whole-volume prior.
+binarize_and_label avoids whole-volume index copies and labels only the
+foreground's bounding box. extract infuses one B-scan at a time from the
+ILM-INL band's depths and the dilated en-face footprint, building no
+whole-volume prior; infuse is the whole-volume product of the masks, and
+the tests below pin the bytes of both, -0.0 scores included.
 longitudinal_mask, project_rpe, vessel_probability and extract take their
 bands from BoundarySet.voxel_band. The references below are the earlier
 whole-volume bodies; the streamed stages must reproduce them bit for bit.
@@ -38,7 +39,7 @@ from oct_cascade.cascade import (
 )
 from oct_cascade.enface import project_rpe
 from oct_cascade.errors import ShapeMismatchError, ValidationError
-from oct_cascade.fileio import write_boundaries, write_volume
+from oct_cascade.fileio import write_boundaries, write_pgm, write_volume
 from oct_cascade.layers import segment_boundaries
 from oct_cascade.metrics import auc
 from oct_cascade.model import (
@@ -325,10 +326,42 @@ def test_binarize_and_label_equals_full_volume_labelling(p, connectivity, min_vo
 @settings(max_examples=100)
 @given(probability_maps(), st.booleans(), st.booleans())
 def test_infuse_equals_whole_volume_reference(case, use_l, use_t):
+    """Bit for bit, -0.0 scores included, for every pair of masks."""
     p, rng = case
+    p[rng.random(p.shape) < 0.3] = -0.0
     masks = [rng.random(p.shape) < 0.6 if use else None for use in (use_l, use_t)]
     got = infuse(ProbabilityMap3D(p), *(None if m is None else VoxelMask(m) for m in masks))
-    assert np.array_equal(got.data, infuse_reference(p, masks))
+    assert got.data.tobytes() == infuse_reference(p, masks).tobytes()
+
+
+@settings(max_examples=100)
+@given(volumes_and_boundaries(), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+       st.integers(0, 3))
+def test_transverse_only_extract_copies_the_kept_columns(case, seed, density, dilation):
+    """Without the band, extract copies the kept columns whole: an imported
+    -0.0 stays -0.0 there and every dropped voxel is +0.0."""
+    volume, boundaries = case
+    n_slices, _, width = volume.dims
+    rng = np.random.default_rng(seed)
+    footprint = rng.random((n_slices, width)) < density
+    p = volume.data.copy()
+    p[rng.random(p.shape) < 0.3] = -0.0
+    prepared = Prepared(boundaries, EnFaceImage(np.zeros((n_slices, width), np.float32)),
+                        PixelMask(footprint), ProbabilityMap3D(p))
+    cfg = InfusionConfig(use_longitudinal=False, transverse_dilation=dilation)
+    got = extract(prepared, cfg).probability.data
+
+    fp = footprint
+    if dilation and footprint.any():
+        fp = ndimage.binary_dilation(footprint, structure=np.ones((2 * dilation + 1,) * 2, bool))
+    assert got.tobytes() == np.where(fp[:, None, :], p, np.float32(0)).tobytes()
+
+
+def test_write_pgm_writes_a_bool_image_as_0_and_255(tmp_path):
+    image = np.random.default_rng(2).random((5, 7)) < 0.5
+    write_pgm(image, str(tmp_path / "bool.pgm"))
+    write_pgm(np.where(image, 255, 0).astype(np.uint8), str(tmp_path / "gray.pgm"))
+    assert (tmp_path / "bool.pgm").read_bytes() == (tmp_path / "gray.pgm").read_bytes()
 
 
 @settings(max_examples=150)
