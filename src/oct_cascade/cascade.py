@@ -170,15 +170,15 @@ def vessel_probability(
 
 
 def _infuse(p: ProbabilityMap3D, band, footprint) -> ProbabilityMap3D:
-    """`p` times each B-scan's keep image, the voxels of `band` (first and
-    last depths per A-scan, every depth where it is None) in the columns
-    `footprint` keeps (all of them where it is None), into a new map that
-    starts at zeros.
+    """`p` where each B-scan's keep image is set, the voxels of `band`
+    (first and last depths per A-scan, every depth where it is None) in
+    the columns `footprint` keeps (all of them where it is None), into a
+    new map that starts at zeros.
 
     Only the rows from the B-scan's shallowest first depth to its deepest
-    last depth, in the kept columns, are multiplied; without a band the
-    kept columns are copied whole. Every voxel left out stays +0.0, what
-    the product gives a finite score >= 0 other than -0.0.
+    last depth, in the kept columns, are masked; without a band the
+    kept columns are copied whole. Every voxel left out is +0.0, whatever
+    its score; a kept voxel keeps its score, -0.0 included.
     """
     out = np.zeros(p.dims, dtype=np.float32)
     for s in range(p.dims[0]):
@@ -190,7 +190,7 @@ def _infuse(p: ProbabilityMap3D, band, footprint) -> ProbabilityMap3D:
         top, bottom = int(lo[s].min()), int(hi[s].max()) + 1
         z = np.arange(top, bottom)[:, None]
         keep = (z >= lo[s, cols]) & (z <= hi[s, cols])
-        out[s, top:bottom][:, cols] = p.data[s, top:bottom][:, cols] * keep
+        out[s, top:bottom][:, cols] = np.where(keep, p.data[s, top:bottom][:, cols], np.float32(0))
     return ProbabilityMap3D(out)
 
 
@@ -309,7 +309,7 @@ def extract(prepared: Prepared, infusion_cfg: InfusionConfig | None = None) -> C
     The priors stay in their own dimensions: the ILM-INL band as per-A-scan
     first and last depths, the dilated shadow footprint as a (slices,
     width) image. Each B-scan's keep image is built from them as it is
-    multiplied, over the band's rows in the footprint's columns; without
+    applied, over the band's rows in the footprint's columns; without
     the longitudinal prior (band None) the kept columns are copied whole.
     So one `prepare` serves every variant of the ablation and no
     whole-volume prior is built. The volume's dims are the raw map's.

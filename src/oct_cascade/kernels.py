@@ -1,7 +1,7 @@
 """Hot numeric kernels: the boundary dynamic program and the phantom
 tube/shadow passes, in numpy.
 
-`dp_trace_batch` is the package's one boundary DP. It runs over a stack of
+`dp_trace` is the package's one boundary DP. It runs over a stack of
 B-scans at once (a single B-scan is a stack of one), taking each cost
 image into its table as the stack yields it, and keeps the float64 suffix
 costs of the per-B-scan reference DP (`tests/dp_reference.py`), which the
@@ -24,7 +24,7 @@ from .errors import InfeasibleBandError
 # Minimum-cost boundary path (dynamic programming over columns)
 # ---------------------------------------------------------------------------
 
-def dp_trace_batch(cost, band_lo, band_hi, lam, max_jump):
+def dp_trace(cost, band_lo, band_hi, lam, max_jump):
     """Minimum-cost depth path through each cost image `cost` yields: a
     (slices, height, width) array or any iterable of images, each taken
     into the table as it arrives and read only down to the deepest band.

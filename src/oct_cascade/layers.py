@@ -3,7 +3,7 @@
 Each B-scan is handled independently: a cost image is built from the
 intensity or its vertical gradient, and the minimum-cost left-to-right
 path through a per-column search band gives one boundary. One DP,
-`kernels.dp_trace_batch`, does the tracing: `trace_boundary` runs it on a
+`kernels.dp_trace`, does the tracing: `trace_boundary` runs it on a
 single cost image as a stack of one, and `segment_boundaries` on the
 B-scans in as few groups as keep its table within the volume's bytes,
 on the rows their bands reach, giving each the path `trace_boundary`
@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import FromDict
 from .errors import ConfigError, InfeasibleBandError, ShapeMismatchError, ValidationError
-from .kernels import dp_trace_batch
+from .kernels import dp_trace
 from .model import BOUNDARY_NAMES, BoundarySet, OctVolume
 
 #: The kinds of cost image `_cost_image` builds.
@@ -68,7 +68,7 @@ def trace_boundary(cost, band_lo, band_hi, smoothness=0.5, max_jump=2):
     smoothness : float
         Penalty per voxel of depth change between adjacent columns.
     max_jump : int
-        Maximum allowed |z(x+1) - z(x)|.
+        Maximum allowed |z(x+1) - z(x)|, at least 1.
 
     Returns
     -------
@@ -76,9 +76,11 @@ def trace_boundary(cost, band_lo, band_hi, smoothness=0.5, max_jump=2):
     lexicographically smallest (shallower depths, leftmost column first)
     is returned.
 
-    The image is traced as a stack of one by `dp_trace_batch`, so an
+    The image is traced as a stack of one by `dp_trace`, so an
     infeasible band raises InfeasibleBandError with slice 0.
     """
+    if not isinstance(max_jump, (int, np.integer)) or max_jump < 1:
+        raise ConfigError(f"max_jump must be an integer >= 1, got {max_jump!r}")
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
         raise ShapeMismatchError(f"cost must be 2D, got ndim={cost.ndim}")
@@ -87,7 +89,7 @@ def trace_boundary(cost, band_lo, band_hi, smoothness=0.5, max_jump=2):
     if not np.isfinite(cost).all():
         raise ValidationError("cost image contains non-finite values")
     lo, hi = _checked_bands(cost.shape, band_lo, band_hi)
-    return dp_trace_batch(cost[None], lo[None], hi[None], smoothness, max_jump)[0]
+    return dp_trace(cost[None], lo[None], hi[None], smoothness, max_jump)[0]
 
 
 def _trace_stack(bscans, kind, band_lo, band_hi, smoothness, max_jump):
@@ -122,7 +124,7 @@ def _trace_stack(bscans, kind, band_lo, band_hi, smoothness, max_jump):
         costs = (_cost_image(bscan[start:stop].astype(np.float64), kind)[top - start :]
                  for bscan in bscans[part])
         try:
-            paths.append(dp_trace_batch(costs, lo[part] - top, hi[part] - top, smoothness, jump))
+            paths.append(dp_trace(costs, lo[part] - top, hi[part] - top, smoothness, jump))
         except InfeasibleBandError as exc:
             raise InfeasibleBandError(exc.column, slice=first + exc.slice) from None
     return np.concatenate(paths) + top

@@ -1,11 +1,11 @@
 """Segmentation evaluation metrics and the polynomial LR schedule utility.
 
 All metrics are defined on exact integer confusion counts over pooled
-voxels. ROC area sweeps every distinct score as a threshold and integrates
-with the trapezoidal rule, which equals the pairwise ranking statistic with
-ties counted half. The counts at each threshold come from one sort of the
-score values and a binary search of each positive score among the distinct
-values, so no permutation of the voxels is built.
+voxels. ROC area is the pairwise ranking statistic with ties counted half
+(Mann-Whitney U / (P * N)), which equals the trapezoidal area under the
+ROC curve over every distinct score; it is counted from one sort of the
+scores and two binary searches of the positive scores in it, so neither
+the curve nor a permutation of the voxels is built.
 """
 
 from __future__ import annotations
@@ -120,16 +120,14 @@ def build_report(method: str, c: ConfusionCounts, auc_value: float | None = None
 
 
 def auc(scores: ProbabilityMap3D | np.ndarray, gt: VoxelMask | np.ndarray) -> float:
-    """ROC area of the scores against a binary ground truth.
+    """ROC area of the scores against a binary ground truth: the share of
+    (positive, negative) voxel pairs the positive outscores, ties counted
+    half, which is the trapezoidal area under the ROC curve.
 
-    Thresholds sweep every distinct score value; at each, voxels scoring at
-    or above it count as positive. The sorted scores give each threshold's
-    run start, hence how many voxels reach it; a binary search of each
-    positive score among the thresholds, counted up, gives how many of
-    those are true positives. The trapezoidal area, formed in place in the
-    curve's two buffers, equals the pairwise ranking statistic with ties
-    counted half. Raises UndefinedAucError when the ground truth is
-    single-class and ValidationError when a score is not finite.
+    Each positive's rank among the sorted scores, taken from the left and
+    from the right, counts its wins twice and its ties once; the integer
+    total is divided once. Raises UndefinedAucError when the ground truth
+    is single-class and ValidationError when a score is not finite.
     """
     s = scores.data if isinstance(scores, ProbabilityMap3D) else np.asarray(scores)
     g = gt.data if isinstance(gt, VoxelMask) else np.asarray(gt, dtype=bool)
@@ -153,45 +151,14 @@ def auc(scores: ProbabilityMap3D | np.ndarray, gt: VoxelMask | np.ndarray) -> fl
     # NaN sorts last and infinities sit at the ends.
     if not (np.isfinite(asc[0]) and np.isfinite(asc[-1])):
         raise ValidationError("ROC area needs finite scores")
-    # one flag per value: does a run of equal values start there
-    starts = np.empty(asc.size, dtype=bool)
-    starts[0] = True
-    np.not_equal(asc[1:], asc[:-1], out=starts[1:])
-    run_start = np.flatnonzero(starts)
-    del starts
-    run_value = asc[run_start]
-    del asc
-    n_runs = run_start.size
-
-    # The curve in two buffers, (0, 0) first and thresholds descending. They
-    # are filled with integer counts, exact in float64, then divided; each
-    # is allocated after the arrays it no longer needs are dropped.
-    fpr = np.empty(n_runs + 1)
-    fpr[0] = 0.0
-    np.subtract(s.size, run_start[::-1], out=fpr[1:])  # voxels at or above
-    del run_start
-    # Every positive's value is a run value, so searching for it on the
-    # right gives one past its run; the running count of these is the
-    # number of positives below each threshold.
-    below = np.bincount(
-        np.searchsorted(run_value, np.sort(s[g]), side="right"), minlength=n_runs + 1
-    )
-    del run_value
-    np.cumsum(below, out=below)
-    tpr = np.empty(n_runs + 1)
-    tpr[0] = 0.0
-    np.subtract(n_pos, below[:n_runs][::-1], out=tpr[1:])
-    fpr[1:] -= tpr[1:]
-    fpr[1:] /= n_neg
-    tpr[1:] /= n_pos
-
-    # np.trapezoid(tpr, fpr) is (diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0).sum();
-    # the same operations run in place, each writing behind what it reads.
-    d = np.subtract(fpr[1:], fpr[:-1], out=fpr[:-1])
-    d *= np.add(tpr[1:], tpr[:-1], out=tpr[:-1])
-    d /= 2.0
-    # accumulated rounding can land an ulp outside [0, 1]
-    return float(min(max(d.sum(), 0.0), 1.0))
+    # Per positive, the scores below it plus those at or below it count each
+    # win over a negative twice and each tie once; the positive-positive
+    # pairs add exactly n_pos**2. int64 holds both sums for any map under
+    # ~3e9 voxels, 800x the paper volume.
+    pos = s[g]
+    below, at_or_below = (int(np.searchsorted(asc, pos, side).sum()) for side in ("left", "right"))
+    # Python ints: one correctly rounded division, which lies in [0, 1]
+    return (below + at_or_below - n_pos * n_pos) / (2 * n_pos * n_neg)
 
 
 def score(method: str, pred: VoxelMask, prob: ProbabilityMap3D | None, gt: VoxelMask) -> MetricsReport:

@@ -59,13 +59,16 @@ class StageError(OctCascadeError):
 
 @contextmanager
 def _stage(name: str):
-    """Re-raise a package error from the block as a StageError of `name`."""
+    """Re-raise a package error or a failed allocation from the block as a
+    StageError of `name`."""
     try:
         yield
     except StageError:
         raise
     except OctCascadeError as exc:
         raise StageError(name, str(exc)) from exc
+    except MemoryError as exc:
+        raise StageError(name, f"out of memory: {str(exc) or 'an allocation failed'}") from exc
 
 
 @contextmanager

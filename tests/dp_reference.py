@@ -1,4 +1,4 @@
-"""The per-B-scan boundary DP, kept as the oracle of `kernels.dp_trace_batch`.
+"""The per-B-scan boundary DP, kept as the oracle of `kernels.dp_trace`.
 
 This is the DP the package ran one B-scan at a time before the batched
 one replaced it: a float64 suffix-cost table built column by column from

@@ -441,6 +441,41 @@ def test_run_into_an_existing_file_fails_before_boundary_segmentation(tmp_path, 
     assert calls == []
 
 
+@pytest.mark.parametrize("message, shown", [("Unable to allocate 7.28 TiB", "Unable to allocate 7.28 TiB"),
+                                            ("", "an allocation failed")])
+def test_run_out_of_memory_exits_2_naming_the_stage(tmp_path, capsys, monkeypatch, message, shown):
+    def exhausted(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(pipeline, "segment_boundaries", exhausted)
+    assert run_cli(["run", "--config", pipeline_config(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: boundary segmentation: out of memory: {shown}\n"
+
+
+def _limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="address-space limit via setrlimit")
+def test_run_on_a_phantom_too_large_to_allocate_exits_2_naming_the_stage(tmp_path):
+    """Under a 3 GiB address-space limit, so the allocation fails wherever
+    the machine would otherwise grant it."""
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps({
+        "input": {"phantom": {"dims": [1000000, 1000000, 1000000]}},
+        "output_dir": str(tmp_path / "out"),
+    }))
+    proc = subprocess.run(
+        [sys.executable, "-m", "oct_cascade", "run", "--config", str(cfg)],
+        capture_output=True, text=True, preexec_fn=_limit_address_space, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: input: out of memory")
+    assert "Traceback" not in proc.stderr
+
+
 def test_eval_identical_masks(tmp_path):
     rng = np.random.default_rng(0)
     mask = VoxelMask(rng.random((3, 8, 8)) < 0.2)
@@ -579,15 +614,14 @@ def test_seed_parsing():
 
 
 @pytest.mark.slow
-def test_outputs_identical_across_thread_counts(tmp_path):
+def test_outputs_identical_across_reruns(tmp_path):
     cfg = pipeline_config(tmp_path)
     hashes = []
-    for threads, name in (("1", "t1"), ("4", "t4")):
-        env = dict(os.environ, OCT_CASCADE_THREADS=threads)
+    for name in ("a", "b"):
         out = tmp_path / name
         code = subprocess.run(
             [sys.executable, "-m", "oct_cascade", "run", "--config", str(cfg), "--out", str(out)],
-            env=env, capture_output=True, text=True,
+            capture_output=True, text=True,
         )
         assert code.returncode == 0, code.stderr
         hashes.append(file_hashes(out))

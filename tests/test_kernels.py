@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oct_cascade import kernels, layers
-from oct_cascade.errors import InfeasibleBandError
+from oct_cascade.errors import ConfigError, InfeasibleBandError
 from oct_cascade.layers import segment_boundaries, trace_boundary
 from oct_cascade.model import OctVolume
 from oct_cascade.phantom import default_config, generate
@@ -42,7 +42,7 @@ def test_backends_agree_bit_for_bit(monkeypatch):
         dyadic = more.integers(0, 16, size=(n_slices, height, width)) / 8.0
         for stack in (uniform, dyadic):
             want = _per_slice(stack, los, his, 0.5, 2)
-            assert np.array_equal(kernels.dp_trace_batch(stack, los, his, 0.5, 2), want)
+            assert np.array_equal(kernels.dp_trace(stack, los, his, 0.5, 2), want)
 
     # a band infeasible in one slice fails at the column dp_trace names
     cost = rng.uniform(0, 1, size=(3, 9, 3))
@@ -52,14 +52,14 @@ def test_backends_agree_bit_for_bit(monkeypatch):
     with pytest.raises(InfeasibleBandError) as ref:
         dp_trace(cost[1], lo[1], hi[1], 0.5, 2)
     with pytest.raises(InfeasibleBandError) as err:
-        kernels.dp_trace_batch(cost, lo, hi, 0.5, 2)
+        kernels.dp_trace(cost, lo, hi, 0.5, 2)
     assert err.value.column == ref.value.column == 1
 
     # the layer tracer over the whole volume equals the same call made one
     # slice at a time on the per-slice reference DP
     volume, _ = generate(default_config("desk", seed=11))
     whole = segment_boundaries(volume)
-    monkeypatch.setattr(layers, "dp_trace_batch", _per_slice)
+    monkeypatch.setattr(layers, "dp_trace", _per_slice)
     for s in range(volume.dims[0]):
         alone = segment_boundaries(OctVolume(volume.data[s : s + 1]))
         for name, surface in whole.surfaces.items():
@@ -111,7 +111,7 @@ def assert_matches_per_slice(batched, per_slice, n_slices):
 def test_batch_equals_per_slice_on_random_stacks(case):
     cost, lo, hi, lam, jump = case
     assert_matches_per_slice(
-        lambda: kernels.dp_trace_batch(cost, lo, hi, lam, jump),
+        lambda: kernels.dp_trace(cost, lo, hi, lam, jump),
         lambda s: dp_trace(cost[s], lo[s], hi[s], lam, jump),
         len(cost),
     )
@@ -131,8 +131,8 @@ def test_batch_takes_a_generator_and_reads_only_the_rows_its_bands_reach(case):
     cost, lo, hi, lam, jump = case
     # NaN rows below the stack would poison any path that read them
     taller = np.concatenate([cost, np.full((len(cost), 3, cost.shape[2]), np.nan)], axis=1)
-    for batched in (lambda: kernels.dp_trace_batch((c for c in cost), lo, hi, lam, jump),
-                    lambda: kernels.dp_trace_batch(taller, lo, hi, lam, jump)):
+    for batched in (lambda: kernels.dp_trace((c for c in cost), lo, hi, lam, jump),
+                    lambda: kernels.dp_trace(taller, lo, hi, lam, jump)):
         assert_matches_per_slice(
             batched, lambda s: dp_trace(cost[s], lo[s], hi[s], lam, jump), len(cost)
         )
@@ -166,7 +166,7 @@ def test_float32_stack_traced_in_groups_equals_per_slice_trace(case, kind, infea
         # columns alternate between the top and bottom rows, past max_jump
         jump = min(jump, height - 2)
         lo[-1] = hi[-1] = np.where(np.arange(width) % 2, height - 1, 0)
-    with mock.patch.object(layers, "dp_trace_batch", wraps=kernels.dp_trace_batch) as dp:
+    with mock.patch.object(layers, "dp_trace", wraps=kernels.dp_trace) as dp:
         assert_matches_per_slice(
             lambda: layers._trace_stack(bscans, kind, lo, hi, lam, jump),
             lambda s: dp_trace(layers._cost_image(bscans[s].astype(np.float64), kind),
@@ -184,7 +184,7 @@ def test_infeasible_stack_names_slice_and_column():
     lo[2], hi[2] = [0, 0, 8], [1, 1, 8]  # test_dp's infeasible band, in slice 2
     lo[3], hi[3] = [8, 0, 0], [8, 0, 0]
     with pytest.raises(InfeasibleBandError) as err:
-        kernels.dp_trace_batch(cost, lo, hi, 0.5, 2)
+        kernels.dp_trace(cost, lo, hi, 0.5, 2)
     assert (err.value.slice, err.value.column) == (2, 1)
     assert str(err.value) == "no feasible boundary path at column 1 of slice 2"
     with pytest.raises(InfeasibleBandError) as alone:
@@ -204,7 +204,7 @@ def test_slices_do_not_reach_into_their_neighbours():
     hi = np.full((3, width), height - 1, dtype=np.int64)
     for stack in (cost, cost[::-1]):
         want = _per_slice(stack, lo, hi, 0.5, jump)
-        assert np.array_equal(kernels.dp_trace_batch(stack, lo, hi, 0.5, jump), want)
+        assert np.array_equal(kernels.dp_trace(stack, lo, hi, 0.5, jump), want)
     assert np.array_equal(want[1], np.zeros(width))
 
 
@@ -215,7 +215,7 @@ def test_max_jump_at_least_height(height, jump):
     lo = rng.integers(0, height, size=(3, 7))
     hi = np.minimum(lo + rng.integers(0, 2, size=(3, 7)), height - 1)
     assert_matches_per_slice(
-        lambda: kernels.dp_trace_batch(cost, lo, hi, 0.25, jump),
+        lambda: kernels.dp_trace(cost, lo, hi, 0.25, jump),
         lambda s: dp_trace(cost[s], lo[s], hi[s], 0.25, jump),
         3,
     )
@@ -229,7 +229,7 @@ def test_widths_one_and_two(width, jump):
     lo = rng.integers(0, 4, size=(4, width))
     hi = lo + rng.integers(0, 3, size=(4, width))
     assert_matches_per_slice(
-        lambda: kernels.dp_trace_batch(cost, lo, hi, 0.5, jump),
+        lambda: kernels.dp_trace(cost, lo, hi, 0.5, jump),
         lambda s: dp_trace(cost[s], lo[s], hi[s], 0.5, jump),
         4,
     )
@@ -244,7 +244,7 @@ def test_non_contiguous_cost_stack_and_bands():
     lo = rng.integers(0, 3, size=(11, 6)).T[::2]
     hi = (8 - rng.integers(0, 3, size=(11, 6))).T[::2]
     want = _per_slice(np.ascontiguousarray(cost), lo, hi, 0.5, 2)
-    assert np.array_equal(kernels.dp_trace_batch(cost, lo, hi, 0.5, 2), want)
+    assert np.array_equal(kernels.dp_trace(cost, lo, hi, 0.5, 2), want)
 
 
 def test_segment_boundaries_equals_full_height_trace(monkeypatch):
@@ -278,3 +278,17 @@ def test_numpy_fallback_in_process():
     assert path.shape == (9,)
     assert np.all((path >= 0) & (path <= 11))
     assert np.array_equal(path, dp_trace(cost, lo, hi, 0.5, 2))
+
+
+@pytest.mark.parametrize("jump", [-3, -1, 0, 2.7])
+def test_trace_boundary_refuses_a_max_jump_that_is_not_an_integer_of_at_least_1(jump):
+    cost = np.random.default_rng(0).random((5, 4))
+    with pytest.raises(ConfigError, match="max_jump"):
+        trace_boundary(cost, 0, 4, max_jump=jump)
+
+
+@pytest.mark.parametrize("jump", [1, 2])
+def test_trace_boundary_with_max_jump_1_or_2_gives_the_reference_path(jump):
+    cost = np.random.default_rng(0).random((5, 4))
+    lo, hi = np.zeros(4, dtype=np.int64), np.full(4, 4, dtype=np.int64)
+    assert np.array_equal(trace_boundary(cost, 0, 4, max_jump=jump), dp_trace(cost, lo, hi, 0.5, jump))

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,8 +120,21 @@ def test_auc_invariant_under_monotone_transform():
     assert auc(s1, g) == auc(s2, g)
 
 
+def exact_auc(scores, labels):
+    """The rank statistic from integer pairwise counts, divided once: each
+    win over a negative counts 2 and each tie 1, over 2 * P * N."""
+    s = np.asarray(scores, dtype=np.float64).ravel()
+    g = np.asarray(labels, dtype=bool).ravel()
+    pos, neg = s[g], s[~g]
+    if pos.size == 0 or neg.size == 0:
+        raise UndefinedAucError("single class")
+    wins = int(np.count_nonzero(pos[:, None] > neg[None, :]))
+    ties = int(np.count_nonzero(pos[:, None] == neg[None, :]))
+    return float(Fraction(2 * wins + ties, 2 * pos.size * neg.size))
+
+
 def argsort_auc(scores, labels):
-    """The earlier implementation: a stable descending argsort of float64
+    """An earlier implementation: a stable descending argsort of float64
     scores, labels gathered through it, ROC points at the ends of tie runs."""
     s = np.asarray(scores, dtype=np.float64).ravel()
     g = np.asarray(labels, dtype=bool).ravel()
@@ -168,18 +183,22 @@ def auc_cases(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(auc_cases())
-def test_auc_equals_argsort_oracle_exactly(case):
+def test_auc_equals_exact_rank_oracle(case):
+    """Bit for bit the exactly rounded statistic, and within 4 ulp of the
+    trapezoidal area of the argsort implementation."""
     s, labels = case
     shape = (1, 1, s.size)
     scores = ProbabilityMap3D(s.reshape(shape)) if s.dtype == np.float32 else s.reshape(shape)
     gt = VoxelMask(labels.reshape(shape))
     try:
-        want = argsort_auc(s, labels)
+        want = exact_auc(s, labels)
     except UndefinedAucError:
         with pytest.raises(UndefinedAucError):
             auc(scores, gt)
         return
-    assert auc(scores, gt) == want
+    got = auc(scores, gt)
+    assert got == want
+    assert abs(got - argsort_auc(s, labels)) <= 4 * np.spacing(want)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
