@@ -116,7 +116,8 @@ def cmd_eval(args) -> int:
 def cmd_layers(args) -> int:
     dp = read_config(args.config, DpConfig, "DP config") if args.config else DpConfig()
     volume = read_typed(args.infile, OctVolume, "input volume")
-    boundaries = segment_boundaries(volume, dp)
+    with _stage("boundary segmentation"):
+        boundaries = segment_boundaries(volume, dp)
     with _output(args.out):
         write_boundaries(boundaries, args.out)
     print(f"boundaries: {args.out}")
@@ -126,7 +127,8 @@ def cmd_layers(args) -> int:
 def cmd_enface(args) -> int:
     volume = read_typed(args.infile, OctVolume, "input volume")
     boundaries = read_boundary_csv(args.boundaries, volume)
-    image = project_rpe(volume, boundaries)
+    with _stage("en-face projection"):
+        image = project_rpe(volume, boundaries)
     with _output(args.out):  # the error names whichever file failed
         write_volume(image, args.out)
         if args.pgm:
@@ -138,7 +140,8 @@ def cmd_enface(args) -> int:
 def cmd_shadows(args) -> int:
     cfg = read_config(args.config, ShadowConfig, "shadow config") if args.config else ShadowConfig()
     image = read_typed(args.infile, EnFaceImage, "en-face image")
-    mask, contrast = segment_shadows(image, cfg)
+    with _stage("shadow segmentation"):
+        mask, contrast = segment_shadows(image, cfg)
     with _output(args.out):
         write_volume(mask, args.out)
         if args.contrast:
@@ -154,7 +157,8 @@ def cmd_vessels(args) -> int:
     boundaries = read_boundary_csv(args.boundaries, volume)
     prob = read_imports(volume.dims, backend_path=cfg.path)[2]
     if prob is None:
-        prob = vessel_probability(volume, boundaries, cfg)
+        with _stage("vessel scoring"):
+            prob = vessel_probability(volume, boundaries, cfg)
     with _output(args.out):
         write_volume(prob, args.out)
     print(f"probability map: {args.out}")

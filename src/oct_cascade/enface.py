@@ -57,32 +57,17 @@ def project_rpe(volume: OctVolume, boundaries: BoundarySet) -> EnFaceImage:
     instead. Checked boundaries keep every such depth inside the volume.
     """
     z_lo, z_hi = boundaries.voxel_band("RPE_UPPER", "BM", volume.dims)
-    n_slices, height, width = volume.dims
+    empty = z_hi < z_lo
+    z_lo[empty] = z_hi[empty] = np.rint(boundaries["RPE_UPPER"][empty])
 
-    # Band mean via a float64 depth prefix sum, one B-scan at a time:
-    # sum over [lo, hi] = P[hi+1] - P[lo]. Each B-scan's sum runs from row
-    # 0 down to the deepest row it reads, so its entries are the
-    # full-height sum's.
-    prefix = np.zeros((height + 1, width))
-    hi_take = np.empty((n_slices, width))
-    lo_take = np.empty((n_slices, width))
-    for s in range(n_slices):
-        rows = max(int(z_hi[s].max()) + 1, int(z_lo[s].max()))
-        np.cumsum(volume.data[s, :rows], axis=0, dtype=np.float64, out=prefix[1 : rows + 1])
-        hi_take[s] = np.take_along_axis(prefix, z_hi[s][None, :] + 1, axis=0)[0]
-        lo_take[s] = np.take_along_axis(prefix, z_lo[s][None, :], axis=0)[0]
-    count = z_hi - z_lo + 1
-
-    empty = count < 1
-    safe_count = np.where(empty, 1, count)
-    band_mean = (hi_take - lo_take) / safe_count
-
-    if empty.any():
-        z_fb = np.rint(boundaries["RPE_UPPER"]).astype(np.int64)
-        fallback = np.take_along_axis(volume.data, z_fb[:, None, :], axis=1)[:, 0, :]
-        band_mean = np.where(empty, fallback.astype(np.float64), band_mean)
-
-    return EnFaceImage(np.clip(band_mean, 0.0, 1.0))
+    # A float64 masked sum per B-scan, over only the rows its band reaches.
+    sums = np.zeros(z_lo.shape)
+    for s in range(volume.n_slices):
+        top, bottom = int(z_lo[s].min()), int(z_hi[s].max()) + 1
+        z = np.arange(top, bottom)[:, None]
+        volume.data[s, top:bottom].sum(axis=0, dtype=np.float64, out=sums[s],
+                                       where=(z >= z_lo[s]) & (z <= z_hi[s]))
+    return EnFaceImage(np.clip(sums / (z_hi - z_lo + 1), 0.0, 1.0))
 
 
 def segment_shadows(

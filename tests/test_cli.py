@@ -452,6 +452,36 @@ def test_run_out_of_memory_exits_2_naming_the_stage(tmp_path, capsys, monkeypatc
     assert capsys.readouterr().err == f"error: boundary segmentation: out of memory: {shown}\n"
 
 
+@pytest.mark.parametrize("args, function, stage", [
+    (["layers", "--in", "{d}/vol.json", "--out", "{d}/b2.csv"], "segment_boundaries",
+     "boundary segmentation"),
+    (["enface", "--in", "{d}/vol.json", "--boundaries", "{d}/b.csv", "--out", "{d}/e"],
+     "project_rpe", "en-face projection"),
+    (["shadows", "--in", "{d}/enface.json", "--out", "{d}/sm"], "segment_shadows",
+     "shadow segmentation"),
+    (["vessels", "--in", "{d}/vol.json", "--boundaries", "{d}/b.csv", "--out", "{d}/p"],
+     "vessel_probability", "vessel scoring"),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_stage_command_out_of_memory_exits_2_naming_the_stage(stage_inputs, capsys, monkeypatch,
+                                                              args, function, stage):
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(cli, function, exhausted)
+    assert run_cli([a.format(d=stage_inputs) for a in args]) == 2
+    assert capsys.readouterr().err == f"error: {stage}: out of memory: Unable to allocate 7.28 TiB\n"
+
+
+def test_layers_with_an_empty_search_band_names_the_stage(stage_inputs, capsys):
+    config = stage_inputs / "dp.json"
+    config.write_text(json.dumps({"ilm_band": [2, 0.0]}))
+    args = ["layers", "--in", stage_inputs / "vol.json", "--out", stage_inputs / "b2.csv",
+            "--config", config]
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: boundary segmentation: empty search band at column 0")
+
+
 def _limit_address_space():
     import resource
 

@@ -8,12 +8,13 @@ whole-volume prior; infuse is the whole-volume product of the masks, and
 the tests below pin the bytes of both, -0.0 scores included.
 longitudinal_mask, project_rpe, vessel_probability and extract take their
 bands from BoundarySet.voxel_band. The references below are the earlier
-whole-volume bodies; the streamed stages must reproduce them bit for bit.
+whole-volume bodies, and project_rpe's is the band mean's definition; the
+streamed stages must reproduce them bit for bit.
 Traced allocation must stay within these multiples of the volume's
 bytes: run_cascade 2.75x, run_to_files 3.25x (a volume read from disk, with
 its ground truth and overlays, from classical or imported sources),
-segment_boundaries 1.3x and generate 2x of its float32 volume; auc within
-1.25x the map's.
+segment_boundaries 1.3x, project_rpe 0.1x and generate 2x of its float32
+volume; auc within 1.25x the map's.
 """
 
 import csv
@@ -49,20 +50,19 @@ from oct_cascade.phantom import generate
 
 
 def project_rpe_reference(volume, boundaries):
-    data = volume.data.astype(np.float64)
-    n_slices, height, width = volume.dims
-    z_lo = np.clip(np.ceil(boundaries["RPE_UPPER"]).astype(np.int64), 0, height - 1)
-    z_hi = np.clip(np.floor(boundaries["BM"]).astype(np.int64), 0, height - 1)
-    prefix = np.concatenate([np.zeros((n_slices, 1, width)), np.cumsum(data, axis=1)], axis=1)
-    hi_take = np.take_along_axis(prefix, (z_hi + 1)[:, None, :], axis=1)[:, 0, :]
-    lo_take = np.take_along_axis(prefix, z_lo[:, None, :], axis=1)[:, 0, :]
-    count = z_hi - z_lo + 1
-    empty = count < 1
-    band_mean = (hi_take - lo_take) / np.where(empty, 1, count)
-    if empty.any():
-        z_fb = np.clip(np.rint(boundaries["RPE_UPPER"]).astype(np.int64), 0, height - 1)
-        fallback = np.take_along_axis(data, z_fb[:, None, :], axis=1)[:, 0, :]
-        band_mean = np.where(empty, fallback, band_mean)
+    """The band mean's definition: a float64 masked sum over each column's
+    RPE_UPPER-BM band, divided by its count; an empty band reads the one
+    voxel at round(RPE_UPPER)."""
+    height = volume.height
+    z = np.arange(height)[None, :, None]
+    band = (z >= np.ceil(boundaries["RPE_UPPER"])[:, None, :]) & (
+        z <= np.floor(boundaries["BM"])[:, None, :]
+    )
+    sums = volume.data.sum(axis=1, dtype=np.float64, where=band)
+    count = band.sum(axis=1)
+    z_fb = np.clip(np.rint(boundaries["RPE_UPPER"]).astype(np.int64), 0, height - 1)
+    fallback = np.take_along_axis(volume.data, z_fb[:, None, :], axis=1)[:, 0, :]
+    band_mean = np.where(count > 0, sums / np.maximum(count, 1), fallback.astype(np.float64))
     return np.clip(band_mean, 0.0, 1.0).astype(np.float32)
 
 
@@ -155,7 +155,9 @@ def infuse_reference(p, masks):
 @st.composite
 def volumes_and_boundaries(draw):
     """Small random volumes (or constant ones) with ordered boundaries on a
-    quarter-voxel grid. Some cells get BM == RPE_UPPER, which leaves their
+    quarter-voxel grid. Some random volumes have each voxel scaled by a
+    random power of two down to 2**-60, so their values span 60 binary
+    orders of magnitude. Some cells get BM == RPE_UPPER, which leaves their
     RPE band empty where the depth is fractional; a flat case puts all four
     surfaces at one fractional depth, so the ILM-BM band is empty too. Some
     examples pin the top surfaces to depth 0 and the bottom ones to
@@ -164,6 +166,8 @@ def volumes_and_boundaries(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         data = rng.random((n_slices, height, width), dtype=np.float32)
+        if draw(st.booleans()):
+            data *= 2.0 ** -rng.integers(0, 61, data.shape)
     else:
         data = np.full((n_slices, height, width), draw(st.sampled_from([0.0, 0.3, 1.0])), np.float32)
     if draw(st.integers(0, 5)) == 0:
@@ -212,15 +216,20 @@ def _layered_case(data: np.ndarray, ilm, bm, rpe=None):
 
 _RANDOM = np.random.default_rng(5).random((3, 10, 8), dtype=np.float32)
 _CONSTANT = np.full((3, 10, 8), 0.3, np.float32)
+_CANCELLING = np.ones((1, 16, 8), np.float32)
+_CANCELLING[:, 10:13] = 3e-9
 
 
 @settings(max_examples=150)
 @given(volumes_and_boundaries())
-# BM on the bottom row, so the prefix sum runs over the whole height
+# BM on the bottom row, so the bands reach the volume's last row
 @example(_layered_case(_RANDOM, 1.0, 9.0, rpe=[3.0, 6.5, 9.0]))
-# empty RPE-BM bands whose first depth, one row below the last, is the
-# deepest prefix row read: at the bottom row, and mid-height
+# empty RPE-BM bands at half-voxel depths, each read as the one voxel at
+# round(RPE_UPPER): next to the bottom row, and mid-height
 @example(_layered_case(_RANDOM, 1.0, [8.5, 8.5, 4.5]))
+# three 3e-9 voxels under ten rows of 1.0: a difference of depth prefix
+# sums loses their digits to the rows above the band
+@example(_layered_case(_CANCELLING, 1.0, 12.0, rpe=10.0))
 def test_project_rpe_equals_whole_volume_reference(case):
     volume, boundaries = case
     assert np.array_equal(project_rpe(volume, boundaries).data, project_rpe_reference(volume, boundaries))
@@ -523,6 +532,14 @@ def test_segment_boundaries_allocates_at_most_1_3x_volume(desk_phantom):
     _, volume, _ = desk_phantom
     growth = _traced_growth(segment_boundaries, volume) / volume.data.nbytes
     assert growth <= 1.3, f"segment_boundaries allocated {growth:.2f}x the volume's bytes"
+
+
+def test_project_rpe_allocates_at_most_0_1x_volume(desk_phantom):
+    """Each B-scan's band is summed where it lies, so no depth prefix table
+    reaching down from the top of the B-scan is built."""
+    _, volume, gt = desk_phantom
+    growth = _traced_growth(project_rpe, volume, gt.boundaries) / volume.data.nbytes
+    assert growth <= 0.1, f"project_rpe allocated {growth:.2f}x the volume's bytes"
 
 
 def test_auc_allocates_at_most_1_25x_the_map():
