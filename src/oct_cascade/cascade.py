@@ -230,11 +230,7 @@ def binarize_and_label(p: ProbabilityMap3D, cfg: InfusionConfig) -> tuple[VoxelM
     s, z = (np.flatnonzero(on.any(axis=k)) for k in (1, 0))
     x = np.flatnonzero(binary[s[0] : s[-1] + 1, z[0] : z[-1] + 1].any(axis=(0, 1)))
     box = (slice(s[0], s[-1] + 1), slice(z[0], z[-1] + 1), slice(x[0], x[-1] + 1))
-    structure = (
-        np.ones((3, 3, 3), dtype=bool)
-        if cfg.connectivity == 26
-        else ndimage.generate_binary_structure(3, 1)
-    )
+    structure = ndimage.generate_binary_structure(3, 3 if cfg.connectivity == 26 else 1)
     # A contiguous copy, so that ravel() is a view to write the kept voxels
     # into. Components are sized and selected on the foreground voxels only:
     # indexing with the whole int32 label box would widen it to intp, and

@@ -76,7 +76,7 @@ def cmd_phantom_gen(args) -> int:
 def cmd_run(args) -> int:
     cfg = PipelineConfig.from_json(args.config)
     if args.out:
-        cfg = cfg.with_output_dir(args.out)
+        cfg = dataclasses.replace(cfg, output_dir=args.out)
     if args.seed is not None:
         cfg = cfg.with_seed(args.seed)
     written = run_to_files(cfg)
@@ -88,7 +88,7 @@ def cmd_run(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = PipelineConfig.from_json(args.config)
     if args.out:
-        cfg = cfg.with_output_dir(args.out)
+        cfg = dataclasses.replace(cfg, output_dir=args.out)
     ordered, means, written = ablate(cfg, args.seeds)
     for label, mean_iou in means:
         print(f"{label}: mean IoU {mean_iou:.4f}")

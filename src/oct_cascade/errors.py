@@ -27,11 +27,11 @@ class InfeasibleBandError(OctCascadeError, RuntimeError):
     `slice` names the B-scan when the DP ran over a stack of them.
     """
 
-    def __init__(self, column: int, message: str | None = None, slice: int | None = None):
+    def __init__(self, column: int, slice: int | None = None):
         self.column = column
         self.slice = slice
         where = f"column {column}" if slice is None else f"column {column} of slice {slice}"
-        super().__init__(message or f"no feasible boundary path at {where}")
+        super().__init__(f"no feasible boundary path at {where}")
 
 
 class UndefinedAucError(OctCascadeError, ValueError):

@@ -80,8 +80,8 @@ def confusion(pred: VoxelMask, gt: VoxelMask) -> ConfusionCounts:
     p = pred.data
     g = gt.data
     tp = int(np.count_nonzero(p & g))
-    fp = int(np.count_nonzero(p & ~g))
-    fn = int(np.count_nonzero(~p & g))
+    fp = int(np.count_nonzero(p)) - tp
+    fn = int(np.count_nonzero(g)) - tp
     tn = p.size - tp - fp - fn
     return ConfusionCounts(tp=tp, tn=tn, fp=fp, fn=fn)
 

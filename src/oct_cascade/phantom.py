@@ -25,7 +25,7 @@ import numpy as np
 from . import kernels
 from .config import FromDict
 from .errors import ConfigError
-from .model import BoundarySet, OctVolume, PixelMask, VoxelMask
+from .model import BOUNDARY_NAMES, BoundarySet, OctVolume, PixelMask, VoxelMask, _freeze
 
 _STREAM_SURFACES = 0
 _STREAM_VESSELS = 1
@@ -173,39 +173,24 @@ def _surfaces(cfg: PhantomConfig) -> BoundarySet:
         surfaces[name] = np.clip(base + common + own, 1.0, height - 2.0)
     # The margins between bases dwarf the per-surface wobble, but enforce
     # ordering anyway so the invariant is structural.
-    surfaces["INL_LOWER"] = np.maximum(surfaces["INL_LOWER"], surfaces["ILM"])
-    surfaces["RPE_UPPER"] = np.maximum(surfaces["RPE_UPPER"], surfaces["INL_LOWER"])
-    surfaces["BM"] = np.maximum(surfaces["BM"], surfaces["RPE_UPPER"])
+    for upper, lower in zip(BOUNDARY_NAMES, BOUNDARY_NAMES[1:]):
+        surfaces[lower] = np.maximum(surfaces[lower], surfaces[upper])
     return BoundarySet(surfaces)
 
 
 def _layer_cake(cfg: PhantomConfig, b: BoundarySet, s: int) -> np.ndarray:
-    """B-scan `s` of the layered anatomy, (1, height, width) float64."""
-    _, height, _ = cfg.dims
-    z = np.arange(height, dtype=np.float64)[None, :, None]
-    ilm = b["ILM"][s, None, None, :]
-    inl = b["INL_LOWER"][s, None, None, :]
-    rpe = b["RPE_UPPER"][s, None, None, :]
-    bm = b["BM"][s, None, None, :]
-    layer_index = (
-        (z >= ilm).astype(np.int8)
-        + (z >= inl).astype(np.int8)
-        + (z >= rpe).astype(np.int8)
-        + (z > bm).astype(np.int8)
-    )
-    levels = np.array(
-        [
-            cfg.layer_levels["vitreous"],
-            cfg.layer_levels["inner_retina"],
-            cfg.layer_levels["middle_retina"],
-            cfg.layer_levels["rpe"],
-            cfg.layer_levels["choroid"],
-        ],
-        dtype=np.float64,
-    )
-    data = levels[layer_index]
-    rpe_tail = (layer_index == 3) & (z >= rpe + _RPE_CAP_VOXELS)
-    data[rpe_tail] = cfg.layer_levels["rpe"] * _RPE_TAIL_FACTOR
+    """B-scan `s` of the layered anatomy, (1, height, width) float64: vitreous,
+    then each deeper layer painted from its upper surface down."""
+    _, height, width = cfg.dims
+    z = np.arange(height, dtype=np.float64)[:, None]
+    levels, rpe = cfg.layer_levels, b["RPE_UPPER"][s]
+    data = np.full((1, height, width), levels["vitreous"])
+    for top, level in ((b["ILM"][s], levels["inner_retina"]),
+                       (b["INL_LOWER"][s], levels["middle_retina"]),
+                       (rpe, levels["rpe"]),
+                       (rpe + _RPE_CAP_VOXELS, levels["rpe"] * _RPE_TAIL_FACTOR)):
+        data[0][z >= top] = level
+    data[0][z > b["BM"][s]] = levels["choroid"]  # strictly below BM: its own row stays in the band
     return data
 
 
@@ -273,12 +258,7 @@ def generate(cfg: PhantomConfig) -> tuple[OctVolume, PhantomGroundTruth]:
 
     volume = OctVolume(out)
     footprint = PixelMask(vmask.any(axis=1))
-    centerlines = []
-    for v in range(cfg.n_vessels):
-        line = np.stack([zc[v], xc[v]], axis=1)
-        line.flags.writeable = False
-        centerlines.append(line)
-    centerlines = tuple(centerlines)
+    centerlines = tuple(_freeze(np.stack([z, x], axis=1)) for z, x in zip(zc, xc))
     return volume, PhantomGroundTruth(
         boundaries=boundaries,
         vessel_mask=VoxelMask(vmask),

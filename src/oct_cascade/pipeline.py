@@ -173,9 +173,6 @@ class PipelineConfig:
             raise StageError("input", "seed override requires a phantom input")
         return dataclasses.replace(self, phantom=dataclasses.replace(self.phantom, seed=seed))
 
-    def with_output_dir(self, out: str) -> "PipelineConfig":
-        return dataclasses.replace(self, output_dir=out)
-
 
 def _fmt(v: float | None) -> str:
     return "NA" if v is None else format(v, ".10g")

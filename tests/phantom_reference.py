@@ -1,9 +1,15 @@
-"""The phantom tube and shadow passes as the package ran them before they
-shared one chord walk, kept as the oracle of `kernels.raster_tubes` and
-`kernels.apply_shadows`, which must write the same bytes.
+"""Earlier forms of phantom passes, kept as oracles that the package must
+match byte for byte: the tube and shadow passes as they ran before they
+shared one chord walk (for `kernels.raster_tubes` and
+`kernels.apply_shadows`), and the layer image as a summed layer index and a
+level gather (for `phantom._layer_cake`).
 """
 
 import math
+
+import numpy as np
+
+from oct_cascade.phantom import _RPE_CAP_VOXELS, _RPE_TAIL_FACTOR
 
 # Two passes: all tube interiors are written first, then each tube darkens
 # every voxel below its bottom in its footprint columns, skipping voxels
@@ -68,3 +74,33 @@ def apply_shadows(data, vmask, zc, xc, radius, atten):
                 col = data[s, zb:, x]
                 keep = ~vmask[s, zb:, x]
                 col[keep] = col[keep] * factor
+
+
+def layer_cake(cfg, b, s):
+    """B-scan `s` of the layered anatomy, (1, height, width) float64."""
+    _, height, _ = cfg.dims
+    z = np.arange(height, dtype=np.float64)[None, :, None]
+    ilm = b["ILM"][s, None, None, :]
+    inl = b["INL_LOWER"][s, None, None, :]
+    rpe = b["RPE_UPPER"][s, None, None, :]
+    bm = b["BM"][s, None, None, :]
+    layer_index = (
+        (z >= ilm).astype(np.int8)
+        + (z >= inl).astype(np.int8)
+        + (z >= rpe).astype(np.int8)
+        + (z > bm).astype(np.int8)
+    )
+    levels = np.array(
+        [
+            cfg.layer_levels["vitreous"],
+            cfg.layer_levels["inner_retina"],
+            cfg.layer_levels["middle_retina"],
+            cfg.layer_levels["rpe"],
+            cfg.layer_levels["choroid"],
+        ],
+        dtype=np.float64,
+    )
+    data = levels[layer_index]
+    rpe_tail = (layer_index == 3) & (z >= rpe + _RPE_CAP_VOXELS)
+    data[rpe_tail] = cfg.layer_levels["rpe"] * _RPE_TAIL_FACTOR
+    return data

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oct_cascade import kernels
+from oct_cascade import kernels, phantom
 from oct_cascade.errors import ConfigError
+from oct_cascade.model import BOUNDARY_NAMES, BoundarySet
 from oct_cascade.phantom import PhantomConfig, default_config, generate
 
 import phantom_reference
@@ -172,3 +173,48 @@ def test_tube_above_the_volume_shades_every_row():
         vmask = np.zeros(data.shape, dtype=bool)
         module.apply_shadows(data, vmask, np.array([[-6.0]]), np.array([[1.0]]), 2.0, 0.5)
         assert np.all(data[0, :, 1] == 0.5), module.__name__
+
+
+@st.composite
+def layer_scenes(draw):
+    """A drawn phantom config with the RPE strictly brightest, and either its
+    own surfaces or ordered depths on a half-voxel grid, where rows sit
+    exactly on surfaces and surfaces coincide."""
+    n_slices, height, width = draw(st.integers(1, 4)), draw(st.integers(16, 64)), draw(st.integers(16, 48))
+    others = draw(st.lists(st.floats(0.0, 0.99), min_size=4, max_size=4))
+    levels = dict(zip(("vitreous", "inner_retina", "middle_retina", "choroid"), others))
+    levels["rpe"] = draw(st.floats(max(others), 1.0, exclude_min=True))
+    cfg = PhantomConfig(dims=(n_slices, height, width), layer_levels=levels, seed=draw(st.integers(0, 2**64 - 1)))
+    if draw(st.booleans()):
+        return cfg, phantom._surfaces(cfg)
+    halves = st.integers(0, 2 * height - 2).map(lambda k: k / 2)
+    depths = np.sort(draw(hnp.arrays(np.float64, (n_slices, width, 4), elements=halves)), axis=2)
+    return cfg, BoundarySet(dict(zip(BOUNDARY_NAMES, np.moveaxis(depths, 2, 0))))
+
+
+def _hand_built(ilm, inl, rpe, bm):
+    """A one-slice, 16-column scene from per-column surface depths."""
+    cfg = PhantomConfig(dims=(1, 16, 16))
+    return cfg, BoundarySet({n: np.asarray(d, dtype=np.float64)[None, :] for n, d in zip(BOUNDARY_NAMES, (ilm, inl, rpe, bm))})
+
+
+_X = np.arange(16)
+# Integer depths: each BM row is where `z > BM` and `z >= BM` differ; BM ==
+# RPE_UPPER in every third column, and ILM == INL_LOWER in every fourth.
+_INTEGER_DEPTHS = _hand_built(2 + _X % 3, 2 + _X % 3 + _X % 4, 3 + _X % 3 + _X % 4 + _X % 2,
+                              3 + _X % 3 + _X % 4 + _X % 2 + _X % 3)
+# BM within a voxel of RPE_UPPER in every column: the RPE tail is empty.
+_EMPTY_TAIL = _hand_built(np.full(16, 3.5), np.full(16, 6.0), 8.0 + _X / 8, 8.0 + _X / 8 + (_X % 4) / 4)
+
+
+@settings(max_examples=200)
+@given(layer_scenes())
+@example(_INTEGER_DEPTHS)
+@example(_EMPTY_TAIL)
+def test_layer_cake_paints_the_bytes_of_the_summed_layer_index(scene):
+    cfg, boundaries = scene
+    for s in range(cfg.dims[0]):
+        got = phantom._layer_cake(cfg, boundaries, s)
+        want = phantom_reference.layer_cake(cfg, boundaries, s)
+        assert got.shape == want.shape == (1, *cfg.dims[1:])
+        assert got.tobytes() == want.tobytes()

@@ -5,6 +5,7 @@ draws its overlays from 8-bit gray levels, so each overlay and the montage
 are checked against `write_pgm` of the float64 overlay that B-scan's
 intensities give, white where the mask is set."""
 
+import dataclasses
 import os
 import tempfile
 
@@ -92,7 +93,7 @@ def test_written_outputs_equal_execute(seed, imported, infusion, report):
         written = pipeline.run_to_files(cfg)
         # a second run into another directory writes the same files, byte for byte
         again = os.path.join(root, "again")
-        pipeline.run_to_files(cfg.with_output_dir(again))
+        pipeline.run_to_files(dataclasses.replace(cfg, output_dir=again))
         assert tree_bytes(again) == tree_bytes(out)
         result, volume, gt_mask = pipeline.execute(cfg)
 
