@@ -18,7 +18,7 @@ import numpy as np
 from .cascade import VesselBackendConfig, vessel_probability
 from .enface import ShadowConfig, project_rpe, segment_shadows
 from .errors import OctCascadeError
-from .fileio import write_boundaries, write_pgm, write_volume
+from .fileio import open_new, write_boundaries, write_pgm, write_volume
 from .layers import DpConfig, segment_boundaries
 from .metrics import score
 from .model import EnFaceImage, OctVolume, ProbabilityMap3D, VoxelMask
@@ -61,12 +61,12 @@ def cmd_phantom_gen(args) -> int:
         write_boundaries(gt.boundaries, os.path.join(out, "gt_boundaries.csv"))
         write_volume(gt.vessel_mask, os.path.join(out, "gt_vessel_mask"))
         write_volume(gt.shadow_footprint, os.path.join(out, "gt_shadow_footprint"))
-        with open(os.path.join(out, "gt_centerlines.csv"), "w", newline="") as fh:
+        with open_new(os.path.join(out, "gt_centerlines.csv"), newline="") as fh:
             fh.write("vessel,slice,depth,column\n")
             for v, line in enumerate(gt.centerlines):
                 for s in range(line.shape[0]):
                     fh.write(f"{v},{s},{line[s, 0]!r},{line[s, 1]!r}\n")
-        with open(os.path.join(out, "phantom_config.json"), "w") as fh:
+        with open_new(os.path.join(out, "phantom_config.json")) as fh:
             json.dump(cfg.to_dict(), fh, indent=1, sort_keys=True)
             fh.write("\n")
     print(f"phantom: dims={cfg.dims} n_vessels={cfg.n_vessels} seed={cfg.seed} -> {out}")

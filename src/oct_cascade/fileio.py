@@ -30,6 +30,27 @@ def _base_path(path: str) -> str:
     return path[: -len(".json")] if path.endswith(".json") else path
 
 
+def remove_file(path: str) -> None:
+    """Remove the entry at `path` unless it is a directory: a file, or a
+    symlink itself, never its target. A missing entry is no error; a
+    directory fails as the OSError naming it."""
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+
+
+def open_new(path: str, mode: str = "x", newline: str | None = None):
+    """Open `path` for writing (mode "x" or "xb") as a new file, after
+    `remove_file` clears the path: a symlink, hard link or read-only file
+    there is replaced, not written through. On ext4 a file truncated and
+    rewritten in place is written back at close, and the next truncate
+    waits on that; an unlinked file's dirty pages are dropped unwritten.
+    The new file reaches disk only when the kernel flushes it."""
+    remove_file(path)
+    return open(path, mode, newline=newline)
+
+
 def write_volume(value: Grid, path: str) -> None:
     """Write a grid value as `<path>.json` + `<path>.raw`.
 
@@ -53,10 +74,10 @@ def write_volume(value: Grid, path: str) -> None:
     }
     # No copy when the data already has the stored dtype and layout.
     payload = np.ascontiguousarray(value.data, dtype=stored)
-    with open(base + ".json", "w") as fh:
+    with open_new(base + ".json") as fh:
         json.dump(header, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    with open(base + ".raw", "wb") as fh:
+    with open_new(base + ".raw", "xb") as fh:
         fh.write(payload)
 
 
@@ -161,7 +182,7 @@ def write_boundaries(b: BoundarySet, path: str) -> None:
     # its repr, rows end in \r\n) in under half its time: each row is its
     # surface row's "\r\n<name>,<slice>" lead, a ",<column>," and the repr.
     columns = [f",{x}," for x in range(b[BOUNDARY_NAMES[0]].shape[1])]
-    with open(path, "w", newline="") as fh:
+    with open_new(path, newline="") as fh:
         fh.write("boundary,slice,column,depth")
         for name in BOUNDARY_NAMES:
             for s, row in enumerate(b[name].tolist()):
@@ -342,6 +363,6 @@ def write_pgm(image: np.ndarray, path: str) -> None:
         raise ValidationError(f"PGM image must be 2D, got ndim={arr.ndim}")
     gray = arr if arr.dtype == np.uint8 else gray_levels(arr)
     h, w = gray.shape
-    with open(path, "wb") as fh:
+    with open_new(path, "xb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(gray.tobytes(order="C"))

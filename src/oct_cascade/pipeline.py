@@ -3,8 +3,8 @@
 A single JSON config names the input (a phantom config or a volume on
 disk), the source of each stage (classical computation or an imported
 file), the backend, the infusion flags, and the output directory. Every
-command overwrites its outputs deterministically: running twice with the
-same config and seed produces identical bytes.
+command writes each output as a new file, deterministically: running twice
+with the same config and seed produces identical bytes.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import typing
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -31,7 +32,8 @@ from .config import FromDict, Path, _checked, to_json
 from .enface import ShadowConfig
 from .errors import OctCascadeError, ValidationError
 from .fileio import (
-    gray_levels, grid_header, read_boundaries, read_volume, write_boundaries, write_pgm, write_volume,
+    gray_levels, grid_header, open_new, read_boundaries, read_volume, remove_file, write_boundaries,
+    write_pgm, write_volume,
 )
 from .layers import DpConfig, segment_boundaries
 from .metrics import MetricsReport, score
@@ -187,7 +189,7 @@ def _report_row(r: MetricsReport) -> list[str]:
 
 def _write_pooled_csv(path: str, header: list[str], rows) -> None:
     """A metrics CSV: the pooling note, then `header` and `rows`."""
-    with _output(path), open(path, "w", newline="") as fh:
+    with _output(path), open_new(path, newline="") as fh:
         fh.write(_POOLING_NOTE + "\n")
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -329,6 +331,21 @@ def _overlay(gray: np.ndarray, mask: VoxelMask, s: int) -> np.ndarray:
     return img
 
 
+def _remove_unwritten(out: str, written: dict[str, str], n_overlays: int) -> None:
+    """Remove the report files an earlier run into `out` may have left and
+    this one did not write: metrics.csv, montage.pgm, and the overlays of
+    slice `n_overlays` on. Nothing else in `out` is removed."""
+    stale = [p for p in (os.path.join(out, "metrics.csv"), os.path.join(out, "montage.pgm"))
+             if p not in written.values()]
+    overlay_dir = os.path.join(out, "overlays")
+    for name in os.listdir(overlay_dir) if os.path.isdir(overlay_dir) else []:
+        slice_ = re.fullmatch(r"slice_([0-9]{3}|[1-9][0-9]{3,})\.pgm", name)  # as f"{s:03d}" writes s
+        if slice_ and int(slice_[1]) >= n_overlays:
+            stale.append(os.path.join(overlay_dir, name))
+    for p in stale:
+        remove_file(p)
+
+
 def run_to_files(cfg: PipelineConfig) -> dict[str, str]:
     """Run the configured cascade and write the report files.
 
@@ -336,8 +353,9 @@ def run_to_files(cfg: PipelineConfig) -> dict[str, str]:
     is freed once `prepare` returns: the overlays are drawn from its uint8
     gray levels, which are freed once they are written. Only what is
     written and scored outlives `extract`: the raw probability map is
-    freed before anything is written. Returns a name -> path map of
-    everything written.
+    freed before anything is written. Each file is written new, and the
+    report files of an earlier run that this one does not write are
+    removed. Returns a name -> path map of everything written.
     """
     out = cfg.output_dir
     with _output(out):
@@ -386,6 +404,8 @@ def run_to_files(cfg: PipelineConfig) -> dict[str, str]:
         report = score(_variant_label(cfg.infusion), mask, probability, gt_mask)
         write_metrics_csv(path("metrics.csv"), [report])
         written["metrics"] = path("metrics.csv")
+    with _output(out):
+        _remove_unwritten(out, written, n_slices if cfg.report.overlays else 0)
     return written
 
 
@@ -417,6 +437,7 @@ def ablate(cfg: PipelineConfig, seeds: list[int]) -> tuple[bool, list[tuple[str,
             for label, infusion in infusions.items():
                 r = extract(prepared, infusion)
                 rows.append((seed, score(label, r.mask, r.probability, gt_mask)))
+                del r  # not live while the next variant is extracted
 
     runs_path = os.path.join(out, "ablation_runs.csv")
     _write_pooled_csv(runs_path, ["seed", *_REPORT_HEADER], ([seed, *_report_row(r)] for seed, r in rows))

@@ -79,8 +79,13 @@ def test_phantom_gen_is_idempotent(tmp_path):
     run_cli(["phantom", "gen", "--seed", 7, "--out", out1])
     run_cli(["phantom", "gen", "--seed", 7, "--out", out2])
     assert file_hashes(out1) == file_hashes(out2)
-    run_cli(["phantom", "gen", "--seed", 7, "--out", out1])  # overwrite in place
-    assert file_hashes(out1) == file_hashes(out2)
+    held = tmp_path / "held"  # hard links to the first run's files
+    held.mkdir()
+    for name in os.listdir(out1):
+        os.link(out1 / name, held / name)
+    run_cli(["phantom", "gen", "--seed", 7, "--out", out1])  # rerun: each file written new
+    assert file_hashes(out1) == file_hashes(out2) == file_hashes(held)
+    assert all(os.stat(out1 / name).st_ino != os.stat(held / name).st_ino for name in os.listdir(held))
 
 
 def test_phantom_gen_zero_vessels(tmp_path):

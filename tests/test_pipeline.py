@@ -180,7 +180,8 @@ def test_ablate_reads_each_import_once(tmp_path, monkeypatch):
     cfg = small_config(tmp_path, shadows={"source": "import", "path": footprint},
                        backend={"kind": "import", "path": str(tmp_path / "p.json")})
     opened = []
-    monkeypatch.setattr(fileio, "open", lambda name, *a: opened.append(name) or open(name, *a),
+    monkeypatch.setattr(fileio, "open",
+                        lambda name, *a, **kw: opened.append(name) or open(name, *a, **kw),
                         raising=False)
     ablate(cfg, SEEDS)
     assert opened.count(str(tmp_path / "p.raw")) == 1

@@ -13,11 +13,13 @@ streamed stages must reproduce them bit for bit.
 Traced allocation must stay within these multiples of the volume's
 bytes: run_cascade 2.75x, run_to_files 3.25x (a volume read from disk, with
 its ground truth and overlays, from classical or imported sources),
-segment_boundaries 1.3x, project_rpe 0.1x and generate 2x of its float32
-volume; auc within 1.25x the map's.
+ablate 5x (of one seed's phantom, generated inside it), segment_boundaries
+1.3x, project_rpe 0.1x and generate 2x of its float32 volume; auc within
+1.25x the map's.
 """
 
 import csv
+import math
 import tracemalloc
 import warnings
 
@@ -46,7 +48,7 @@ from oct_cascade.metrics import auc
 from oct_cascade.model import (
     BOUNDARY_NAMES, BoundarySet, EnFaceImage, OctVolume, PixelMask, ProbabilityMap3D, VoxelMask,
 )
-from oct_cascade.phantom import generate
+from oct_cascade.phantom import default_config, generate
 
 
 def project_rpe_reference(volume, boundaries):
@@ -516,6 +518,16 @@ def test_run_to_files_with_imported_sources_allocates_at_most_3_25x_volume(desk_
     _, volume, gt = desk_phantom
     growth = _run_to_files_growth(tmp_path, volume, gt, imported=True)
     assert growth <= 3.25, f"run_to_files allocated {growth:.2f}x the volume's bytes"
+
+
+def test_ablate_allocates_at_most_5x_volume(tmp_path):
+    """Each variant is scored and its result dropped before the next one is
+    extracted, so no two variants' maps and masks are live at once."""
+    cfg = default_config("desk", seed=3)
+    run = pipeline.PipelineConfig.from_dict({"input": {"phantom": cfg.to_dict()},
+                                             "output_dir": str(tmp_path)})
+    growth = _traced_growth(pipeline.ablate, run, [3]) / (4 * math.prod(cfg.dims))
+    assert growth <= 5.0, f"ablate allocated {growth:.2f}x the volume's bytes"
 
 
 def test_generate_allocates_at_most_2x_its_volume(desk_phantom):
