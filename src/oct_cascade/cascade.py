@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 from scipy import ndimage
 
-from .config import FromDict, Path
+from .config import FromDict, In, Path
 from .enface import ShadowConfig, project_rpe, segment_shadows
 from .errors import ConfigError, ShapeMismatchError
 from .layers import DpConfig, segment_boundaries
@@ -45,22 +46,17 @@ from .model import (
 class InfusionConfig(FromDict):
     """Which priors to apply and how the final mask is extracted."""
 
-    section = "infusion"
+    section = "infusion config"
 
     use_longitudinal: bool = True
     use_transverse: bool = True
-    transverse_dilation: int = 1
-    binarize_threshold: float = 0.5
-    min_component_vox: int = 8
+    transverse_dilation: Annotated[int, In("[0, inf)")] = 1
+    binarize_threshold: Annotated[float, In("(0, 1)")] = 0.5
+    min_component_vox: Annotated[int, In("[1, inf)")] = 8
     connectivity: int = 26
 
     def __post_init__(self):
-        if not (0.0 < self.binarize_threshold < 1.0):
-            raise ConfigError("binarize_threshold must be in (0, 1)")
-        if self.transverse_dilation < 0:
-            raise ConfigError("transverse_dilation must be >= 0")
-        if self.min_component_vox < 1:
-            raise ConfigError("min_component_vox must be >= 1")
+        super().__post_init__()
         if self.connectivity not in (6, 26):
             raise ConfigError("connectivity must be 6 or 26")
 
@@ -77,12 +73,13 @@ class VesselBackendConfig(FromDict):
     passes it to `prepare`.
     """
 
-    section = "backend"
+    section = "backend config"
 
     kind: str = "classical"
     path: Path | None = None
 
     def __post_init__(self):
+        super().__post_init__()
         if self.kind not in ("classical", "import"):
             raise ConfigError(f"unknown backend kind {self.kind!r}")
         if self.kind == "import" and not self.path:

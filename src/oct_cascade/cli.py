@@ -31,12 +31,11 @@ from .pipeline import (
 
 def _parse_seeds(text: str) -> list[int]:
     seeds: list[int] = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
+    for part in filter(None, map(str.strip, text.split(","))):
         if "-" in part[1:]:
             lo, hi = part.split("-", 1)
+            if int(hi) < int(lo):
+                raise argparse.ArgumentTypeError(f"seed range {part!r} runs backwards")
             seeds.extend(range(int(lo), int(hi) + 1))
         else:
             seeds.append(int(part))

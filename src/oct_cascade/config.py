@@ -1,4 +1,4 @@
-"""The checked JSON-object loader shared by the frozen config dataclasses."""
+"""The checked JSON-object loader and range check shared by the frozen config dataclasses."""
 
 from __future__ import annotations
 
@@ -13,7 +13,47 @@ from .errors import ConfigError
 Path = typing.NewType("Path", str)
 
 
-class FromDict:
+class In(str):
+    """A number field's interval, in the notation its messages quote:
+    `Annotated[float, In("(0, 1]")]`. NaN lies in no interval."""
+
+    def __contains__(self, x) -> bool:
+        lo, hi = (float(end) for end in self[1:-1].split(","))
+        above = lo < x if self.startswith("(") else lo <= x
+        below = x < hi if self.endswith(")") else x <= hi
+        return above and below
+
+
+class Checked:
+    """Mixin checking a dataclass's fields on construction against the
+    intervals their `Annotated[..., In(...)]` types declare: a value, a
+    value of `X | None` that is not None, and each item of a fixed-length
+    tuple or a dict. Messages name the class, or its `section` if it has one."""
+
+    def __post_init__(self):
+        section = getattr(self, "section", type(self).__name__)
+        for name, tp in typing.get_type_hints(type(self), include_extras=True).items():
+            _refuse_outside(getattr(self, name), tp, f"{section} field {name!r}")
+
+
+def _refuse_outside(value, tp, what: str) -> None:
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is typing.Annotated:
+        for bound in tp.__metadata__:
+            if isinstance(bound, In) and value not in bound:
+                raise ConfigError(f"{what} must be in {bound}, got {value!r}")
+    elif origin in (typing.Union, types.UnionType) and value is not None:
+        (tp,) = [a for a in args if a is not type(None)]
+        _refuse_outside(value, tp, what)
+    elif origin is tuple:
+        for i, (v, a) in enumerate(zip(value, args)):
+            _refuse_outside(v, a, f"{what}[{i}]")
+    elif origin is dict:
+        for k, v in value.items():
+            _refuse_outside(v, args[1], f"{what}[{k!r}]")
+
+
+class FromDict(Checked):
     """Mixin giving a config dataclass a checked `from_dict` and its inverse `to_dict`.
 
     An unknown field, or a value whose JSON type does not match the
@@ -29,13 +69,13 @@ class FromDict:
     @classmethod
     def from_dict(cls, d: dict):
         if not isinstance(d, dict):
-            raise ConfigError(f"{cls.section} config must be a JSON object, got {d!r}")
+            raise ConfigError(f"{cls.section} must be a JSON object, got {d!r}")
         hints = typing.get_type_hints(cls)  # the dataclass fields' types
         unknown = set(d) - set(hints)
         if unknown:
-            raise ConfigError(f"unknown {cls.section} config fields {sorted(unknown)}")
+            raise ConfigError(f"unknown {cls.section} fields {sorted(unknown)}")
         return cls(**{
-            name: _checked(value, hints[name], f"{cls.section} config field {name!r}")
+            name: _checked(value, hints[name], f"{cls.section} field {name!r}")
             for name, value in d.items()
         })
 

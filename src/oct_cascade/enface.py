@@ -10,11 +10,12 @@ background, which tolerates the slow brightness drift across the field.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 from scipy import ndimage
 
-from .config import FromDict
+from .config import FromDict, In
 from .errors import ConfigError
 from .model import BoundarySet, EnFaceImage, OctVolume, PixelMask
 
@@ -29,24 +30,21 @@ class ShadowConfig(FromDict):
     background estimate; contrast_threshold is the minimum normalized
     darkening (B - e) / B that counts as shadow; components smaller than
     min_component_px are discarded. The transverse mask dilates the rest.
+    Thresholds >= 1 are permitted and always yield an empty mask, since
+    normalized contrast is < 1 by construction.
     """
 
-    section = "shadow"
+    section = "shadow config"
 
     background_window: tuple[int, int] = (9, 15)
-    contrast_threshold: float = 0.15
-    min_component_px: int = 10
+    contrast_threshold: Annotated[float, In("(0, inf)")] = 0.15
+    min_component_px: Annotated[int, In("[1, inf)")] = 10
 
     def __post_init__(self):
+        super().__post_init__()
         ws, wx = self.background_window
         if ws < 3 or wx < 3 or ws % 2 == 0 or wx % 2 == 0:
             raise ConfigError(f"background_window {self.background_window} must be odd and >= 3")
-        # Thresholds >= 1 are permitted and always yield an empty mask,
-        # since normalized contrast is < 1 by construction.
-        if self.contrast_threshold <= 0.0:
-            raise ConfigError("contrast_threshold must be positive")
-        if self.min_component_px < 1:
-            raise ConfigError("min_component_px must be >= 1")
 
 
 def project_rpe(volume: OctVolume, boundaries: BoundarySet) -> EnFaceImage:

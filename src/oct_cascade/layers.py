@@ -17,10 +17,11 @@ the anatomical ordering by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
-from .config import FromDict
+from .config import FromDict, In
 from .errors import ConfigError, InfeasibleBandError, ShapeMismatchError, ValidationError
 from .kernels import dp_trace
 from .model import BOUNDARY_NAMES, BoundarySet, OctVolume
@@ -40,20 +41,14 @@ class DpConfig(FromDict):
     axial resolution. `ilm_band` is (min row, fraction of height).
     """
 
-    section = "DP"
+    section = "DP config"
 
-    smoothness: float = 0.5
-    max_jump: int = 2
+    smoothness: Annotated[float, In("[0, inf)")] = 0.5
+    max_jump: Annotated[int, In("[1, inf)")] = 2
     ilm_band: tuple[int, float] = (2, 0.45)
     rpe_band: tuple[float, int] = (0.06, 6)      # [ILM + frac*H, H - rows]
     bm_band: tuple[float, float] = (0.005, 0.13)  # [RPE + frac*H, RPE + frac*H]
     inl_band: tuple[float, float] = (0.015, 0.045)  # [ILM + frac*H, RPE - frac*H]
-
-    def __post_init__(self):
-        if self.smoothness < 0:
-            raise ConfigError("smoothness must be >= 0")
-        if self.max_jump < 1:
-            raise ConfigError("max_jump must be >= 1")
 
 
 def trace_boundary(cost, band_lo, band_hi, smoothness=0.5, max_jump=2):

@@ -11,24 +11,21 @@ the curve nor a permutation of the voxels is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
+from .config import Checked, In
 from .errors import ConfigError, ShapeMismatchError, UndefinedAucError, ValidationError
 from .model import ProbabilityMap3D, VoxelMask, require_same_dims
 
 
 @dataclass(frozen=True)
-class ConfusionCounts:
-    tp: int
-    tn: int
-    fp: int
-    fn: int
-
-    def __post_init__(self):
-        for name in ("tp", "tn", "fp", "fn"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative")
+class ConfusionCounts(Checked):
+    tp: Annotated[int, In("[0, inf)")]
+    tn: Annotated[int, In("[0, inf)")]
+    fp: Annotated[int, In("[0, inf)")]
+    fn: Annotated[int, In("[0, inf)")]
 
     @property
     def total(self) -> int:
@@ -36,42 +33,29 @@ class ConfusionCounts:
 
 
 @dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(Checked):
     """One method's scores. `auc` is None when no probability map exists;
     `flags` records degenerate 0/0 ratios resolved to the perfect-empty 1.0."""
 
     method: str
-    iou: float
-    sen: float
-    acc: float
-    auc: float | None = None
+    iou: Annotated[float, In("[0, 1]")]
+    sen: Annotated[float, In("[0, 1]")]
+    acc: Annotated[float, In("[0, 1]")]
+    auc: Annotated[float, In("[0, 1]")] | None = None
     flags: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        for name in ("iou", "sen", "acc"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ConfigError(f"{name}={v} outside [0, 1]")
-        if self.auc is not None and not (0.0 <= self.auc <= 1.0):
-            raise ConfigError(f"auc={self.auc} outside [0, 1]")
 
 
 @dataclass(frozen=True)
-class ScheduleParams:
-    base_lr: float
-    iter: int
-    max_iter: int
-    power: float = 0.9
+class ScheduleParams(Checked):
+    base_lr: Annotated[float, In("(0, inf)")]
+    iter: Annotated[int, In("[0, inf)")]
+    max_iter: Annotated[int, In("[1, inf)")]
+    power: Annotated[float, In("(0, inf)")] = 0.9
 
     def __post_init__(self):
-        if self.base_lr <= 0:
-            raise ConfigError("base_lr must be positive")
-        if self.max_iter < 1:
-            raise ConfigError("max_iter must be >= 1")
-        if not (0 <= self.iter <= self.max_iter):
-            raise ConfigError("need 0 <= iter <= max_iter")
-        if self.power <= 0:
-            raise ConfigError("power must be positive")
+        super().__post_init__()
+        if self.iter > self.max_iter:
+            raise ConfigError(f"iter {self.iter} must be <= max_iter {self.max_iter}")
 
 
 def confusion(pred: VoxelMask, gt: VoxelMask) -> ConfusionCounts:

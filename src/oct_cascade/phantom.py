@@ -19,11 +19,12 @@ the two anatomical masks exist to remove.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Annotated
 
 import numpy as np
 
 from . import kernels
-from .config import FromDict
+from .config import FromDict, In
 from .errors import ConfigError
 from .model import BOUNDARY_NAMES, BoundarySet, OctVolume, PixelMask, VoxelMask, _freeze
 
@@ -53,56 +54,38 @@ _BM_OFFSET_FRAC = 0.065
 _RPE_CAP_VOXELS = 1.0
 _RPE_TAIL_FACTOR = 0.85
 
+#: An intensity level or a depth fraction.
+_Unit = Annotated[float, In("[0, 1]")]
+
 
 @dataclass(frozen=True)
 class PhantomConfig(FromDict):
     """Parameters of one synthetic volume. Equal configs generate equal bytes."""
 
-    section = "phantom"
+    section = "phantom config"
 
-    dims: tuple[int, int, int] = (32, 192, 160)
-    n_vessels: int = 4
-    vessel_radius: float = 2.0
-    vessel_depth_fraction_range: tuple[float, float] = (0.25, 0.75)
-    shadow_attenuation: float = 0.4
-    noise_sigma: float = 0.03
-    layer_levels: dict[str, float] = field(
-        default_factory=lambda: dict(DEFAULT_LAYER_LEVELS)
-    )
-    vessel_level: float = 0.7
+    dims: tuple[Annotated[int, In("[1, inf)")], Annotated[int, In("[16, inf)")],
+                Annotated[int, In("[16, inf)")]] = (32, 192, 160)
+    n_vessels: Annotated[int, In("[0, inf)")] = 4
+    vessel_radius: Annotated[float, In("[0.5, inf)")] = 2.0
+    vessel_depth_fraction_range: tuple[_Unit, _Unit] = (0.25, 0.75)
+    shadow_attenuation: Annotated[float, In("(0, 1]")] = 0.4
+    noise_sigma: Annotated[float, In("[0, inf)")] = 0.03
+    layer_levels: dict[str, _Unit] = field(default_factory=lambda: dict(DEFAULT_LAYER_LEVELS))
+    vessel_level: _Unit = 0.7
     seed: int = 0
 
     def __post_init__(self):
-        n_slices, height, width = self.dims
-        if n_slices < 1 or height < 16 or width < 16:
-            raise ConfigError(f"phantom dims {self.dims} too small")
-        if self.n_vessels < 0:
-            raise ConfigError("n_vessels must be non-negative")
-        if self.vessel_radius < 0.5:
-            raise ConfigError("vessel_radius must be >= 0.5 voxels")
+        super().__post_init__()
         lo, hi = self.vessel_depth_fraction_range
-        if not (0.0 <= lo <= hi <= 1.0):
-            raise ConfigError(
-                f"vessel_depth_fraction_range {self.vessel_depth_fraction_range} "
-                "must satisfy 0 <= lo <= hi <= 1"
-            )
-        if not (0.0 < self.shadow_attenuation <= 1.0):
-            raise ConfigError("shadow_attenuation must be in (0, 1]")
-        if self.noise_sigma < 0:
-            raise ConfigError("noise_sigma must be non-negative")
+        if lo > hi:
+            raise ConfigError(f"vessel_depth_fraction_range ({lo}, {hi}) must have lo <= hi")
         if set(self.layer_levels) != set(DEFAULT_LAYER_LEVELS):
-            raise ConfigError(
-                f"layer_levels must name exactly {sorted(DEFAULT_LAYER_LEVELS)}"
-            )
-        for name, level in self.layer_levels.items():
-            if not (0.0 <= level <= 1.0):
-                raise ConfigError(f"layer level {name}={level} outside [0, 1]")
+            raise ConfigError(f"layer_levels must name exactly {sorted(DEFAULT_LAYER_LEVELS)}")
         rpe = self.layer_levels["rpe"]
         others = [v for k, v in self.layer_levels.items() if k != "rpe"]
         if not all(rpe > v for v in others):
             raise ConfigError("the RPE band must be the strictly brightest layer")
-        if not (0.0 <= self.vessel_level <= 1.0):
-            raise ConfigError("vessel_level must be in [0, 1]")
 
 
 @dataclass(frozen=True)

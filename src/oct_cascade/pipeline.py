@@ -87,7 +87,7 @@ def _output(path: str):
 class ReportConfig(FromDict):
     """Which optional images `run` writes next to the masks."""
 
-    section = "report"
+    section = "report config"
 
     overlays: bool = True
     montage: bool = False
@@ -432,12 +432,14 @@ def ablate(cfg: PipelineConfig, seeds: list[int]) -> tuple[bool, list[tuple[str,
     imports = read_imports(tuple(cfg.phantom.dims), None, cfg.shadow_import_path, cfg.backend.path)
     rows: list[tuple[int, MetricsReport]] = []
     for seed in seeds:
-        prepared, _, gt_mask = _prepare(cfg.with_seed(seed), imports)
+        prepared, volume, gt_mask = _prepare(cfg.with_seed(seed), imports)
+        del volume  # the variants need only the prepared stages
         with _stage("cascade"):
             for label, infusion in infusions.items():
                 r = extract(prepared, infusion)
                 rows.append((seed, score(label, r.mask, r.probability, gt_mask)))
                 del r  # not live while the next variant is extracted
+        del prepared, gt_mask  # not live while the next seed is prepared
 
     runs_path = os.path.join(out, "ablation_runs.csv")
     _write_pooled_csv(runs_path, ["seed", *_REPORT_HEADER], ([seed, *_report_row(r)] for seed, r in rows))

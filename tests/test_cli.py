@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -646,6 +647,8 @@ def test_seed_parsing():
     assert cli._parse_seeds("0-3") == [0, 1, 2, 3]
     assert cli._parse_seeds("0,5,9") == [0, 5, 9]
     assert cli._parse_seeds("2") == [2]
+    with pytest.raises(argparse.ArgumentTypeError, match="'5-3'"):
+        cli._parse_seeds("0-2,5-3")
 
 
 @pytest.mark.slow

@@ -1,15 +1,25 @@
 """The pipeline config's JSON layout read both ways: `to_dict` writes what
-`from_dict` reads back, and a malformed config fails as a StageError."""
+`from_dict` reads back, and a malformed config fails as a StageError. Every
+number range a record declares on a field is checked on construction and
+on load."""
 
+import dataclasses
 import json
+import math
+import re
+import types
+import typing
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oct_cascade.cascade import InfusionConfig, VesselBackendConfig
+from oct_cascade.config import Checked, In, to_json
 from oct_cascade.enface import ShadowConfig
+from oct_cascade.errors import ConfigError
 from oct_cascade.layers import DpConfig
+from oct_cascade.metrics import ConfusionCounts, MetricsReport, ScheduleParams
 from oct_cascade.phantom import DEFAULT_LAYER_LEVELS, PhantomConfig
 from oct_cascade.pipeline import PipelineConfig, ReportConfig, StageError
 
@@ -194,3 +204,136 @@ def test_a_null_section_is_refused_like_any_other_non_object(section):
     with pytest.raises(StageError, match=f"'{section}' section must be a JSON object, got None") as err:
         PipelineConfig.from_dict({"input": {"phantom": {}}, section: None})
     assert err.value.stage == STAGES[section]
+
+
+#: Valid values for the fields of each checked record that have no default.
+REQUIRED = {
+    ConfusionCounts: {"tp": 1, "tn": 1, "fp": 1, "fn": 1},
+    MetricsReport: {"method": "m", "iou": 0.5, "sen": 0.5, "acc": 0.5},
+    ScheduleParams: {"base_lr": 0.1, "iter": 0, "max_iter": 10},
+}
+
+#: Where each config section sits in a pipeline config, and the stage its faults name.
+SECTIONS = {
+    PhantomConfig: (("input", "phantom"), "input"),
+    DpConfig: (("boundaries", "dp"), "boundary source"),
+    ShadowConfig: (("shadows", "config"), "shadow source"),
+    InfusionConfig: (("infusion",), "infusion"),
+}
+
+
+def _checked_classes(cls=Checked):
+    for sub in cls.__subclasses__():
+        if dataclasses.is_dataclass(sub):
+            yield sub
+        yield from _checked_classes(sub)
+
+
+def _intervals(tp, value, where=()):
+    """(where, interval, number type) of each In that `tp` declares, with
+    `where` the tuple index or dict key of an item of `value`, the field's
+    value."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is typing.Annotated:
+        yield from ((where, b, args[0]) for b in tp.__metadata__ if isinstance(b, In))
+    elif origin in (typing.Union, types.UnionType):
+        for arg in args:
+            yield from _intervals(arg, value, where)
+    elif origin is tuple and ... not in args:
+        for i, arg in enumerate(args):
+            yield from _intervals(arg, value[i], (*where, i))
+    elif origin is dict:
+        for key in value:
+            yield from _intervals(args[1], value[key], (*where, key))
+
+
+def _declared():
+    for cls in sorted(_checked_classes(), key=lambda c: c.__name__):
+        base = cls(**REQUIRED.get(cls, {}))
+        for name, tp in typing.get_type_hints(cls, include_extras=True).items():
+            for where, interval, number in _intervals(tp, getattr(base, name)):
+                yield pytest.param(cls, name, where, interval, number,
+                                   id=f"{cls.__name__}.{name}{list(where) if where else ''}")
+
+
+def _replaced(value, where, new):
+    """`value` with its item at `where` (the whole value at ()) replaced by `new`."""
+    if not where:
+        return new
+    (key,) = where
+    if isinstance(value, dict):
+        return {**value, key: new}
+    return tuple(new if i == key else v for i, v in enumerate(value))
+
+
+def test_every_range_bound_field_is_declared():
+    declared = {(p.values[0], p.values[1]) for p in _declared()}
+    assert declared == {(cls, name) for cls, names in (
+        (InfusionConfig, "transverse_dilation binarize_threshold min_component_vox"),
+        (ShadowConfig, "contrast_threshold min_component_px"),
+        (DpConfig, "smoothness max_jump"),
+        (PhantomConfig, "dims n_vessels vessel_radius vessel_depth_fraction_range shadow_attenuation "
+                        "noise_sigma layer_levels vessel_level"),
+        (ConfusionCounts, "tp tn fp fn"),
+        (MetricsReport, "iou sen acc auc"),
+        (ScheduleParams, "base_lr iter max_iter power"),
+    ) for name in names.split()}
+
+
+@pytest.mark.parametrize("cls, name, where, interval, number", list(_declared()))
+def test_each_declared_interval_is_checked_on_construction_and_on_load(cls, name, where, interval, number):
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    lo_open, hi_open = interval[0] == "(", interval[-1] == ")"
+
+    def inside(x):
+        return (lo < x if lo_open else lo <= x) and (x < hi if hi_open else x <= hi)
+
+    def beyond(end, sign):
+        return end + sign if number is int else math.nextafter(end, sign * math.inf)
+
+    base = cls(**REQUIRED.get(cls, {}))
+    field_value = getattr(base, name)
+    f = next(f for f in dataclasses.fields(cls) if f.name == name)
+    if (f.default, f.default_factory) != (dataclasses.MISSING, dataclasses.MISSING):
+        default = field_value
+        for key in where:
+            default = default[key]
+        assert default is None or inside(default)
+
+    accepted, refused = [], []
+    for end, sign, is_open in ((lo, -1, lo_open), (hi, 1, hi_open)):
+        if math.isinf(end):
+            refused += [] if number is int else [end]
+        else:
+            (refused if is_open else accepted).append(number(end))
+            refused.append(number(beyond(end, sign)))
+    if number is float:
+        refused.append(math.nan)
+
+    def build(value):
+        return dataclasses.replace(base, **{name: _replaced(field_value, where, value)})
+
+    for value in accepted:
+        try:
+            build(value)
+        except ConfigError as exc:  # only a rule tying fields together may refuse a closed end
+            assert re.fullmatch(r"the RPE band must be the strictly brightest layer|.* must have lo <= hi", str(exc))
+    for value in refused:
+        with pytest.raises(ConfigError, match=f"field {name!r}.* must be in {re.escape(interval)}, got "):
+            build(value)
+        if cls in SECTIONS:
+            (*path, key), stage = SECTIONS[cls]
+            d = {"input": {"phantom": {}}}
+            node = d
+            for part in path:
+                node = node.setdefault(part, {})
+            node[key] = {name: to_json(_replaced(field_value, where, value))}
+            with pytest.raises(StageError, match=f"{name!r}") as err:
+                PipelineConfig.from_dict(d)
+            assert err.value.stage == stage
+
+
+def test_a_range_fault_names_the_field_and_its_interval():
+    with pytest.raises(StageError, match=re.escape("DP config field 'max_jump' must be in [1, inf), got 0")) as err:
+        PipelineConfig.from_dict({"input": {"phantom": {}}, "boundaries": {"dp": {"max_jump": 0}}})
+    assert err.value.stage == "boundary source"

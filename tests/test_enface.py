@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from oct_cascade.cascade import prepare
 from oct_cascade.enface import ShadowConfig, project_rpe, segment_shadows
@@ -11,6 +14,7 @@ from oct_cascade.phantom import PhantomConfig, default_config, generate
 from oct_cascade.pipeline import StageError, read_typed
 
 from conftest import dice
+from shadow_reference import segment_shadows_reference
 
 
 def flat_boundaries(n_slices, width, ilm=2.0, inl=4.0, rpe=8.0, bm=12.0):
@@ -144,3 +148,36 @@ def test_shadow_config_validation():
         ShadowConfig(contrast_threshold=0.0)
     with pytest.raises(ConfigError):
         ShadowConfig(min_component_px=0)
+
+
+def _dark_pixels(shape, level, dark):
+    """An image at `level` that is 0 at each pixel of `dark`."""
+    image = np.full(shape, level, dtype=np.float32)
+    for pixel in dark:
+        image[pixel] = 0.0
+    return image
+
+
+#: Small images at three scales, the smallest wholly under the 1e-6 contrast floor.
+images = st.tuples(st.integers(1, 10), st.integers(1, 10), st.sampled_from([1.0, 1e-3, 1e-6])).flatmap(
+    lambda t: hnp.arrays(np.float32, t[:2], elements=st.floats(0.0, 1.0, width=32)).map(
+        lambda a: a * np.float32(t[2])))
+odd_windows = st.integers(1, 5).map(lambda k: 2 * k + 1)
+
+
+@settings(max_examples=150)
+@given(images, st.tuples(odd_windows, odd_windows), st.floats(0.01, 1.0), st.integers(1, 5))
+# a component of exactly min_component_px pixels is kept
+@example(_dark_pixels((7, 7), 1.0, [(3, 3)]), (3, 3), 0.5, 1)
+# a background under 1e-3 but over the 1e-6 floor divides as itself
+@example(_dark_pixels((5, 5), 0.0005, [(2, 2)]), (3, 3), 0.5, 1)
+# pixels that touch only at a corner are one component
+@example(_dark_pixels((9, 9), 1.0, [(3, 3), (4, 4)]), (3, 3), 0.5, 2)
+def test_segment_shadows_equals_whole_image_reference(image, window, threshold, min_px):
+    want_mask, want_contrast = segment_shadows_reference(image, window, threshold, min_px)
+    # the box means differ from the reference's in rounding, so no pixel may tie the threshold
+    assume(np.all(np.abs(want_contrast - threshold) > 1e-7))
+    cfg = ShadowConfig(background_window=window, contrast_threshold=threshold, min_component_px=min_px)
+    mask, contrast = segment_shadows(EnFaceImage(image), cfg)
+    np.testing.assert_allclose(contrast, want_contrast, rtol=0, atol=1e-7)
+    assert np.array_equal(mask.data, want_mask)

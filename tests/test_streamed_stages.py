@@ -13,9 +13,9 @@ streamed stages must reproduce them bit for bit.
 Traced allocation must stay within these multiples of the volume's
 bytes: run_cascade 2.75x, run_to_files 3.25x (a volume read from disk, with
 its ground truth and overlays, from classical or imported sources),
-ablate 5x (of one seed's phantom, generated inside it), segment_boundaries
-1.3x, project_rpe 0.1x and generate 2x of its float32 volume; auc within
-1.25x the map's.
+ablate 5x on one seed and 4x on two (of one seed's phantom, generated
+inside it), segment_boundaries 1.3x, project_rpe 0.1x and generate 2x of
+its float32 volume; auc within 1.25x the map's.
 """
 
 import csv
@@ -528,6 +528,17 @@ def test_ablate_allocates_at_most_5x_volume(tmp_path):
                                              "output_dir": str(tmp_path)})
     growth = _traced_growth(pipeline.ablate, run, [3]) / (4 * math.prod(cfg.dims))
     assert growth <= 5.0, f"ablate allocated {growth:.2f}x the volume's bytes"
+
+
+def test_ablate_on_two_seeds_allocates_at_most_4x_volume(tmp_path):
+    """Each seed's volume is dropped once prepared, and its prepared stages
+    and ground truth before the next seed is prepared, so a second seed
+    raises the peak no higher than the first."""
+    cfg = default_config("desk", seed=3)
+    run = pipeline.PipelineConfig.from_dict({"input": {"phantom": cfg.to_dict()},
+                                             "output_dir": str(tmp_path)})
+    growth = _traced_growth(pipeline.ablate, run, [3, 4]) / (4 * math.prod(cfg.dims))
+    assert growth <= 4.0, f"ablate allocated {growth:.2f}x the volume's bytes"
 
 
 def test_generate_allocates_at_most_2x_its_volume(desk_phantom):
