@@ -1,8 +1,9 @@
-"""The checked JSON-object loader and range check shared by the frozen config dataclasses."""
+"""One check of every field of the frozen config and metrics records, on construction and on load."""
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import sys
 import types
 import typing
@@ -24,45 +25,31 @@ class In(str):
         return above and below
 
 
+@functools.cache
+def field_types(cls) -> dict:
+    """A dataclass's field types, `Annotated` intervals kept, read once per class."""
+    return typing.get_type_hints(cls, include_extras=True)
+
+
 class Checked:
-    """Mixin checking a dataclass's fields on construction against the
-    intervals their `Annotated[..., In(...)]` types declare: a value, a
-    value of `X | None` that is not None, and each item of a fixed-length
-    tuple or a dict. Messages name the class, or its `section` if it has one."""
+    """Mixin checking a dataclass's fields on construction: a value of the
+    wrong JSON type, a NaN or an infinity for a float, or a number outside
+    its `Annotated[..., In(...)]` interval raises ConfigError naming the
+    field. Each field keeps its value widened to its type: a list to a
+    tuple, an int to a float, an object to a nested config. Messages name
+    the class, or its `section` if it has one."""
 
     def __post_init__(self):
         section = getattr(self, "section", type(self).__name__)
-        for name, tp in typing.get_type_hints(type(self), include_extras=True).items():
-            _refuse_outside(getattr(self, name), tp, f"{section} field {name!r}")
-
-
-def _refuse_outside(value, tp, what: str) -> None:
-    origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin is typing.Annotated:
-        for bound in tp.__metadata__:
-            if isinstance(bound, In) and value not in bound:
-                raise ConfigError(f"{what} must be in {bound}, got {value!r}")
-    elif origin in (typing.Union, types.UnionType) and value is not None:
-        (tp,) = [a for a in args if a is not type(None)]
-        _refuse_outside(value, tp, what)
-    elif origin is tuple:
-        for i, (v, a) in enumerate(zip(value, args)):
-            _refuse_outside(v, a, f"{what}[{i}]")
-    elif origin is dict:
-        for k, v in value.items():
-            _refuse_outside(v, args[1], f"{what}[{k!r}]")
+        for name, tp in field_types(type(self)).items():
+            object.__setattr__(self, name, _checked(getattr(self, name), tp, f"{section} field {name!r}"))
 
 
 class FromDict(Checked):
-    """Mixin giving a config dataclass a checked `from_dict` and its inverse `to_dict`.
-
-    An unknown field, or a value whose JSON type does not match the
-    field's annotation, raises ConfigError naming the field; so does a
-    NaN or an infinity for a float field. A list for a tuple field becomes
-    a tuple, an int for a float becomes a float, and an object for a
-    nested config field goes through that config's `from_dict`.
-    Subclasses name themselves in messages through `section`.
-    """
+    """Mixin giving a checked config dataclass `from_dict` and its inverse
+    `to_dict`. `from_dict` refuses a non-object and unknown fields, and
+    construction checks the values. Subclasses name themselves in messages
+    through `section`."""
 
     section = "config"
 
@@ -70,14 +57,10 @@ class FromDict(Checked):
     def from_dict(cls, d: dict):
         if not isinstance(d, dict):
             raise ConfigError(f"{cls.section} must be a JSON object, got {d!r}")
-        hints = typing.get_type_hints(cls)  # the dataclass fields' types
-        unknown = set(d) - set(hints)
+        unknown = set(d) - set(field_types(cls))
         if unknown:
             raise ConfigError(f"unknown {cls.section} fields {sorted(unknown)}")
-        return cls(**{
-            name: _checked(value, hints[name], f"{cls.section} field {name!r}")
-            for name, value in d.items()
-        })
+        return cls(**d)
 
     def to_dict(self) -> dict:
         """The JSON object that `from_dict` reads back as an equal config."""
@@ -96,18 +79,29 @@ def to_json(value):
 
 
 def _checked(value, tp, what: str):
+    """`value` checked against the field type `tp` and widened to it."""
     if typing.get_origin(tp) in (typing.Union, types.UnionType):
         if value is None and type(None) in typing.get_args(tp):
             return None
         (tp,) = [a for a in typing.get_args(tp) if a is not type(None)]
     origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is typing.Annotated:
+        value = _checked(value, args[0], what)
+        for bound in tp.__metadata__:
+            if isinstance(bound, In) and value not in bound:
+                raise ConfigError(f"{what} must be in {bound}, got {value!r}")
+        return value
     if origin is tuple:
-        if isinstance(value, (list, tuple)) and len(value) == len(args):
-            return tuple(_checked(v, a, f"each value of {what}") for v, a in zip(value, args))
+        if isinstance(value, (list, tuple)):
+            items = args[:1] * len(value) if ... in args else args  # tuple[X, ...] takes any count
+            if len(value) == len(items):
+                return tuple(_checked(v, a, f"{what}[{i}]") for i, (v, a) in enumerate(zip(value, items)))
     elif origin is dict:
         if isinstance(value, dict) and all(isinstance(k, str) for k in value):
-            return {k: _checked(v, args[1], f"each value of {what}") for k, v in value.items()}
+            return {k: _checked(v, args[1], f"{what}[{k!r}]") for k, v in value.items()}
     elif isinstance(tp, type) and issubclass(tp, FromDict):
+        if isinstance(value, tp):
+            return value
         if isinstance(value, dict):
             return tp.from_dict(value)
         raise ConfigError(f"{what} section must be a JSON object, got {value!r}")
@@ -124,7 +118,7 @@ def _checked(value, tp, what: str):
 
 def _describe(tp) -> str:
     if typing.get_origin(tp) is tuple:
-        return f"a list of {len(typing.get_args(tp))} values"
+        return "a list" if ... in typing.get_args(tp) else f"a list of {len(typing.get_args(tp))} values"
     if typing.get_origin(tp) is dict:
         return "a JSON object"
     return {bool: "true or false", int: "an integer", float: "a number", str: "a string",

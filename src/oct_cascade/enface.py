@@ -21,6 +21,10 @@ from .model import BoundarySet, EnFaceImage, OctVolume, PixelMask
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
 
+#: A box side of the background estimate. The cap keeps scipy's box filter
+#: from allocating for a window no en-face image could fill.
+_Window = Annotated[int, In("[3, 65535]")]
+
 
 @dataclass(frozen=True)
 class ShadowConfig(FromDict):
@@ -36,15 +40,14 @@ class ShadowConfig(FromDict):
 
     section = "shadow config"
 
-    background_window: tuple[int, int] = (9, 15)
+    background_window: tuple[_Window, _Window] = (9, 15)
     contrast_threshold: Annotated[float, In("(0, inf)")] = 0.15
     min_component_px: Annotated[int, In("[1, inf)")] = 10
 
     def __post_init__(self):
         super().__post_init__()
-        ws, wx = self.background_window
-        if ws < 3 or wx < 3 or ws % 2 == 0 or wx % 2 == 0:
-            raise ConfigError(f"background_window {self.background_window} must be odd and >= 3")
+        if any(w % 2 == 0 for w in self.background_window):
+            raise ConfigError(f"background_window {self.background_window} must be odd")
 
 
 def project_rpe(volume: OctVolume, boundaries: BoundarySet) -> EnFaceImage:

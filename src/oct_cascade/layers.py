@@ -29,6 +29,10 @@ from .model import BOUNDARY_NAMES, BoundarySet, OctVolume
 #: The kinds of cost image `_cost_image` builds.
 COST_KINDS = ("negative_vertical_gradient", "positive_vertical_gradient", "negative_intensity")
 
+#: A band offset: a count of rows, or a fraction of the volume height.
+_Rows = Annotated[int, In("[0, inf)")]
+_Fraction = Annotated[float, In("[0, 1]")]
+
 
 @dataclass(frozen=True)
 class DpConfig(FromDict):
@@ -45,10 +49,10 @@ class DpConfig(FromDict):
 
     smoothness: Annotated[float, In("[0, inf)")] = 0.5
     max_jump: Annotated[int, In("[1, inf)")] = 2
-    ilm_band: tuple[int, float] = (2, 0.45)
-    rpe_band: tuple[float, int] = (0.06, 6)      # [ILM + frac*H, H - rows]
-    bm_band: tuple[float, float] = (0.005, 0.13)  # [RPE + frac*H, RPE + frac*H]
-    inl_band: tuple[float, float] = (0.015, 0.045)  # [ILM + frac*H, RPE - frac*H]
+    ilm_band: tuple[_Rows, _Fraction] = (2, 0.45)
+    rpe_band: tuple[_Fraction, _Rows] = (0.06, 6)      # [ILM + frac*H, H - rows]
+    bm_band: tuple[_Fraction, _Fraction] = (0.005, 0.13)  # [RPE + frac*H, RPE + frac*H]
+    inl_band: tuple[_Fraction, _Fraction] = (0.015, 0.045)  # [ILM + frac*H, RPE - frac*H]
 
 
 def trace_boundary(cost, band_lo, band_hi, smoothness=0.5, max_jump=2):

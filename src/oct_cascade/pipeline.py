@@ -14,7 +14,6 @@ import dataclasses
 import json
 import os
 import re
-import typing
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -28,7 +27,7 @@ from .cascade import (
     extract,
     prepare,
 )
-from .config import FromDict, Path, _checked, to_json
+from .config import FromDict, Path, _checked, field_types, to_json
 from .enface import ShadowConfig
 from .errors import OctCascadeError, ValidationError
 from .fileio import (
@@ -136,7 +135,7 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        hints = typing.get_type_hints(cls)
+        hints = field_types(cls)
         layout: dict = {}  # section (None for the top level) -> {key: field}
         for f in dataclasses.fields(cls):
             layout.setdefault(f.metadata["at"][0], {})[f.metadata["at"][1]] = f

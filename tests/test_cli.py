@@ -447,6 +447,19 @@ def test_run_into_an_existing_file_fails_before_boundary_segmentation(tmp_path, 
     assert calls == []
 
 
+def test_run_with_a_background_window_beyond_its_cap_fails_before_any_stage(tmp_path, capsys, monkeypatch):
+    """The criterion-8 phantom run with a window no box filter should
+    allocate for is the shadow source's config error."""
+    calls = []
+    segment = pipeline.segment_boundaries
+    monkeypatch.setattr(pipeline, "segment_boundaries", lambda *a: calls.append(1) or segment(*a))
+    window = {"config": {"background_window": [1000000001, 1000000001]}}
+    assert run_cli(["run", "--config", pipeline_config(tmp_path, seed=3, shadows=window)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: shadow source: ") and "must be in [3, 65535], got 1000000001" in err
+    assert calls == [] and not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("message, shown", [("Unable to allocate 7.28 TiB", "Unable to allocate 7.28 TiB"),
                                             ("", "an allocation failed")])
 def test_run_out_of_memory_exits_2_naming_the_stage(tmp_path, capsys, monkeypatch, message, shown):

@@ -1,7 +1,7 @@
 """The pipeline config's JSON layout read both ways: `to_dict` writes what
-`from_dict` reads back, and a malformed config fails as a StageError. Every
-number range a record declares on a field is checked on construction and
-on load."""
+`from_dict` reads back, and a malformed config fails as a StageError. Each
+field of a checked record has its type and any number range it declares
+checked on construction and on load."""
 
 import dataclasses
 import json
@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oct_cascade.cascade import InfusionConfig, VesselBackendConfig
-from oct_cascade.config import Checked, In, to_json
+from oct_cascade import config
+from oct_cascade.config import Checked, In, Path, to_json
 from oct_cascade.enface import ShadowConfig
 from oct_cascade.errors import ConfigError
 from oct_cascade.layers import DpConfig
@@ -270,8 +271,8 @@ def test_every_range_bound_field_is_declared():
     declared = {(p.values[0], p.values[1]) for p in _declared()}
     assert declared == {(cls, name) for cls, names in (
         (InfusionConfig, "transverse_dilation binarize_threshold min_component_vox"),
-        (ShadowConfig, "contrast_threshold min_component_px"),
-        (DpConfig, "smoothness max_jump"),
+        (ShadowConfig, "background_window contrast_threshold min_component_px"),
+        (DpConfig, "smoothness max_jump ilm_band rpe_band bm_band inl_band"),
         (PhantomConfig, "dims n_vessels vessel_radius vessel_depth_fraction_range shadow_attenuation "
                         "noise_sigma layer_levels vessel_level"),
         (ConfusionCounts, "tp tn fp fn"),
@@ -319,7 +320,10 @@ def test_each_declared_interval_is_checked_on_construction_and_on_load(cls, name
         except ConfigError as exc:  # only a rule tying fields together may refuse a closed end
             assert re.fullmatch(r"the RPE band must be the strictly brightest layer|.* must have lo <= hi", str(exc))
     for value in refused:
-        with pytest.raises(ConfigError, match=f"field {name!r}.* must be in {re.escape(interval)}, got "):
+        # a float field refuses NaN and the infinities as not a number at all
+        expected = ("must be a number" if number is float and not math.isfinite(value)
+                    else f"must be in {re.escape(interval)}")
+        with pytest.raises(ConfigError, match=f"field {name!r}.* {expected}, got "):
             build(value)
         if cls in SECTIONS:
             (*path, key), stage = SECTIONS[cls]
@@ -328,7 +332,7 @@ def test_each_declared_interval_is_checked_on_construction_and_on_load(cls, name
             for part in path:
                 node = node.setdefault(part, {})
             node[key] = {name: to_json(_replaced(field_value, where, value))}
-            with pytest.raises(StageError, match=f"{name!r}") as err:
+            with pytest.raises(StageError, match=f"field {name!r}.* {expected}, got ") as err:
                 PipelineConfig.from_dict(d)
             assert err.value.stage == stage
 
@@ -337,3 +341,49 @@ def test_a_range_fault_names_the_field_and_its_interval():
     with pytest.raises(StageError, match=re.escape("DP config field 'max_jump' must be in [1, inf), got 0")) as err:
         PipelineConfig.from_dict({"input": {"phantom": {}}, "boundaries": {"dp": {"max_jump": 0}}})
     assert err.value.stage == "boundary source"
+
+
+def _wrong_type_cases():
+    """Each field of each checked record, with a value of the wrong JSON
+    type for it: a number for a field that takes strings, else a string."""
+    for cls in sorted(_checked_classes(), key=lambda c: c.__name__):
+        for name, tp in typing.get_type_hints(cls).items():
+            wrong = 0.5 if {tp, *typing.get_args(tp)} & {str, Path} else "x"
+            yield pytest.param(cls, name, wrong, id=f"{cls.__name__}.{name}")
+
+
+@pytest.mark.parametrize("cls, name, wrong", list(_wrong_type_cases()))
+def test_a_value_of_the_wrong_type_is_refused_on_construction(cls, name, wrong):
+    section = getattr(cls, "section", cls.__name__)
+    with pytest.raises(ConfigError, match="^" + re.escape(f"{section} field {name!r} must be ")):
+        cls(**{**REQUIRED.get(cls, {}), name: wrong})
+
+
+@pytest.mark.parametrize("cls, d, widened", [
+    (DpConfig, {"smoothness": 1, "ilm_band": [2, 0], "bm_band": [0, 1]},
+     {"smoothness": 1.0, "ilm_band": (2, 0.0), "bm_band": (0.0, 1.0)}),
+    (ShadowConfig, {"background_window": [3, 5], "contrast_threshold": 1},
+     {"background_window": (3, 5), "contrast_threshold": 1.0}),
+    (PhantomConfig, {"dims": [1, 16, 16], "vessel_radius": 2, "vessel_depth_fraction_range": [0, 1],
+                     "layer_levels": {**DEFAULT_LAYER_LEVELS, "vitreous": 0}},
+     {"dims": (1, 16, 16), "vessel_radius": 2.0, "vessel_depth_fraction_range": (0.0, 1.0),
+      "layer_levels": {**DEFAULT_LAYER_LEVELS, "vitreous": 0.0}}),
+], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+def test_construction_widens_a_value_as_load_does(cls, d, widened):
+    # repr tells a list from a tuple and 1 from 1.0, where == does not
+    assert repr(cls(**d)) == repr(cls.from_dict(d)) == repr(cls(**widened))
+
+
+def test_a_warm_class_constructs_without_reading_its_type_hints(monkeypatch):
+    ConfusionCounts(tp=1, tn=1, fp=1, fn=1)
+    calls = []
+    read = typing.get_type_hints
+    monkeypatch.setattr(config.typing, "get_type_hints", lambda *a, **k: calls.append(a) or read(*a, **k))
+    for _ in range(100):
+        ConfusionCounts(tp=1, tn=1, fp=1, fn=1)
+    assert calls == []
+
+
+def test_a_nested_config_given_as_a_record_is_taken_as_it_is():
+    dp = DpConfig(max_jump=3)
+    assert PipelineConfig.from_dict({"input": {"phantom": {}}, "boundaries": {"dp": dp}}).dp is dp
