@@ -14,8 +14,9 @@ the map is thresholded and cleaned by connected-component size.
 
 The cascade (`extract`) infuses one B-scan at a time: each prior stays in
 its own dimensions (a depth band per A-scan, an en-face footprint) and is
-expanded only over the B-scan being multiplied. `infuse` is the
-whole-volume product of the masks, the reference it reproduces.
+expanded only over the B-scan being multiplied, and the classical backend
+scores only the voxels the priors keep. `infuse` is the whole-volume
+product of the masks, the reference it reproduces.
 """
 
 from __future__ import annotations
@@ -118,6 +119,69 @@ def transverse_mask(footprint: PixelMask, dims: tuple[int, int, int], dilation: 
     return VoxelMask(np.broadcast_to(fp[:, None, :], dims))
 
 
+@dataclass(frozen=True)
+class _ClassicalScores:
+    """The classical backend's scores of `volume`, computed where they are
+    read: a voxel of intensity v scores float32(clip((float64(v) - vmin) /
+    (vmax - vmin), 0, 1)), where [vmin, vmax] is the ILM-BM band's range."""
+
+    volume: OctVolume
+    vmin: float
+    vmax: float
+
+    @property
+    def dims(self) -> tuple[int, int, int]:
+        return self.volume.dims
+
+    def read(self, s: int, rows=slice(None), cols=slice(None)) -> np.ndarray:
+        """The scores of B-scan `s`'s `rows` in columns `cols`."""
+        score = self.volume.data[s, rows][:, cols].astype(np.float64)
+        score -= self.vmin
+        score /= self.vmax - self.vmin
+        return np.clip(score, 0.0, 1.0, out=score).astype(np.float32)
+
+    def map(self) -> ProbabilityMap3D:
+        """The scores of every voxel."""
+        out = np.empty(self.dims, dtype=np.float32)
+        for s in range(self.dims[0]):
+            out[s] = self.read(s)
+        return ProbabilityMap3D(out)
+
+
+def _classical_scores(
+    volume: OctVolume, boundaries: BoundarySet, cfg: VesselBackendConfig | None
+) -> _ClassicalScores | ProbabilityMap3D:
+    """The classical backend's scores, still to be read, or the all-zero map
+    of a constant ILM-BM band, with a warning."""
+    cfg = cfg or VesselBackendConfig()
+    if cfg.kind == "import":
+        raise ConfigError("an import backend scores nothing; pass its map to prepare as probability")
+
+    # The band's range, one B-scan at a time over the rows its depths
+    # reach. The float32 range is exactly the range of its float64 widening.
+    lo, hi = boundaries.voxel_band("ILM", "BM", volume.dims)
+    if (hi >= lo).any():
+        vmin, vmax = np.inf, -np.inf
+        for s in range(volume.n_slices):
+            top, bottom = int(lo[s].min()), int(hi[s].max()) + 1
+            z = np.arange(top, bottom)[:, None]
+            band = (z >= lo[s]) & (z <= hi[s])
+            rows = volume.data[s, top:bottom]
+            vmin = min(vmin, float(rows.min(where=band, initial=np.inf)))
+            vmax = max(vmax, float(rows.max(where=band, initial=-np.inf)))
+    else:  # empty band: normalize over the whole volume
+        vmin, vmax = float(volume.data.min()), float(volume.data.max())
+    if vmax - vmin < 1e-9:
+        warnings.warn(
+            "degenerate intensity normalization (constant ILM-BM band); "
+            "returning an all-zero probability map",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        return ProbabilityMap3D(np.zeros(volume.dims, dtype=np.float32))
+    return _ClassicalScores(volume, vmin, vmax)
+
+
 def vessel_probability(
     volume: OctVolume,
     boundaries: BoundarySet,
@@ -128,66 +192,42 @@ def vessel_probability(
     Classical backend: intensity min-max normalized using the value range
     inside the ILM-BM band (vitreous and choroid stay out of the
     normalization), clipped to [0, 1]. A constant band (no contrast at
-    all) yields an all-zero map and a warning.
+    all) yields an all-zero map and a warning. Each B-scan is normalized
+    in float64, so no whole-volume float64 copy is ever live.
     """
-    cfg = cfg or VesselBackendConfig()
-    if cfg.kind == "import":
-        raise ConfigError("an import backend scores nothing; pass its map to prepare as probability")
-
-    # The band's range, one B-scan at a time from its depths. The float32
-    # range is exactly the range of its float64 widening.
-    lo, hi = boundaries.voxel_band("ILM", "BM", volume.dims)
-    if (hi >= lo).any():
-        z = np.arange(volume.height)[:, None]
-        vmin, vmax = np.inf, -np.inf
-        for s in range(volume.n_slices):
-            band = (z >= lo[s]) & (z <= hi[s])
-            vmin = min(vmin, float(volume.data[s].min(where=band, initial=np.inf)))
-            vmax = max(vmax, float(volume.data[s].max(where=band, initial=-np.inf)))
-    else:  # empty band: normalize over the whole volume
-        vmin, vmax = float(volume.data.min()), float(volume.data.max())
-    if vmax - vmin < 1e-9:
-        warnings.warn(
-            "degenerate intensity normalization (constant ILM-BM band); "
-            "returning an all-zero probability map",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return ProbabilityMap3D(np.zeros(volume.dims, dtype=np.float32))
-
-    # One B-scan at a time in float64, so no whole-volume float64 copy is
-    # ever live; each slice's arithmetic is what the whole volume's was.
-    out = np.empty(volume.dims, dtype=np.float32)
-    for s in range(volume.n_slices):
-        score = volume.data[s].astype(np.float64)
-        score -= vmin
-        score /= vmax - vmin
-        out[s] = np.clip(score, 0.0, 1.0, out=score)
-    return ProbabilityMap3D(out)
+    scores = _classical_scores(volume, boundaries, cfg)
+    return scores.map() if isinstance(scores, _ClassicalScores) else scores
 
 
-def _infuse(p: ProbabilityMap3D, band, footprint) -> ProbabilityMap3D:
-    """`p` where each B-scan's keep image is set, the voxels of `band`
+def _read(scores: _ClassicalScores | ProbabilityMap3D, s: int, rows, cols) -> np.ndarray:
+    """The scores of B-scan `s`'s `rows` in columns `cols`."""
+    if isinstance(scores, _ClassicalScores):
+        return scores.read(s, rows, cols)
+    return scores.data[s, rows][:, cols]
+
+
+def _infuse(scores: _ClassicalScores | ProbabilityMap3D, band, footprint) -> ProbabilityMap3D:
+    """`scores` where each B-scan's keep image is set, the voxels of `band`
     (first and last depths per A-scan, every depth where it is None) in
     the columns `footprint` keeps (all of them where it is None), into a
     new map that starts at zeros.
 
     Only the rows from the B-scan's shallowest first depth to its deepest
-    last depth, in the kept columns, are masked; without a band the
-    kept columns are copied whole. Every voxel left out is +0.0, whatever
+    last depth, in the kept columns, are read and masked; without a band
+    the kept columns are read whole. Every voxel left out is +0.0, whatever
     its score; a kept voxel keeps its score, -0.0 included.
     """
-    out = np.zeros(p.dims, dtype=np.float32)
-    for s in range(p.dims[0]):
+    out = np.zeros(scores.dims, dtype=np.float32)
+    for s in range(scores.dims[0]):
         cols = slice(None) if footprint is None else np.flatnonzero(footprint[s])
         if band is None:
-            out[s][:, cols] = p.data[s][:, cols]
+            out[s][:, cols] = _read(scores, s, slice(None), cols)
             continue
         lo, hi = band
         top, bottom = int(lo[s].min()), int(hi[s].max()) + 1
         z = np.arange(top, bottom)[:, None]
         keep = (z >= lo[s, cols]) & (z <= hi[s, cols])
-        out[s, top:bottom][:, cols] = np.where(keep, p.data[s, top:bottom][:, cols], np.float32(0))
+        out[s, top:bottom][:, cols] = np.where(keep, _read(scores, s, slice(top, bottom), cols), np.float32(0))
     return ProbabilityMap3D(out)
 
 
@@ -246,14 +286,22 @@ def binarize_and_label(p: ProbabilityMap3D, cfg: InfusionConfig) -> tuple[VoxelM
 class Prepared:
     """The stage outputs every infusion variant of one volume shares.
 
-    The volume itself is not among them: extraction never reads the
-    intensities, so a caller may free the volume once `prepare` returns.
+    `scores` is the raw probability map, imported or built, or the
+    classical backend's scores still to be read from the volume: the
+    infusion reads only the voxels the priors keep. Reading
+    `raw_probability` builds the classical map once and drops the volume.
     """
 
     boundaries: BoundarySet
     enface: EnFaceImage
     shadow_mask: PixelMask
-    raw_probability: ProbabilityMap3D
+    scores: ProbabilityMap3D | _ClassicalScores
+
+    @property
+    def raw_probability(self) -> ProbabilityMap3D:
+        if isinstance(self.scores, _ClassicalScores):
+            object.__setattr__(self, "scores", self.scores.map())
+        return self.scores
 
 
 @dataclass(frozen=True)
@@ -274,11 +322,13 @@ def prepare(
     shadow_cfg: ShadowConfig | None = None,
     probability: ProbabilityMap3D | None = None,
 ) -> Prepared:
-    """Boundaries, en-face image, shadow mask and raw probability map.
+    """Boundaries, en-face image, shadow mask and raw scores.
 
     Boundary, shadow and probability sources default to the classical
     stages; pass pre-computed values (e.g. network outputs loaded from disk)
     to replace any of them. Shadows are segmented only when no mask is given.
+    The classical scores are normalized only where they are read; a
+    constant ILM-BM band warns here and scores all zeros.
     """
     if boundaries is None:
         boundaries = segment_boundaries(volume, dp_cfg)
@@ -290,34 +340,36 @@ def prepare(
         require_same_dims(shadow_source, image, "shadow mask vs en-face image")
 
     if probability is None:
-        probability = vessel_probability(volume, boundaries, backend_cfg)
+        probability = _classical_scores(volume, boundaries, backend_cfg)
     else:
         require_same_dims(probability, volume, "imported probability map vs volume")
     return Prepared(boundaries, image, shadow_source, probability)
 
 
-def extract(prepared: Prepared, infusion_cfg: InfusionConfig | None = None) -> CascadeResult:
-    """Infuse the raw map with the priors the flags enable, then binarize.
+def apply_priors(prepared: Prepared, infusion_cfg: InfusionConfig | None = None) -> ProbabilityMap3D:
+    """The raw map infused with the priors the flags enable.
 
     The priors stay in their own dimensions: the ILM-INL band as per-A-scan
     first and last depths, the dilated shadow footprint as a (slices,
     width) image. Each B-scan's keep image is built from them as it is
     applied, over the band's rows in the footprint's columns; without
-    the longitudinal prior (band None) the kept columns are copied whole.
+    the longitudinal prior (band None) the kept columns are read whole.
     So one `prepare` serves every variant of the ablation and no
-    whole-volume prior is built. The volume's dims are the raw map's.
+    whole-volume prior is built. Without either prior, the raw map itself.
     """
     cfg = infusion_cfg or InfusionConfig()
-    dims = prepared.raw_probability.dims
-    infused = prepared.raw_probability
-    if cfg.use_longitudinal or cfg.use_transverse:
-        band = prepared.boundaries.voxel_band("ILM", "INL_LOWER", dims) if cfg.use_longitudinal else None
-        fp = (
-            _dilated_footprint(prepared.shadow_mask, dims, cfg.transverse_dilation)
-            if cfg.use_transverse
-            else None
-        )
-        infused = _infuse(infused, band, fp)
+    if not (cfg.use_longitudinal or cfg.use_transverse):
+        return prepared.raw_probability
+    dims = prepared.scores.dims
+    band = prepared.boundaries.voxel_band("ILM", "INL_LOWER", dims) if cfg.use_longitudinal else None
+    fp = _dilated_footprint(prepared.shadow_mask, dims, cfg.transverse_dilation) if cfg.use_transverse else None
+    return _infuse(prepared.scores, band, fp)
+
+
+def extract(prepared: Prepared, infusion_cfg: InfusionConfig | None = None) -> CascadeResult:
+    """`apply_priors`, then binarize the infused map."""
+    cfg = infusion_cfg or InfusionConfig()
+    infused = apply_priors(prepared, cfg)
     mask, n_components = binarize_and_label(infused, cfg)
     return CascadeResult(**vars(prepared), mask=mask, probability=infused, component_count=n_components)
 

@@ -72,8 +72,10 @@ def write_volume(value: Grid, path: str) -> None:
         "byte_order": "little",
         "spacing": list(value.spacing) if getattr(value, "spacing", None) else None,
     }
-    # No copy when the data already has the stored dtype and layout.
-    payload = np.ascontiguousarray(value.data, dtype=stored)
+    # No copy: a mask's bool buffer is its 0/1 bytes, and the float data
+    # already has the stored dtype and layout.
+    data = value.data.view(np.uint8) if value.kind == "mask" else value.data
+    payload = np.ascontiguousarray(data, dtype=stored)
     with open_new(base + ".json") as fh:
         json.dump(header, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -4,8 +4,9 @@ All metrics are defined on exact integer confusion counts over pooled
 voxels. ROC area is the pairwise ranking statistic with ties counted half
 (Mann-Whitney U / (P * N)), which equals the trapezoidal area under the
 ROC curve over every distinct score; it is counted from one sort of the
-scores and two binary searches of the positive scores in it, so neither
-the curve nor a permutation of the voxels is built.
+non-zero scores, the count of zeros and two binary searches of the
+positive scores, so neither the curve nor a permutation of the voxels is
+built.
 """
 
 from __future__ import annotations
@@ -110,8 +111,9 @@ def auc(scores: ProbabilityMap3D | np.ndarray, gt: VoxelMask | np.ndarray) -> fl
 
     Each positive's rank among the sorted scores, taken from the left and
     from the right, counts its wins twice and its ties once; the integer
-    total is divided once. Raises UndefinedAucError when the ground truth
-    is single-class and ValidationError when a score is not finite.
+    total is divided once. Only the non-zero scores are sorted: the zeros
+    enter each rank as one count. Raises UndefinedAucError when the ground
+    truth is single-class and ValidationError when a score is not finite.
     """
     s = scores.data if isinstance(scores, ProbabilityMap3D) else np.asarray(scores)
     g = gt.data if isinstance(gt, VoxelMask) else np.asarray(gt, dtype=bool)
@@ -124,25 +126,44 @@ def auc(scores: ProbabilityMap3D | np.ndarray, gt: VoxelMask | np.ndarray) -> fl
     s = s.ravel()
     g = g.ravel()
 
-    n_pos = int(g.sum())
+    n_pos = int(np.count_nonzero(g))
     n_neg = g.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedAucError(
             f"ROC area undefined: ground truth has {n_pos} positives and {n_neg} negatives"
         )
 
-    asc = np.sort(s)
-    # NaN sorts last and infinities sit at the ends.
-    if not (np.isfinite(asc[0]) and np.isfinite(asc[-1])):
+    # Only the non-zero scores are sorted: the zeros, -0.0 among them, tie
+    # each other and are counted. NaN sorts last and infinities sit at the ends.
+    nz = _sorted_nonzeros(s)
+    if nz.size and not (np.isfinite(nz[0]) and np.isfinite(nz[-1])):
         raise ValidationError("ROC area needs finite scores")
+    n_zeros = s.size - nz.size
     # Per positive, the scores below it plus those at or below it count each
     # win over a negative twice and each tie once; the positive-positive
-    # pairs add exactly n_pos**2. int64 holds both sums for any map under
-    # ~3e9 voxels, 800x the paper volume.
+    # pairs add exactly n_pos**2. The zeros lie below a positive score and
+    # at or below a non-negative one. int64 holds both sums for any map
+    # under ~3e9 voxels, 800x the paper volume.
     pos = s[g]
-    below, at_or_below = (int(np.searchsorted(asc, pos, side).sum()) for side in ("left", "right"))
+    below = int(np.searchsorted(nz, pos, "left").sum()) + n_zeros * int(np.count_nonzero(pos > 0))
+    at_or_below = int(np.searchsorted(nz, pos, "right").sum()) + n_zeros * int(np.count_nonzero(pos >= 0))
     # Python ints: one correctly rounded division, which lies in [0, 1]
     return (below + at_or_below - n_pos * n_pos) / (2 * n_pos * n_neg)
+
+
+def _sorted_nonzeros(s: np.ndarray, chunk: int = 1 << 16) -> np.ndarray:
+    """The non-zero values of the flat array `s`, sorted: counted, then
+    gathered into one array of that size a chunk at a time, and sorted in
+    place. No whole-array temporary is made."""
+    chunks = [slice(start, start + chunk) for start in range(0, s.size, chunk)]
+    nz = np.empty(sum(np.count_nonzero(s[c] != 0) for c in chunks), dtype=s.dtype)
+    filled = 0
+    for c in chunks:
+        part = s[c][s[c] != 0]
+        nz[filled : filled + part.size] = part
+        filled += part.size
+    nz.sort()
+    return nz
 
 
 def score(method: str, pred: VoxelMask, prob: ProbabilityMap3D | None, gt: VoxelMask) -> MetricsReport:

@@ -18,6 +18,7 @@ the two anatomical masks exist to remove.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Annotated
 
@@ -54,6 +55,10 @@ _BM_OFFSET_FRAC = 0.065
 _RPE_CAP_VOXELS = 1.0
 _RPE_TAIL_FACTOR = 0.85
 
+#: The most voxels a phantom may hold: a 512 MiB float32 volume, 37x the
+#: paper volume.
+MAX_VOXELS = 2**27
+
 #: An intensity level or a depth fraction.
 _Unit = Annotated[float, In("[0, 1]")]
 
@@ -77,6 +82,11 @@ class PhantomConfig(FromDict):
 
     def __post_init__(self):
         super().__post_init__()
+        if math.prod(self.dims) > MAX_VOXELS:
+            raise ConfigError(
+                f"dims {list(self.dims)} hold {math.prod(self.dims)} voxels; a phantom holds "
+                f"at most {MAX_VOXELS} (2**27)"
+            )
         lo, hi = self.vessel_depth_fraction_range
         if lo > hi:
             raise ConfigError(f"vessel_depth_fraction_range ({lo}, {hi}) must have lo <= hi")

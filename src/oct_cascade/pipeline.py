@@ -24,6 +24,8 @@ from .cascade import (
     InfusionConfig,
     Prepared,
     VesselBackendConfig,
+    apply_priors,
+    binarize_and_label,
     extract,
     prepare,
 )
@@ -31,7 +33,7 @@ from .config import FromDict, Path, _checked, field_types, to_json
 from .enface import ShadowConfig
 from .errors import OctCascadeError, ValidationError
 from .fileio import (
-    gray_levels, grid_header, open_new, read_boundaries, read_volume, remove_file, write_boundaries,
+    grid_header, open_new, read_boundaries, read_volume, remove_file, write_boundaries,
     write_pgm, write_volume,
 )
 from .layers import DpConfig, segment_boundaries
@@ -315,11 +317,17 @@ def _variant_label(inf: InfusionConfig) -> str:
 
 
 def _gray(volume: OctVolume) -> np.ndarray:
-    """The volume's uint8 gray levels, quantized one B-scan at a time from
-    float64 as `write_pgm` quantizes a float64 image."""
+    """The volume's uint8 gray levels, quantized one B-scan at a time in
+    float64 as `write_pgm` quantizes a float64 image. A float32 times 255
+    is exact in float64, so clipping the product to [0, 255] is clipping
+    the value to [0, 1] first."""
     gray = np.empty(volume.dims, dtype=np.uint8)
+    buf = np.empty(volume.dims[1:], dtype=np.float64)
     for s in range(volume.n_slices):
-        gray[s] = gray_levels(volume.data[s].astype(np.float64))
+        np.multiply(volume.data[s], 255.0, out=buf, dtype=np.float64)
+        np.clip(buf, 0.0, 255.0, out=buf)
+        np.rint(buf, out=buf)
+        np.copyto(gray[s], buf, casting="unsafe")
     return gray
 
 
@@ -348,26 +356,34 @@ def _remove_unwritten(out: str, written: dict[str, str], n_overlays: int) -> Non
 def run_to_files(cfg: PipelineConfig) -> dict[str, str]:
     """Run the configured cascade and write the report files.
 
-    The output directory is made before any stage runs. The float volume
-    is freed once `prepare` returns: the overlays are drawn from its uint8
-    gray levels, which are freed once they are written. Only what is
-    written and scored outlives `extract`: the raw probability map is
-    freed before anything is written. Each file is written new, and the
-    report files of an earlier run that this one does not write are
-    removed. Returns a name -> path map of everything written.
+    The output directory is made before any stage runs. Applying the
+    priors reads the classical scores of only the voxels they keep. The
+    overlays are drawn from the volume's uint8 gray levels, which are
+    freed once they are written; the float volume and the raw map are
+    freed before the infused map is binarized. Each file is
+    written new, and the report files of an earlier run that this one
+    does not write are removed. Returns a name -> path map of everything
+    written.
     """
     out = cfg.output_dir
     with _output(out):
         os.makedirs(out, exist_ok=True)
     prepared, volume, gt_mask = _prepare(cfg)
-    gray = _gray(volume) if cfg.report.overlays or cfg.report.montage else None
-    del volume
+    draw = cfg.report.overlays or cfg.report.montage
+    # The gray levels are taken and the volume dropped as soon as nothing
+    # else reads it: before the priors are applied to an imported map,
+    # after they are applied to the classical scores, which are read from it.
+    gray = None
+    if isinstance(prepared.scores, ProbabilityMap3D):
+        gray, volume = _gray(volume) if draw else None, None
     with _stage("cascade"):
-        result = extract(prepared, cfg.infusion)
+        probability = apply_priors(prepared, cfg.infusion)
+    if volume is not None:
+        gray, volume = _gray(volume) if draw else None, None
+    boundaries, enface, shadow_mask = prepared.boundaries, prepared.enface, prepared.shadow_mask
     del prepared
-    boundaries, enface, shadow_mask = result.boundaries, result.enface, result.shadow_mask
-    mask, probability = result.mask, result.probability
-    del result
+    with _stage("cascade"):
+        mask = binarize_and_label(probability, cfg.infusion)[0]
     written: dict[str, str] = {}
 
     def path(name: str) -> str:
@@ -432,7 +448,9 @@ def ablate(cfg: PipelineConfig, seeds: list[int]) -> tuple[bool, list[tuple[str,
     rows: list[tuple[int, MetricsReport]] = []
     for seed in seeds:
         prepared, volume, gt_mask = _prepare(cfg.with_seed(seed), imports)
-        del volume  # the variants need only the prepared stages
+        # The prepared stages hold the volume until the base variant, which
+        # comes first, builds the raw map the other variants read.
+        del volume
         with _stage("cascade"):
             for label, infusion in infusions.items():
                 r = extract(prepared, infusion)

@@ -509,8 +509,9 @@ def _limit_address_space():
 
 @pytest.mark.skipif(sys.platform != "linux", reason="address-space limit via setrlimit")
 def test_run_on_a_phantom_too_large_to_allocate_exits_2_naming_the_stage(tmp_path):
-    """Under a 3 GiB address-space limit, so the allocation fails wherever
-    the machine would otherwise grant it."""
+    """Refused by the voxel cap as a config fault naming `dims`, before
+    anything is allocated: under a 3 GiB address-space limit, so an
+    allocation would fail wherever the machine would otherwise grant it."""
     cfg = tmp_path / "huge.json"
     cfg.write_text(json.dumps({
         "input": {"phantom": {"dims": [1000000, 1000000, 1000000]}},
@@ -521,8 +522,19 @@ def test_run_on_a_phantom_too_large_to_allocate_exits_2_naming_the_stage(tmp_pat
         capture_output=True, text=True, preexec_fn=_limit_address_space, timeout=120,
     )
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error: input: out of memory")
+    assert proc.stderr.startswith("error: input: ")
+    assert "dims [1000000, 1000000, 1000000] hold" in proc.stderr and "out of memory" not in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_out_of_memory_in_the_phantom_exits_2_naming_the_input(tmp_path, capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 512 MiB")
+
+    monkeypatch.setattr(pipeline, "generate", exhausted)
+    assert run_cli(["run", "--config", pipeline_config(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: input: out of memory: Unable to allocate 512 MiB\n"
 
 
 def test_eval_identical_masks(tmp_path):

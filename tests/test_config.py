@@ -21,7 +21,7 @@ from oct_cascade.enface import ShadowConfig
 from oct_cascade.errors import ConfigError
 from oct_cascade.layers import DpConfig
 from oct_cascade.metrics import ConfusionCounts, MetricsReport, ScheduleParams
-from oct_cascade.phantom import DEFAULT_LAYER_LEVELS, PhantomConfig
+from oct_cascade.phantom import DEFAULT_LAYER_LEVELS, MAX_VOXELS, PhantomConfig
 from oct_cascade.pipeline import PipelineConfig, ReportConfig, StageError
 
 #: The stage named by a fault in each section.
@@ -175,6 +175,20 @@ def test_an_int_beyond_the_float_range_is_refused_as_a_number():
     with pytest.raises(StageError, match="'noise_sigma' must be a number") as err:
         PipelineConfig.from_dict({"input": {"phantom": {"noise_sigma": 10**400}}})
     assert err.value.stage == "input"
+
+
+def test_phantom_dims_over_the_voxel_cap_are_refused_naming_dims():
+    """The cap is 2**27 voxels; the product is taken in Python ints, so no
+    dims overflow it."""
+    assert MAX_VOXELS == 2**27
+    PhantomConfig(dims=(2**7, 2**10, 2**10))
+    with pytest.raises(ConfigError, match=re.escape("dims [128, 1024, 1025] hold 134348800 voxels")):
+        PhantomConfig(dims=(2**7, 2**10, 2**10 + 1))
+    with pytest.raises(StageError, match=re.escape("dims [1000000, 1000000, 1000000] hold")) as err:
+        PipelineConfig.from_dict({"input": {"phantom": {"dims": [10**6] * 3}}})
+    assert err.value.stage == "input"
+    with pytest.raises(StageError, match=re.escape(f"dims [{2**64}, 16, 16] hold")):
+        PipelineConfig.from_dict({"input": {"phantom": {"dims": [2**64, 16, 16]}}})
 
 
 @settings(max_examples=300)

@@ -63,6 +63,25 @@ def test_true_mask_voxel_is_byte_one(tmp_path):
     assert raw.count(1) == 1
 
 
+@pytest.mark.parametrize("grid", [VoxelMask, PixelMask, ProbabilityMap3D])
+def test_write_volume_writes_the_grid_s_own_buffer(tmp_path, grid):
+    """A mask's bool buffer is written through a uint8 view, a map's float32
+    buffer as it is: the payload is the stored bytes and nothing of the
+    grid's size is copied."""
+    rng = np.random.default_rng(4)
+    shape = (16, 256, 256)[-grid.ndim:]
+    value = grid(rng.random(shape) < 0.3) if grid.kind == "mask" else grid(rng.random(shape, dtype=np.float32))
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        write_volume(value, str(tmp_path / "g"))
+        growth = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "g.raw").read_bytes() == value.data.astype(grid.stored_dtype()).tobytes()
+    assert growth < value.data.nbytes / 4, f"writing the grid allocated {growth} bytes"
+
+
 def test_truncated_payload_is_corrupt(tmp_path):
     v = OctVolume(np.zeros((2, 8, 8), dtype=np.float32))
     write_volume(v, str(tmp_path / "vol"))

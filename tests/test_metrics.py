@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from mpmath import mp, mpf
 
+from oct_cascade import metrics
 from oct_cascade.errors import ConfigError, ShapeMismatchError, UndefinedAucError, ValidationError
 from oct_cascade.metrics import (
     ConfusionCounts,
@@ -253,3 +254,63 @@ def test_schedule_params_validation():
         ScheduleParams(base_lr=0.1, iter=5, max_iter=0)
     with pytest.raises(ConfigError):
         ScheduleParams(base_lr=0.1, iter=11, max_iter=10)
+
+
+@st.composite
+def sparse_auc_cases(draw):
+    """Scores that are mostly zeros, as the priors leave a map: 0-100% zeros,
+    some of them -0.0, float32 in [0, 1] or float64 with negative scores;
+    all-zero and one-non-zero maps among them. Labels drawn at random."""
+    n = draw(st.integers(2, 300))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    low = -1.0 if dtype == np.float64 and draw(st.booleans()) else 0.0
+    s = rng.uniform(low, 1.0, n).astype(dtype)
+    if draw(st.booleans()):  # coarse values, so non-zero scores tie too
+        s = np.round(s * 4) / 4
+    kind = draw(st.sampled_from(["fraction", "all_zero", "one_nonzero"]))
+    if kind == "fraction":
+        s[rng.random(n) < draw(st.sampled_from([0.0, 0.5, 0.9, 0.98, 1.0]))] = 0.0
+    else:
+        keep = int(rng.integers(n)) if kind == "one_nonzero" else None
+        s[np.arange(n) != keep] = 0.0
+    zeros = np.flatnonzero(s == 0)
+    s[zeros[rng.random(zeros.size) < draw(st.sampled_from([0.0, 0.5, 1.0]))]] = -0.0
+    return s, rng.random(n) < draw(st.sampled_from([0.02, 0.5]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(sparse_auc_cases())
+def test_auc_of_mostly_zero_scores_equals_the_pairwise_oracle(case):
+    """Only the non-zero scores are sorted; the zeros, -0.0 included, enter
+    each rank as one count. Bit for bit the exactly rounded statistic."""
+    s, labels = case
+    shape = (1, 1, s.size)
+    scores = ProbabilityMap3D(s.reshape(shape)) if s.dtype == np.float32 and s.min() >= 0 else s.reshape(shape)
+    gt = VoxelMask(labels.reshape(shape))
+    try:
+        want = exact_auc(s, labels)
+    except UndefinedAucError:
+        with pytest.raises(UndefinedAucError):
+            auc(scores, gt)
+        return
+    assert auc(scores, gt) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_auc_cases(), st.sampled_from([np.nan, np.inf, -np.inf]), st.integers(0, 2**32 - 1))
+def test_auc_of_mostly_zero_scores_refuses_a_non_finite_one(case, bad, seed):
+    s, labels = case
+    labels[:2] = (True, False)  # two classes, so the scores are ranked
+    s[np.random.default_rng(seed).integers(s.size)] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        auc(s.reshape(1, 1, -1), labels.reshape(1, 1, -1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_auc_cases(), st.integers(1, 40))
+def test_sorted_nonzeros_across_chunks_equals_the_sorted_filter(case, chunk):
+    s, _ = case
+    got = metrics._sorted_nonzeros(s, chunk)
+    assert got.dtype == s.dtype
+    assert got.tobytes() == np.sort(s[s != 0]).tobytes()

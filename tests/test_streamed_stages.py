@@ -10,18 +10,23 @@ longitudinal_mask, project_rpe, vessel_probability and extract take their
 bands from BoundarySet.voxel_band. The references below are the earlier
 whole-volume bodies, and project_rpe's is the band mean's definition; the
 streamed stages must reproduce them bit for bit.
+The classical backend's scores are read only where the priors keep them,
+and the tests hold that infusion to the whole map's, and `_gray` to
+`gray_levels` per B-scan.
 Traced allocation must stay within these multiples of the volume's
 bytes: run_cascade 2.75x, run_to_files 3.25x (a volume read from disk, with
-its ground truth and overlays, from classical or imported sources),
-ablate 5x on one seed and 4x on two (of one seed's phantom, generated
-inside it), segment_boundaries 1.3x, project_rpe 0.1x and generate 2x of
-its float32 volume; auc within 1.25x the map's.
+its ground truth and overlays, from classical or imported sources) and
+2.75x with classical sources and both priors, ablate 5x on one seed and
+4x on two (of one seed's phantom, generated inside it), segment_boundaries
+1.3x, project_rpe 0.1x and generate 2x of its float32 volume; auc within
+1.25x the map's, and 0.1x on a map with 2% non-zero scores.
 """
 
 import csv
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -37,12 +42,14 @@ from oct_cascade.cascade import (
     extract,
     infuse,
     longitudinal_mask,
+    prepare,
     run_cascade,
+    transverse_mask,
     vessel_probability,
 )
 from oct_cascade.enface import project_rpe
 from oct_cascade.errors import ShapeMismatchError, ValidationError
-from oct_cascade.fileio import write_boundaries, write_pgm, write_volume
+from oct_cascade.fileio import gray_levels, write_boundaries, write_pgm, write_volume
 from oct_cascade.layers import segment_boundaries
 from oct_cascade.metrics import auc
 from oct_cascade.model import (
@@ -405,6 +412,85 @@ def test_extract_writes_every_dropped_voxel_as_positive_zero(case, seed, density
     assert got.tobytes() == np.where(keep, p, np.float32(0)).tobytes()
 
 
+def _degenerate_warnings(call, *args):
+    """`call(*args)` and the number of degenerate-normalization warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = call(*args)
+    return value, sum(str(w.message).startswith("degenerate") for w in caught)
+
+
+@settings(max_examples=150)
+@given(volumes_and_boundaries(), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+       st.integers(0, 2), st.booleans(), st.booleans())
+def test_classical_extract_equals_infusion_of_the_whole_map(case, seed, density, dilation, use_l, use_t):
+    """The classical scores are read only where the priors keep them: for
+    every flag pair, bit for bit the whole-volume masks' infusion of
+    vessel_probability's map. A constant ILM-BM band warns once, in
+    `prepare`, and scores all zeros. `raw_probability` reads as that map."""
+    volume, boundaries = case
+    n_slices, _, width = volume.dims
+    footprint = PixelMask(np.random.default_rng(seed).random((n_slices, width)) < density)
+    raw, warned = _degenerate_warnings(vessel_probability, volume, boundaries)
+    prepared, prepare_warned = _degenerate_warnings(prepare, volume, boundaries, footprint)
+    assert prepare_warned == warned <= 1
+    cfg = InfusionConfig(use_longitudinal=use_l, use_transverse=use_t, transverse_dilation=dilation,
+                         min_component_vox=1)
+    got, extract_warned = _degenerate_warnings(extract, prepared, cfg)
+    masks = (longitudinal_mask(boundaries, volume.dims) if use_l else None,
+             transverse_mask(footprint, volume.dims, dilation) if use_t else None)
+    want = infuse(raw, *masks)
+    assert extract_warned == 0
+    assert got.probability.data.tobytes() == want.data.tobytes()
+    assert np.array_equal(got.mask.data, binarize_and_label_reference(want.data, cfg)[0])
+    assert got.raw_probability.data.tobytes() == raw.data.tobytes()
+    assert prepared.raw_probability.data.tobytes() == raw.data.tobytes()
+
+
+def test_raw_probability_is_built_once_on_its_first_read_and_drops_the_volume(desk_phantom):
+    """Until then the prepared stages hold the volume, read only where the
+    priors keep it; `execute` returns the same raw map as `vessel_probability`."""
+    cfg, volume, gt = desk_phantom
+    copy = OctVolume(volume.data.copy())
+    prepared = prepare(copy, gt.boundaries)
+    held = weakref.ref(copy)
+    del copy
+    extract(prepared)
+    assert held() is not None
+    raw = prepared.raw_probability
+    assert held() is None
+    assert prepared.raw_probability is raw
+    assert raw.data.tobytes() == vessel_probability(volume, gt.boundaries).data.tobytes()
+
+    run = pipeline.PipelineConfig.from_dict({"input": {"phantom": cfg.to_dict()}})
+    result, executed_volume, _ = pipeline.execute(run)
+    want = vessel_probability(executed_volume, result.boundaries)
+    assert result.raw_probability.data.tobytes() == want.data.tobytes()
+
+
+_GRAY_TIES = np.array(
+    [0.5, *(np.nextafter(np.float32((k + 0.5) / 255), np.float32(d)) for k in range(255) for d in (0, 1))]
+    + [np.float32((k + 0.5) / 255) for k in range(255)],
+    dtype=np.float32,
+)
+
+
+@settings(max_examples=100)
+@given(volumes_and_boundaries(), st.integers(0, 2**32 - 1))
+def test_gray_equals_per_b_scan_gray_levels(case, seed):
+    """`_gray` quantizes through one float64 buffer, clipping after the
+    multiply by 255; it equals `gray_levels` of each B-scan in float64. Some
+    voxels hold 0.5 (the 127.5 tie) or a float32 neighbour of (k + 0.5) / 255."""
+    volume, _ = case
+    data = volume.data.copy()
+    rng = np.random.default_rng(seed)
+    ties = rng.random(data.shape) < 0.5
+    data[ties] = rng.choice(_GRAY_TIES, int(ties.sum()))
+    volume = OctVolume(data)
+    want = np.stack([gray_levels(volume.data[s].astype(np.float64)) for s in range(volume.n_slices)])
+    assert pipeline._gray(volume).tobytes() == want.tobytes()
+
+
 def test_write_pgm_writes_a_bool_image_as_0_and_255(tmp_path):
     image = np.random.default_rng(2).random((5, 7)) < 0.5
     write_pgm(image, str(tmp_path / "bool.pgm"))
@@ -513,6 +599,15 @@ def test_run_to_files_allocates_at_most_3_25x_volume(desk_phantom, tmp_path):
     assert growth <= 3.25, f"run_to_files allocated {growth:.2f}x the volume's bytes"
 
 
+def test_classical_run_to_files_allocates_at_most_2_75x_volume(desk_phantom, tmp_path):
+    """With both priors, the classical scores of only the voxels they keep
+    are read from the volume into the infused map: no raw map is built, and
+    the volume is freed before the infused map is binarized."""
+    _, volume, gt = desk_phantom
+    growth = _run_to_files_growth(tmp_path, volume, gt, imported=False)
+    assert growth <= 2.75, f"run_to_files allocated {growth:.2f}x the volume's bytes"
+
+
 def test_run_to_files_with_imported_sources_allocates_at_most_3_25x_volume(desk_phantom, tmp_path):
     """The same bound with the boundaries and probability map imported."""
     _, volume, gt = desk_phantom
@@ -574,3 +669,17 @@ def test_auc_allocates_at_most_1_25x_the_map():
     gt = VoxelMask(rng.random(dims) < 0.02)
     growth = _traced_growth(auc, scores, gt) / scores.data.nbytes
     assert growth <= 1.25, f"auc allocated {growth:.2f}x the map's bytes"
+
+
+def test_auc_of_a_map_with_2_percent_non_zeros_allocates_at_most_0_1x_the_map():
+    """The desk-size map with 98% of its scores zeroed, as the priors leave
+    it: only the non-zero scores are copied and sorted, so the copy, the
+    positive scores and their ranks are each a few percent of the map."""
+    rng = np.random.default_rng(0)
+    dims = (32, 192, 160)
+    data = rng.random(dims, dtype=np.float32)
+    data[rng.random(dims) >= 0.02] = 0.0
+    scores = ProbabilityMap3D(data)
+    gt = VoxelMask(rng.random(dims) < 0.02)
+    growth = _traced_growth(auc, scores, gt) / scores.data.nbytes
+    assert growth <= 0.1, f"auc allocated {growth:.3f}x the map's bytes"
