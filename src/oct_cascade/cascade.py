@@ -29,7 +29,7 @@ import numpy as np
 from scipy import ndimage
 
 from .config import FromDict, In, Path
-from .enface import ShadowConfig, project_rpe, segment_shadows
+from .enface import ShadowConfig, keep_components, project_rpe, segment_shadows
 from .errors import ConfigError, ShapeMismatchError
 from .layers import DpConfig, segment_boundaries
 from .model import (
@@ -140,13 +140,6 @@ class _ClassicalScores:
         score /= self.vmax - self.vmin
         return np.clip(score, 0.0, 1.0, out=score).astype(np.float32)
 
-    def map(self) -> ProbabilityMap3D:
-        """The scores of every voxel."""
-        out = np.empty(self.dims, dtype=np.float32)
-        for s in range(self.dims[0]):
-            out[s] = self.read(s)
-        return ProbabilityMap3D(out)
-
 
 def _classical_scores(
     volume: OctVolume, boundaries: BoundarySet, cfg: VesselBackendConfig | None
@@ -195,8 +188,12 @@ def vessel_probability(
     all) yields an all-zero map and a warning. Each B-scan is normalized
     in float64, so no whole-volume float64 copy is ever live.
     """
-    scores = _classical_scores(volume, boundaries, cfg)
-    return scores.map() if isinstance(scores, _ClassicalScores) else scores
+    return _raw_map(_classical_scores(volume, boundaries, cfg))
+
+
+def _raw_map(scores: _ClassicalScores | ProbabilityMap3D) -> ProbabilityMap3D:
+    """The map of `scores` at every voxel."""
+    return _infuse(scores, None, None) if isinstance(scores, _ClassicalScores) else scores
 
 
 def _read(scores: _ClassicalScores | ProbabilityMap3D, s: int, rows, cols) -> np.ndarray:
@@ -251,35 +248,11 @@ def infuse(
 
 
 def binarize_and_label(p: ProbabilityMap3D, cfg: InfusionConfig) -> tuple[VoxelMask, int]:
-    """Threshold at cfg.binarize_threshold, drop small components, count.
-
-    Components are labeled in raster-scan order (ordered by their minimum
-    linear voxel index), so the surviving count and mask are deterministic.
-    Only the foreground's bounding box is labeled: it holds every component,
-    and cropping keeps their raster-scan order.
-    """
+    """Threshold at cfg.binarize_threshold, then `keep_components`: the mask
+    of the components of at least cfg.min_component_vox voxels, and their count."""
     binary = p.data > cfg.binarize_threshold
-    # The box from per-axis projections: slices and rows first, then the
-    # columns of those slices and rows only.
-    on = binary.any(axis=2)
-    if not on.any():
-        return VoxelMask(binary), 0
-    s, z = (np.flatnonzero(on.any(axis=k)) for k in (1, 0))
-    x = np.flatnonzero(binary[s[0] : s[-1] + 1, z[0] : z[-1] + 1].any(axis=(0, 1)))
-    box = (slice(s[0], s[-1] + 1), slice(z[0], z[-1] + 1), slice(x[0], x[-1] + 1))
-    structure = ndimage.generate_binary_structure(3, 3 if cfg.connectivity == 26 else 1)
-    # A contiguous copy, so that ravel() is a view to write the kept voxels
-    # into. Components are sized and selected on the foreground voxels only:
-    # indexing with the whole int32 label box would widen it to intp, and
-    # the label box itself is dropped once their labels are read.
-    crop = np.ascontiguousarray(binary[box])
-    fg = np.flatnonzero(crop)
-    fg_labels = ndimage.label(crop, structure=structure)[0].ravel()[fg]
-    keep = np.bincount(fg_labels) >= cfg.min_component_vox
-    keep[0] = False
-    crop.ravel()[fg] = keep[fg_labels]
-    binary[box] = crop
-    return VoxelMask(binary), int(keep.sum())
+    n_components = keep_components(binary, cfg.connectivity, cfg.min_component_vox)
+    return VoxelMask(binary), n_components  # VoxelMask freezes `binary`
 
 
 @dataclass(frozen=True)
@@ -288,8 +261,9 @@ class Prepared:
 
     `scores` is the raw probability map, imported or built, or the
     classical backend's scores still to be read from the volume: the
-    infusion reads only the voxels the priors keep. Reading
-    `raw_probability` builds the classical map once and drops the volume.
+    infusion reads only the voxels the priors keep. Each read of
+    `raw_probability` builds the classical map anew; a caller that reads
+    it more than once replaces `scores` with it.
     """
 
     boundaries: BoundarySet
@@ -299,9 +273,7 @@ class Prepared:
 
     @property
     def raw_probability(self) -> ProbabilityMap3D:
-        if isinstance(self.scores, _ClassicalScores):
-            object.__setattr__(self, "scores", self.scores.map())
-        return self.scores
+        return _raw_map(self.scores)
 
 
 @dataclass(frozen=True)

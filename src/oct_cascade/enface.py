@@ -19,8 +19,6 @@ from .config import FromDict, In
 from .errors import ConfigError
 from .model import BoundarySet, EnFaceImage, OctVolume, PixelMask
 
-_EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
-
 #: A box side of the background estimate. The cap keeps scipy's box filter
 #: from allocating for a window no en-face image could fill.
 _Window = Annotated[int, In("[3, 65535]")]
@@ -85,11 +83,39 @@ def segment_shadows(
     contrast = np.maximum(0.0, (background - e) / np.maximum(background, 1e-6))
 
     mask = contrast > cfg.contrast_threshold
-    if mask.any():
-        labels, n = ndimage.label(mask, structure=_EIGHT_CONNECTED)
-        sizes = np.bincount(labels.ravel())
-        keep = sizes >= cfg.min_component_px
-        keep[0] = False
-        mask = keep[labels]
+    # 26-connectivity within a single slice is 8-connectivity in the image.
+    keep_components(mask[None], 26, cfg.min_component_px)
     return PixelMask(mask), contrast
+
+
+def keep_components(binary: np.ndarray, connectivity: int, min_size: int) -> int:
+    """Clear the `connectivity` (6 or 26) components of the 3D boolean
+    `binary` smaller than `min_size` voxels, in place; return how many stay.
+
+    Components are labeled in raster-scan order (by their minimum linear
+    voxel index), so the kept count and mask are deterministic. Only the
+    foreground's bounding box is labeled: it holds every component, and
+    cropping keeps their raster-scan order.
+    """
+    # The box from per-axis projections: slices and rows first, then the
+    # columns of those slices and rows only.
+    on = binary.any(axis=2)
+    if not on.any():
+        return 0
+    s, z = (np.flatnonzero(on.any(axis=k)) for k in (1, 0))
+    x = np.flatnonzero(binary[s[0] : s[-1] + 1, z[0] : z[-1] + 1].any(axis=(0, 1)))
+    box = (slice(s[0], s[-1] + 1), slice(z[0], z[-1] + 1), slice(x[0], x[-1] + 1))
+    structure = ndimage.generate_binary_structure(3, 3 if connectivity == 26 else 1)
+    # A contiguous copy, so that ravel() is a view to write the kept voxels
+    # into. Components are sized and selected on the foreground voxels only:
+    # indexing with the whole int32 label box would widen it to intp, and
+    # the label box itself is dropped once their labels are read.
+    crop = np.ascontiguousarray(binary[box])
+    fg = np.flatnonzero(crop)
+    fg_labels = ndimage.label(crop, structure=structure)[0].ravel()[fg]
+    keep = np.bincount(fg_labels) >= min_size
+    keep[0] = False
+    crop.ravel()[fg] = keep[fg_labels]
+    binary[box] = crop
+    return int(keep.sum())
 

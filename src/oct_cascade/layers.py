@@ -29,8 +29,8 @@ from .model import BOUNDARY_NAMES, BoundarySet, OctVolume
 #: The kinds of cost image `_cost_image` builds.
 COST_KINDS = ("negative_vertical_gradient", "positive_vertical_gradient", "negative_intensity")
 
-#: A band offset: a count of rows, or a fraction of the volume height.
-_Rows = Annotated[int, In("[0, inf)")]
+#: A band offset: a count of rows (capped to keep band sums in int64), or a fraction of the height.
+_Rows = Annotated[int, In("[0, 65535]")]
 _Fraction = Annotated[float, In("[0, 1]")]
 
 

@@ -71,7 +71,8 @@ class PhantomConfig(FromDict):
 
     dims: tuple[Annotated[int, In("[1, inf)")], Annotated[int, In("[16, inf)")],
                 Annotated[int, In("[16, inf)")]] = (32, 192, 160)
-    n_vessels: Annotated[int, In("[0, inf)")] = 4
+    # The cap refuses a count numpy could not allocate paths for, before any stage runs.
+    n_vessels: Annotated[int, In("[0, 65535]")] = 4
     vessel_radius: Annotated[float, In("[0.5, inf)")] = 2.0
     vessel_depth_fraction_range: tuple[_Unit, _Unit] = (0.25, 0.75)
     shadow_attenuation: Annotated[float, In("(0, 1]")] = 0.4

@@ -448,10 +448,10 @@ def ablate(cfg: PipelineConfig, seeds: list[int]) -> tuple[bool, list[tuple[str,
     rows: list[tuple[int, MetricsReport]] = []
     for seed in seeds:
         prepared, volume, gt_mask = _prepare(cfg.with_seed(seed), imports)
-        # The prepared stages hold the volume until the base variant, which
-        # comes first, builds the raw map the other variants read.
-        del volume
         with _stage("cascade"):
+            # Every variant reads the raw map: built once, it frees the volume.
+            prepared = dataclasses.replace(prepared, scores=prepared.raw_probability)
+            del volume
             for label, infusion in infusions.items():
                 r = extract(prepared, infusion)
                 rows.append((seed, score(label, r.mask, r.probability, gt_mask)))

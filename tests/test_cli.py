@@ -460,6 +460,43 @@ def test_run_with_a_background_window_beyond_its_cap_fails_before_any_stage(tmp_
     assert calls == [] and not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("dp, culprit", [
+    ({"ilm_band": [10**30, 0.45]}, f"'ilm_band'[0] must be in [0, 65535], got {10**30}"),
+    ({"rpe_band": [0.06, 10**21]}, f"'rpe_band'[1] must be in [0, 65535], got {10**21}"),
+], ids=["ilm_band", "rpe_band"])
+def test_run_with_dp_rows_beyond_int64_exits_2_naming_the_stage(tmp_path, capsys, dp, culprit):
+    """Row counts no int64 holds are refused as the boundary source's
+    config error, not raised as an OverflowError by the band arithmetic."""
+    cfg = tmp_path / "pipeline.json"
+    cfg.write_text(json.dumps({"input": {"phantom": {"dims": [2, 96, 64], "n_vessels": 2}},
+                               "boundaries": {"dp": dp}, "output_dir": str(tmp_path / "out")}))
+    assert run_cli(["run", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: boundary source: ") and culprit in err
+    assert not (tmp_path / "out").exists()
+
+
+def _phantom_run_config(tmp_path, n_vessels):
+    path = tmp_path / "pipeline.json"
+    path.write_text(json.dumps({"input": {"phantom": {"dims": [2, 96, 64], "n_vessels": n_vessels}},
+                                "output_dir": str(tmp_path / "out")}))
+    return path
+
+
+@pytest.mark.parametrize("command, stage", [
+    (lambda d, n: ["run", "--config", _phantom_run_config(d, n)], "input"),
+    (lambda d, n: ["phantom", "gen", "--n-vessels", n, "--out", d / "out"], "phantom config"),
+], ids=["run", "phantom gen"])
+def test_a_vessel_count_beyond_its_cap_exits_2_naming_the_stage(tmp_path, capsys, command, stage):
+    """Refused before the vessel paths are allocated, where numpy raised a
+    bare ValueError for a count no array dimension holds."""
+    assert run_cli(command(tmp_path, 10**30)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {stage}: ")
+    assert f"'n_vessels' must be in [0, 65535], got {10**30}" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("message, shown", [("Unable to allocate 7.28 TiB", "Unable to allocate 7.28 TiB"),
                                             ("", "an allocation failed")])
 def test_run_out_of_memory_exits_2_naming_the_stage(tmp_path, capsys, monkeypatch, message, shown):

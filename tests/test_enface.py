@@ -3,9 +3,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy import ndimage
 
 from oct_cascade.cascade import prepare
-from oct_cascade.enface import ShadowConfig, project_rpe, segment_shadows
+from oct_cascade.enface import ShadowConfig, keep_components, project_rpe, segment_shadows
 from oct_cascade.errors import ConfigError, ShapeMismatchError
 from oct_cascade.fileio import write_volume
 from oct_cascade.layers import segment_boundaries
@@ -181,3 +182,51 @@ def test_segment_shadows_equals_whole_image_reference(image, window, threshold, 
     mask, contrast = segment_shadows(EnFaceImage(image), cfg)
     np.testing.assert_allclose(contrast, want_contrast, rtol=0, atol=1e-7)
     assert np.array_equal(mask.data, want_mask)
+
+
+#: The oracle's structure per connectivity; 8 is a 2D mask, filtered through
+#: its (1, slices, width) view with connectivity 26.
+_STRUCTURES = {6: ndimage.generate_binary_structure(3, 1), 26: np.ones((3, 3, 3), bool),
+               8: np.ones((3, 3), bool)}
+
+
+@st.composite
+def masks(draw):
+    """A 3D mask for connectivity 6 or 26, or a 2D one for 8, with 0.1-50% foreground."""
+    connectivity = draw(st.sampled_from(sorted(_STRUCTURES)))
+    shape = (draw(st.integers(1, 16)), draw(st.integers(1, 16)))
+    if connectivity != 8:
+        shape = (draw(st.integers(1, 6)), *shape)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.random(shape) < draw(st.floats(0.001, 0.5)), connectivity
+
+
+def _line_and_corner():
+    """Four voxels in a row, and one more touching them only at a corner."""
+    mask = np.zeros((2, 3, 6), dtype=bool)
+    mask[0, 1, :4] = mask[1, 2, 4] = True
+    return mask
+
+
+@settings(max_examples=300)
+@given(masks(), st.integers(1, 12))
+@example((np.zeros((3, 4, 5), dtype=bool), 26), 1)
+@example((np.ones((3, 4, 5), dtype=bool), 6), 60)
+@example((np.ones((3, 4, 5), dtype=bool), 26), 61)
+@example((np.eye(1, 25, 12, dtype=bool).reshape(5, 5), 8), 1)
+@example((_line_and_corner(), 6), 4)  # the row, of exactly min_size, stays; the corner goes
+@example((_line_and_corner(), 26), 5)
+def test_keep_components_equals_whole_array_labelling(case, min_size):
+    """The shared filter, labelling only the foreground's box, keeps the
+    mask and count that labelling the whole array does."""
+    mask, connectivity = case
+    labels = ndimage.label(mask, structure=_STRUCTURES[connectivity])[0]
+    keep = np.bincount(labels.ravel()) >= min_size
+    keep[0] = False
+    got = mask.copy()
+    if connectivity == 8:
+        count = keep_components(got[None], 26, min_size)
+    else:
+        count = keep_components(got, connectivity, min_size)
+    assert np.array_equal(got, keep[labels])
+    assert count == int(keep.sum())

@@ -26,7 +26,6 @@ import csv
 import math
 import tracemalloc
 import warnings
-import weakref
 
 import numpy as np
 import pytest
@@ -447,20 +446,16 @@ def test_classical_extract_equals_infusion_of_the_whole_map(case, seed, density,
     assert prepared.raw_probability.data.tobytes() == raw.data.tobytes()
 
 
-def test_raw_probability_is_built_once_on_its_first_read_and_drops_the_volume(desk_phantom):
-    """Until then the prepared stages hold the volume, read only where the
-    priors keep it; `execute` returns the same raw map as `vessel_probability`."""
+def test_raw_probability_reads_as_vessel_probability_and_leaves_the_scores_as_prepared(desk_phantom):
+    """Every read builds `vessel_probability`'s map and `prepare`'s scores
+    stay in place; `execute` returns the same raw map as `vessel_probability`."""
     cfg, volume, gt = desk_phantom
-    copy = OctVolume(volume.data.copy())
-    prepared = prepare(copy, gt.boundaries)
-    held = weakref.ref(copy)
-    del copy
-    extract(prepared)
-    assert held() is not None
-    raw = prepared.raw_probability
-    assert held() is None
-    assert prepared.raw_probability is raw
-    assert raw.data.tobytes() == vessel_probability(volume, gt.boundaries).data.tobytes()
+    prepared = prepare(volume, gt.boundaries)
+    scores = prepared.scores
+    want = vessel_probability(volume, gt.boundaries).data.tobytes()
+    assert prepared.raw_probability.data.tobytes() == want
+    assert prepared.raw_probability.data.tobytes() == want
+    assert prepared.scores is scores
 
     run = pipeline.PipelineConfig.from_dict({"input": {"phantom": cfg.to_dict()}})
     result, executed_volume, _ = pipeline.execute(run)
