@@ -15,8 +15,11 @@ the map is thresholded and cleaned by connected-component size.
 The cascade (`extract`) infuses one B-scan at a time: each prior stays in
 its own dimensions (a depth band per A-scan, an en-face footprint) and is
 expanded only over the B-scan being multiplied, and the classical backend
-scores only the voxels the priors keep. `infuse` is the whole-volume
-product of the masks, the reference it reproduces.
+scores only the voxels the priors keep. It does so in two halves:
+`gather_priors` gathers the kept scores out of their source and `place`
+puts them into a new map, so a caller can free the source in between.
+`infuse` is the whole-volume product of the masks, the reference it
+reproduces.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .model import (
     PixelMask,
     ProbabilityMap3D,
     VoxelMask,
+    band_rows,
     require_same_dims,
 )
 
@@ -151,17 +155,19 @@ def _classical_scores(
         raise ConfigError("an import backend scores nothing; pass its map to prepare as probability")
 
     # The band's range, one B-scan at a time over the rows its depths
-    # reach. The float32 range is exactly the range of its float64 widening.
+    # reach: whole where every column's band covers them, masked in the
+    # rims. The float32 range is exactly the range of its float64 widening.
     lo, hi = boundaries.voxel_band("ILM", "BM", volume.dims)
     if (hi >= lo).any():
         vmin, vmax = np.inf, -np.inf
         for s in range(volume.n_slices):
-            top, bottom = int(lo[s].min()), int(hi[s].max()) + 1
-            z = np.arange(top, bottom)[:, None]
-            band = (z >= lo[s]) & (z <= hi[s])
-            rows = volume.data[s, top:bottom]
-            vmin = min(vmin, float(rows.min(where=band, initial=np.inf)))
-            vmax = max(vmax, float(rows.max(where=band, initial=-np.inf)))
+            top, core, rest, bottom = band_rows(lo[s], hi[s])
+            bscan, z = volume.data[s], np.arange(volume.height)[:, None]
+            for rows, band in [(bscan[core:rest], True)] + [
+                (bscan[rim], (z[rim] >= lo[s]) & (z[rim] <= hi[s])) for rim in (slice(top, core), slice(rest, bottom))
+            ]:
+                vmin = min(vmin, float(rows.min(where=band, initial=np.inf)))
+                vmax = max(vmax, float(rows.max(where=band, initial=-np.inf)))
     else:  # empty band: normalize over the whole volume
         vmin, vmax = float(volume.data.min()), float(volume.data.max())
     if vmax - vmin < 1e-9:
@@ -192,8 +198,14 @@ def vessel_probability(
 
 
 def _raw_map(scores: _ClassicalScores | ProbabilityMap3D) -> ProbabilityMap3D:
-    """The map of `scores` at every voxel."""
-    return _infuse(scores, None, None) if isinstance(scores, _ClassicalScores) else scores
+    """The map of `scores` at every voxel: an imported map itself, or the
+    classical scores read one B-scan at a time."""
+    if isinstance(scores, ProbabilityMap3D):
+        return scores
+    out = np.empty(scores.dims, dtype=np.float32)
+    for s in range(scores.dims[0]):
+        out[s] = scores.read(s)
+    return ProbabilityMap3D(out)
 
 
 def _read(scores: _ClassicalScores | ProbabilityMap3D, s: int, rows, cols) -> np.ndarray:
@@ -203,28 +215,53 @@ def _read(scores: _ClassicalScores | ProbabilityMap3D, s: int, rows, cols) -> np
     return scores.data[s, rows][:, cols]
 
 
-def _infuse(scores: _ClassicalScores | ProbabilityMap3D, band, footprint) -> ProbabilityMap3D:
-    """`scores` where each B-scan's keep image is set, the voxels of `band`
+@dataclass(frozen=True)
+class Gathered:
+    """The scores the priors keep, gathered out of their source: per B-scan,
+    the first row read, the kept columns (an index array, or every column)
+    and the kept scores of the rows read in those columns, 0 where its
+    keep image is not set. It holds no reference to the source, so the
+    volume or map the scores came from can be freed before `place`
+    allocates the infused map."""
+
+    dims: tuple[int, int, int]
+    pieces: tuple[tuple[int, np.ndarray | slice, np.ndarray], ...]
+
+
+def _gather(scores: _ClassicalScores | ProbabilityMap3D, band, footprint: np.ndarray | None) -> Gathered:
+    """`scores` where each B-scan's keep image is set: the voxels of `band`
     (first and last depths per A-scan, every depth where it is None) in
-    the columns `footprint` keeps (all of them where it is None), into a
-    new map that starts at zeros.
+    the columns `footprint` keeps (all of them where it is None). At
+    least one of the two is given.
 
     Only the rows from the B-scan's shallowest first depth to its deepest
     last depth, in the kept columns, are read and masked; without a band
-    the kept columns are read whole. Every voxel left out is +0.0, whatever
-    its score; a kept voxel keeps its score, -0.0 included.
+    the kept columns are read whole. A kept voxel keeps its score, -0.0
+    included; a dropped one is +0.0.
     """
-    out = np.zeros(scores.dims, dtype=np.float32)
+    pieces = []
     for s in range(scores.dims[0]):
         cols = slice(None) if footprint is None else np.flatnonzero(footprint[s])
         if band is None:
-            out[s][:, cols] = _read(scores, s, slice(None), cols)
+            pieces.append((0, cols, _read(scores, s, slice(None), cols)))
             continue
         lo, hi = band
         top, bottom = int(lo[s].min()), int(hi[s].max()) + 1
         z = np.arange(top, bottom)[:, None]
         keep = (z >= lo[s, cols]) & (z <= hi[s, cols])
-        out[s, top:bottom][:, cols] = np.where(keep, _read(scores, s, slice(top, bottom), cols), np.float32(0))
+        pieces.append((top, cols, np.where(keep, _read(scores, s, slice(top, bottom), cols), np.float32(0))))
+    return Gathered(scores.dims, tuple(pieces))
+
+
+def place(kept: Gathered | ProbabilityMap3D) -> ProbabilityMap3D:
+    """The infused map of what `gather_priors` gave: a new map that starts at
+    zeros with each B-scan's gathered scores in place, or the raw map itself
+    when no prior was applied. Every voxel left out is +0.0."""
+    if isinstance(kept, ProbabilityMap3D):
+        return kept
+    out = np.zeros(kept.dims, dtype=np.float32)
+    for s, (top, cols, values) in enumerate(kept.pieces):
+        out[s, top : top + len(values)][:, cols] = values
     return ProbabilityMap3D(out)
 
 
@@ -318,8 +355,10 @@ def prepare(
     return Prepared(boundaries, image, shadow_source, probability)
 
 
-def apply_priors(prepared: Prepared, infusion_cfg: InfusionConfig | None = None) -> ProbabilityMap3D:
-    """The raw map infused with the priors the flags enable.
+def gather_priors(prepared: Prepared, infusion_cfg: InfusionConfig | None = None) -> Gathered | ProbabilityMap3D:
+    """The first half of `apply_priors`: the scores the priors the flags
+    enable keep, gathered out of the prepared scores, or the raw map itself
+    when neither is enabled.
 
     The priors stay in their own dimensions: the ILM-INL band as per-A-scan
     first and last depths, the dilated shadow footprint as a (slices,
@@ -327,7 +366,7 @@ def apply_priors(prepared: Prepared, infusion_cfg: InfusionConfig | None = None)
     applied, over the band's rows in the footprint's columns; without
     the longitudinal prior (band None) the kept columns are read whole.
     So one `prepare` serves every variant of the ablation and no
-    whole-volume prior is built. Without either prior, the raw map itself.
+    whole-volume prior is built.
     """
     cfg = infusion_cfg or InfusionConfig()
     if not (cfg.use_longitudinal or cfg.use_transverse):
@@ -335,7 +374,13 @@ def apply_priors(prepared: Prepared, infusion_cfg: InfusionConfig | None = None)
     dims = prepared.scores.dims
     band = prepared.boundaries.voxel_band("ILM", "INL_LOWER", dims) if cfg.use_longitudinal else None
     fp = _dilated_footprint(prepared.shadow_mask, dims, cfg.transverse_dilation) if cfg.use_transverse else None
-    return _infuse(prepared.scores, band, fp)
+    return _gather(prepared.scores, band, fp)
+
+
+def apply_priors(prepared: Prepared, infusion_cfg: InfusionConfig | None = None) -> ProbabilityMap3D:
+    """The raw map infused with the priors the flags enable:
+    `place(gather_priors(...))`. Without either prior, the raw map itself."""
+    return place(gather_priors(prepared, infusion_cfg))
 
 
 def extract(prepared: Prepared, infusion_cfg: InfusionConfig | None = None) -> CascadeResult:

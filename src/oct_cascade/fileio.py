@@ -9,6 +9,7 @@ with one row per (boundary, slice, column).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -40,15 +41,26 @@ def remove_file(path: str) -> None:
         pass
 
 
+@contextlib.contextmanager
 def open_new(path: str, mode: str = "x", newline: str | None = None):
     """Open `path` for writing (mode "x" or "xb") as a new file, after
     `remove_file` clears the path: a symlink, hard link or read-only file
     there is replaced, not written through. On ext4 a file truncated and
     rewritten in place is written back at close, and the next truncate
     waits on that; an unlinked file's dirty pages are dropped unwritten.
-    The new file reaches disk only when the kernel flushes it."""
+    The new file reaches disk only when the kernel flushes it. A failure
+    to write or close it removes the partial file and is the OSError
+    naming `path`."""
     remove_file(path)
-    return open(path, mode, newline=newline)
+    fh = open(path, mode, newline=newline)
+    try:
+        with fh:
+            yield fh
+    except OSError as exc:  # from a write, or from the flush at close
+        with contextlib.suppress(OSError):
+            remove_file(path)
+        exc.filename = exc.filename or path
+        raise
 
 
 def write_volume(value: Grid, path: str) -> None:

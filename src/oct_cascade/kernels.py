@@ -18,6 +18,7 @@ import math
 import numpy as np
 
 from .errors import InfeasibleBandError
+from .model import band_rows
 
 
 # ---------------------------------------------------------------------------
@@ -37,9 +38,12 @@ def dp_trace(cost, band_lo, band_hi, lam, max_jump):
 
     The costs go into one (width, J + slices * (depth + J)) float64 table,
     depth = max band_hi + 1 and J = min(max_jump, depth - 1), +inf outside
-    each band: row x is column x of every slice end to end, after J rows of
+    each band: row x is column x of every slice end to end, after J pads of
     +inf and with J more after each slice, so a shift by up to J stays in
-    its own slice. No longer step joins two of the depth rows.
+    its own slice. No longer step joins two of the depth rows. Only the
+    pads and each slice's states outside its bands' rows are set to +inf;
+    the rows every column's band covers are copied whole, and only the
+    rims above and below them go in under the band mask.
     From the right, row x += the minimum over |k| <= J of row x+1 shifted
     by k plus lam * |k|. Rounding is monotone, so each |k| costs
     min(shift -k, shift +k) + lam * |k| and one more minimum. The walk back
@@ -56,10 +60,21 @@ def dp_trace(cost, band_lo, band_hi, lam, max_jump):
     lam, jump = float(lam), min(int(max_jump), height - 1)
     stride = height + jump
     z = np.arange(height, dtype=np.int32)
-    table = np.full((width, jump + n_slices * stride), np.inf)
-    states = table[:, jump:].reshape(width, n_slices, stride)[:, :, :height]
-    for s, image in enumerate(cost):
-        np.copyto(states[:, s], np.asarray(image)[:height].T, where=(z >= lo[s]) & (z <= hi[s]))
+    table = np.empty((width, jump + n_slices * stride))
+    table[:, :jump] = np.inf
+    slices = table[:, jump:].reshape(width, n_slices, stride)
+    slices[:, :, height:] = np.inf
+    states = slices[:, :, :height]
+    images = iter(cost)  # enumerate's reused tuple would keep each image past its turn
+    for s in range(n_slices):
+        image, into = np.asarray(next(images)), states[:, s]
+        top, core, rest, bottom = band_rows(lo[s], hi[s])
+        into[:, :core] = np.inf
+        into[:, rest:] = np.inf
+        into[:, core:rest] = image[core:rest].T
+        for rim in (slice(top, core), slice(rest, bottom)):
+            np.copyto(into[:, rim], image[rim].T, where=(z[rim] >= lo[s]) & (z[rim] <= hi[s]))
+        del image  # not live while the next image is built
 
     # [jump, end) spans every slice and the pads between them
     end = table.shape[1] - jump
@@ -87,8 +102,9 @@ def dp_trace(cost, band_lo, band_hi, lam, max_jump):
     at = path[:, 0] = base + np.argmin(states[0], axis=1)
     window = np.arange(-jump, jump + 1)
     penalty = lam * np.abs(window)
+    flat, row = table.ravel(), table.shape[1]
     for x in range(1, width):
-        at = path[:, x] = at + (table[x].take(at[:, None] + window) + penalty).argmin(axis=1) - jump
+        at = path[:, x] = at + (flat.take(at[:, None] + (x * row + window)) + penalty).argmin(axis=1) - jump
     return path - base[:, None]
 
 

@@ -16,6 +16,7 @@ the anatomical ordering by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Annotated
 
@@ -26,7 +27,7 @@ from .errors import ConfigError, InfeasibleBandError, ShapeMismatchError, Valida
 from .kernels import dp_trace
 from .model import BOUNDARY_NAMES, BoundarySet, OctVolume
 
-#: The kinds of cost image `_cost_image` builds.
+#: The kinds of cost image `_cost_rows` builds.
 COST_KINDS = ("negative_vertical_gradient", "positive_vertical_gradient", "negative_intensity")
 
 #: A band offset: a count of rows (capped to keep band sums in int64), or a fraction of the height.
@@ -53,6 +54,23 @@ class DpConfig(FromDict):
     rpe_band: tuple[_Fraction, _Rows] = (0.06, 6)      # [ILM + frac*H, H - rows]
     bm_band: tuple[_Fraction, _Fraction] = (0.005, 0.13)  # [RPE + frac*H, RPE + frac*H]
     inl_band: tuple[_Fraction, _Fraction] = (0.015, 0.045)  # [ILM + frac*H, RPE - frac*H]
+
+    def __post_init__(self):
+        super().__post_init__()
+        # a volume is at least 8 columns wide and steps at least one row
+        _check_smoothness(self.smoothness, 1, 8, what=f"{self.section} field 'smoothness'")
+
+
+def _check_smoothness(smoothness, jump, width, cost_max=1.0, what="smoothness"):
+    """Refuse a smoothness with which a path's cost may overflow float64:
+    the DP would read the +inf sum as an unreachable state. A path over
+    `width` columns with steps of at most `jump` rows and costs of at
+    most `cost_max` in magnitude costs at most width * (cost_max +
+    smoothness * jump); twice that must be finite, so no order of its
+    sums overflows. A volume's costs lie in [-1, 1]."""
+    if not math.isfinite(2.0 * width * (cost_max + float(smoothness) * int(jump))):
+        raise ConfigError(f"{what} {smoothness!r} overflows the cost of a path "
+                          f"over {width} columns with steps of up to {jump} rows")
 
 
 def trace_boundary(cost, band_lo, band_hi, smoothness=0.5, max_jump=2):
@@ -87,7 +105,11 @@ def trace_boundary(cost, band_lo, band_hi, smoothness=0.5, max_jump=2):
         raise ShapeMismatchError("cost image has no columns")
     if not np.isfinite(cost).all():
         raise ValidationError("cost image contains non-finite values")
+    cost_max = max(float(cost.max(initial=0.0)), -float(cost.min(initial=0.0)))
+    if not math.isfinite(2.0 * cost.shape[1] * cost_max):
+        raise ValidationError(f"cost image values up to {cost_max!r} overflow a path's cost")
     lo, hi = _checked_bands(cost.shape, band_lo, band_hi)
+    _check_smoothness(smoothness, min(max_jump, cost.shape[0] - 1), cost.shape[1], cost_max)
     return dp_trace(cost[None], lo[None], hi[None], smoothness, max_jump)[0]
 
 
@@ -98,10 +120,9 @@ def _trace_stack(bscans, kind, band_lo, band_hi, smoothness, max_jump):
     Only rows [min lo, max hi] over all slices and columns enter the DP. A
     row outside every band is a +inf state that never wins, so the paths
     are those of the full-height images. Each float64 cost image is built,
-    as the DP takes it, from one more row on either side where the B-scan
-    has one, so the gradient's central differences equal the full-height
-    values. The B-scans are a volume's [0, 1] intensities, so the costs
-    are finite.
+    as the DP takes it, for those rows alone, reading one more row on
+    either side where the B-scan has one, so the gradient's central
+    differences equal the full-height values.
 
     The slices are traced in the fewest contiguous groups whose DP table,
     width x (J + g * (rows + J)) float64 for g slices of `rows` rows and
@@ -113,15 +134,13 @@ def _trace_stack(bscans, kind, band_lo, band_hi, smoothness, max_jump):
     """
     lo, hi = _checked_bands(bscans.shape, band_lo, band_hi)
     top, bottom = int(lo.min()), int(hi.max()) + 1
-    start, stop = max(top - 1, 0), min(bottom + 1, bscans.shape[1])
     n_slices, _, width = bscans.shape
     jump = min(int(max_jump), bottom - top - 1)
     group = max(1, (bscans.nbytes // (8 * width) - jump) // (bottom - top + jump))
     paths = []
     for first in range(0, n_slices, group):
         part = slice(first, first + group)
-        costs = (_cost_image(bscan[start:stop].astype(np.float64), kind)[top - start :]
-                 for bscan in bscans[part])
+        costs = (_cost_rows(bscan, kind, top, bottom) for bscan in bscans[part])
         try:
             paths.append(dp_trace(costs, lo[part] - top, hi[part] - top, smoothness, jump))
         except InfeasibleBandError as exc:
@@ -145,11 +164,23 @@ def _checked_bands(shape, band_lo, band_hi):
     return lo, hi
 
 
-def _cost_image(bscan: np.ndarray, kind: str) -> np.ndarray:
+def _cost_rows(bscan: np.ndarray, kind: str, top: int, bottom: int) -> np.ndarray:
+    """Rows [top, bottom) of the B-scan's `kind` cost image, as one new
+    float64 array: the negated intensity, or `np.gradient`'s vertical
+    gradient (central differences, halved, and one-sided at the B-scan's
+    first and last rows), negated by swapping the operands."""
     if kind == "negative_intensity":
-        return -bscan
-    grad = np.gradient(bscan, axis=0)  # central differences, one-sided at the rows
-    return -grad if kind == "negative_vertical_gradient" else grad
+        return np.negative(bscan[top:bottom], dtype=np.float64)
+    last = len(bscan) - 1
+    a, b = max(top, 1), min(bottom, last)  # rows [a, b) have a row on either side
+    ends = [r for r in (0, last) if top <= r < bottom]
+    cost = np.empty((bottom - top, bscan.shape[1]))
+    for r0, r1, up, down in [(a, b, a - 1, a + 1)] + [(r, r + 1, max(r - 1, 0), min(r + 1, last)) for r in ends]:
+        above, below = bscan[up : up + r1 - r0], bscan[down : down + r1 - r0]
+        operands = (below, above) if kind == "positive_vertical_gradient" else (above, below)
+        np.subtract(*operands, out=cost[r0 - top : r1 - top], dtype=np.float64)
+    cost[a - top : b - top] *= 0.5
+    return cost
 
 
 def _rows(frac: float, height: int, floor: int = 1) -> int:
@@ -169,6 +200,7 @@ def segment_boundaries(volume: OctVolume, cfg: DpConfig | None = None) -> Bounda
     cfg = cfg or DpConfig()
     bscans, height = volume.data, volume.height
     lam, jump = cfg.smoothness, cfg.max_jump
+    _check_smoothness(lam, min(jump, height - 1), volume.width)
 
     # ILM: dark above, bright below
     ilm_lo, ilm_frac = cfg.ilm_band

@@ -229,6 +229,18 @@ class PixelMask(Grid):
     noun = "pixel mask"
 
 
+def band_rows(lo: np.ndarray, hi: np.ndarray) -> tuple[int, int, int, int]:
+    """(top, core, rest, bottom) of the inclusive per-column depth bands
+    [lo, hi]: rows [top, bottom) are those some band may reach and [core,
+    rest) those every column's band covers, so only the rims [top, core)
+    and [rest, bottom) need a band mask. With no row in every band, core
+    and rest are bottom."""
+    top, bottom = int(lo.min()), int(hi.max()) + 1
+    core, rest = int(lo.max()), int(hi.min()) + 1
+    return (top, core, rest, bottom) if core < rest else (top, bottom, bottom, bottom)
+
+
+
 class VoxelMask(Grid):
     """A 3D boolean mask with OCT volume axis order."""
 

@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
+import math
 import os
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -24,9 +27,10 @@ from .cascade import (
     InfusionConfig,
     Prepared,
     VesselBackendConfig,
-    apply_priors,
     binarize_and_label,
     extract,
+    gather_priors,
+    place,
     prepare,
 )
 from .config import FromDict, Path, _checked, field_types, to_json
@@ -276,23 +280,34 @@ def read_boundary_csv(path: str, volume: OctVolume) -> BoundarySet:
     return boundaries
 
 
-def _prepare(
-    cfg: PipelineConfig, imports: list | None = None
-) -> tuple[Prepared, OctVolume, VoxelMask | None]:
+def _unpacked(bits: np.ndarray, dims: tuple[int, int, int]) -> VoxelMask:
+    """The voxel mask of `dims` whose voxels `np.packbits` packed into `bits`."""
+    return VoxelMask(np.unpackbits(bits, count=math.prod(dims)).reshape(dims).view(bool))
+
+
+def _prepare(cfg: PipelineConfig, imports: list | None = None) -> tuple[Prepared, OctVolume, Callable | None]:
     """Resolve the configured sources and run `prepare`: the prepared stages,
-    the volume and the ground-truth mask. Imports are read and checked
-    before boundary segmentation runs, unless `imports` holds what
-    `read_imports` already gave."""
+    the volume and a function that gives the ground-truth mask (None
+    without one). Imports are read and checked before boundary
+    segmentation runs, unless `imports` holds what `read_imports` already
+    gave. Only scoring reads the ground truth, so none is held whole
+    through the cascade: a phantom's is packed 8 voxels to a byte, and a
+    file's payload is dropped once checked and read again."""
+    truth = None
     if cfg.phantom is not None:
         with _stage("input"):
-            volume, gt = generate(cfg.phantom)
+            volume, truth = generate(cfg.phantom)
     else:
         volume = read_typed(cfg.volume_path, OctVolume, "input volume")
     gt_mask, shadow_mask, probability = imports or read_imports(
         volume.dims, cfg.gt_mask_path, cfg.shadow_import_path, cfg.backend.path
     )
-    if cfg.phantom is not None:
-        gt_mask = gt.vessel_mask
+    gt = None
+    if truth is not None:
+        gt = functools.partial(_unpacked, np.packbits(truth.vessel_mask.data), volume.dims)
+    elif gt_mask is not None:
+        gt = functools.partial(read_typed, cfg.gt_mask_path, VoxelMask, "ground truth")
+    del gt_mask, truth
 
     if cfg.boundary_source == "import":
         boundaries = read_boundary_csv(cfg.boundary_import_path, volume)
@@ -301,14 +316,14 @@ def _prepare(
             boundaries = segment_boundaries(volume, cfg.dp)
     with _stage("cascade"):
         prepared = prepare(volume, boundaries, shadow_mask, cfg.backend, cfg.dp, cfg.shadow, probability)
-    return prepared, volume, gt_mask
+    return prepared, volume, gt
 
 
 def execute(cfg: PipelineConfig) -> tuple[CascadeResult, OctVolume, VoxelMask | None]:
     """Resolve sources and run the cascade once. No files are written."""
-    prepared, volume, gt_mask = _prepare(cfg)
+    prepared, volume, gt = _prepare(cfg)
     with _stage("cascade"):
-        return extract(prepared, cfg.infusion), volume, gt_mask
+        return extract(prepared, cfg.infusion), volume, gt and gt()
 
 
 def _variant_label(inf: InfusionConfig) -> str:
@@ -318,16 +333,16 @@ def _variant_label(inf: InfusionConfig) -> str:
 
 def _gray(volume: OctVolume) -> np.ndarray:
     """The volume's uint8 gray levels, quantized one B-scan at a time in
-    float64 as `write_pgm` quantizes a float64 image. A float32 times 255
-    is exact in float64, so clipping the product to [0, 255] is clipping
-    the value to [0, 1] first."""
+    float64 as `write_pgm` quantizes a float64 image, in two passes: the
+    product v * 255, then its truncation plus one half. The volume lies in
+    [0, 1], so the product needs no clip. A float32 times 255 is exact in
+    float64 and is never k + 1/2 but at v = 1/2, where rounding half to
+    even also gives 128, so truncating v * 255 + 1/2 is rounding it."""
     gray = np.empty(volume.dims, dtype=np.uint8)
     buf = np.empty(volume.dims[1:], dtype=np.float64)
     for s in range(volume.n_slices):
         np.multiply(volume.data[s], 255.0, out=buf, dtype=np.float64)
-        np.clip(buf, 0.0, 255.0, out=buf)
-        np.rint(buf, out=buf)
-        np.copyto(gray[s], buf, casting="unsafe")
+        np.add(buf, 0.5, out=gray[s], casting="unsafe")
     return gray
 
 
@@ -356,33 +371,29 @@ def _remove_unwritten(out: str, written: dict[str, str], n_overlays: int) -> Non
 def run_to_files(cfg: PipelineConfig) -> dict[str, str]:
     """Run the configured cascade and write the report files.
 
-    The output directory is made before any stage runs. Applying the
-    priors reads the classical scores of only the voxels they keep. The
-    overlays are drawn from the volume's uint8 gray levels, which are
-    freed once they are written; the float volume and the raw map are
-    freed before the infused map is binarized. Each file is
-    written new, and the report files of an earlier run that this one
-    does not write are removed. Returns a name -> path map of everything
-    written.
+    The output directory is made before any stage runs. With either
+    prior, at most one whole-volume float array is live outside the
+    boundary DP: the ground truth is held packed until scoring, and the
+    volume's uint8 gray levels are taken for the overlays and the scores
+    the priors keep gathered before the volume and any imported map are
+    freed and the infused map is allocated. Without a prior, the raw map
+    is the infused map. The gray levels are freed once the overlays are
+    written. Each file is written new, and the report files of an
+    earlier run that this one does not write are removed. Returns a name
+    -> path map of everything written.
     """
     out = cfg.output_dir
     with _output(out):
         os.makedirs(out, exist_ok=True)
-    prepared, volume, gt_mask = _prepare(cfg)
-    draw = cfg.report.overlays or cfg.report.montage
-    # The gray levels are taken and the volume dropped as soon as nothing
-    # else reads it: before the priors are applied to an imported map,
-    # after they are applied to the classical scores, which are read from it.
-    gray = None
-    if isinstance(prepared.scores, ProbabilityMap3D):
-        gray, volume = _gray(volume) if draw else None, None
+    prepared, volume, gt = _prepare(cfg)
+    gray = _gray(volume) if cfg.report.overlays or cfg.report.montage else None
     with _stage("cascade"):
-        probability = apply_priors(prepared, cfg.infusion)
-    if volume is not None:
-        gray, volume = _gray(volume) if draw else None, None
+        kept = gather_priors(prepared, cfg.infusion)
     boundaries, enface, shadow_mask = prepared.boundaries, prepared.enface, prepared.shadow_mask
-    del prepared
+    del prepared, volume  # the scores' source: the map is allocated only once it is freed
     with _stage("cascade"):
+        probability = place(kept)
+        del kept
         mask = binarize_and_label(probability, cfg.infusion)[0]
     written: dict[str, str] = {}
 
@@ -415,8 +426,8 @@ def run_to_files(cfg: PipelineConfig) -> dict[str, str]:
             written["montage"] = path("montage.pgm")
     del gray
 
-    if gt_mask is not None:
-        report = score(_variant_label(cfg.infusion), mask, probability, gt_mask)
+    if gt is not None:
+        report = score(_variant_label(cfg.infusion), mask, probability, gt())
         write_metrics_csv(path("metrics.csv"), [report])
         written["metrics"] = path("metrics.csv")
     with _output(out):
@@ -447,11 +458,12 @@ def ablate(cfg: PipelineConfig, seeds: list[int]) -> tuple[bool, list[tuple[str,
     imports = read_imports(tuple(cfg.phantom.dims), None, cfg.shadow_import_path, cfg.backend.path)
     rows: list[tuple[int, MetricsReport]] = []
     for seed in seeds:
-        prepared, volume, gt_mask = _prepare(cfg.with_seed(seed), imports)
+        prepared, volume, gt = _prepare(cfg.with_seed(seed), imports)
         with _stage("cascade"):
             # Every variant reads the raw map: built once, it frees the volume.
             prepared = dataclasses.replace(prepared, scores=prepared.raw_probability)
             del volume
+            gt_mask = gt()
             for label, infusion in infusions.items():
                 r = extract(prepared, infusion)
                 rows.append((seed, score(label, r.mask, r.probability, gt_mask)))

@@ -5,6 +5,8 @@ one replaced it: a float64 suffix-cost table built column by column from
 the right, candidates scanned in ascending step with a strict "<", and a
 greedy walk back from the left. The batch must give the path `dp_trace`
 gives on every slice, bit for bit, and fail at the column it names.
+`cost_image` is the whole-image cost the package built before it built
+only the rows a band reaches, the oracle of `layers._cost_rows`.
 """
 
 import numpy as np
@@ -90,3 +92,13 @@ def dp_trace(cost, band_lo, band_hi, lam, max_jump):
     if fail >= 0:
         raise InfeasibleBandError(int(fail))
     return _reconstruct(table, lo, hi, float(lam), int(max_jump))
+
+
+def cost_image(bscan, kind):
+    """The B-scan's `kind` cost image, in the B-scan's dtype: the negated
+    intensity, or the vertical gradient by `np.gradient`, negated for
+    "negative_vertical_gradient"."""
+    if kind == "negative_intensity":
+        return -bscan
+    grad = np.gradient(bscan, axis=0)  # central differences, one-sided at the rows
+    return -grad if kind == "negative_vertical_gradient" else grad

@@ -3,6 +3,8 @@ import hashlib
 import json
 import os
 import re
+import resource
+import signal
 import subprocess
 import sys
 
@@ -445,6 +447,28 @@ def test_run_into_an_existing_file_fails_before_boundary_segmentation(tmp_path, 
     err = capsys.readouterr().err
     assert err.startswith("error: output: ") and repr(str(tmp_path / "taken")) in err
     assert calls == []
+
+
+def _limit_file_size():
+    # runs in the child alone: files it writes stop at 100 kB, and a write
+    # past that fails with EFBIG instead of killing it with SIGXFSZ
+    resource.setrlimit(resource.RLIMIT_FSIZE, (100_000, 100_000))
+    signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+
+
+@pytest.mark.slow
+def test_run_past_the_file_size_limit_names_the_file_and_removes_it(tmp_path):
+    """prob.raw, 196 kB, is the first output past the limit."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "oct_cascade", "run", "--config", str(pipeline_config(tmp_path))],
+        env=env, capture_output=True, text=True, preexec_fn=_limit_file_size,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    prob = tmp_path / "out" / "prob.raw"
+    assert proc.stderr == f"error: output: cannot write {str(prob)!r}: File too large\n"
+    assert not prob.exists() and (tmp_path / "out" / "mask.raw").stat().st_size == 8 * 96 * 64
 
 
 def test_run_with_a_background_window_beyond_its_cap_fails_before_any_stage(tmp_path, capsys, monkeypatch):

@@ -17,7 +17,7 @@ from oct_cascade.model import OctVolume
 from oct_cascade.phantom import default_config, generate
 
 import dp_reference
-from dp_reference import dp_trace
+from dp_reference import cost_image, dp_trace
 
 
 def _per_slice(cost, lo, hi, lam, max_jump):
@@ -146,9 +146,23 @@ def test_row_window_equals_full_height_trace(case, kind):
     bscans, lo, hi, lam, jump = case
     assert_matches_per_slice(
         lambda: layers._trace_stack(bscans, kind, lo, hi, lam, jump),
-        lambda s: dp_trace(layers._cost_image(bscans[s], kind), lo[s], hi[s], lam, jump),
+        lambda s: dp_trace(cost_image(bscans[s], kind), lo[s], hi[s], lam, jump),
         len(bscans),
     )
+
+
+@settings(max_examples=200)
+@given(dp_stacks(min_height=2), st.sampled_from(layers.COST_KINDS), st.data())
+def test_cost_rows_equal_the_whole_cost_image_rows(case, kind, data):
+    # one new float64 array per B-scan, each row computed as np.gradient
+    # computes it on the whole float64 image (a zero's sign aside)
+    bscans = case[0].astype(np.float32)
+    height = bscans.shape[1]
+    top = data.draw(st.integers(0, height - 1))
+    bottom = data.draw(st.integers(top + 1, height))
+    got = layers._cost_rows(bscans[0], kind, top, bottom)
+    assert got.dtype == np.float64 and got.shape == (bottom - top, bscans.shape[2])
+    assert np.array_equal(got, cost_image(bscans[0].astype(np.float64), kind)[top:bottom])
 
 
 @settings(max_examples=200)
@@ -169,7 +183,7 @@ def test_float32_stack_traced_in_groups_equals_per_slice_trace(case, kind, infea
     with mock.patch.object(layers, "dp_trace", wraps=kernels.dp_trace) as dp:
         assert_matches_per_slice(
             lambda: layers._trace_stack(bscans, kind, lo, hi, lam, jump),
-            lambda s: dp_trace(layers._cost_image(bscans[s].astype(np.float64), kind),
+            lambda s: dp_trace(cost_image(bscans[s].astype(np.float64), kind),
                                lo[s], hi[s], lam, jump),
             n_slices,
         )
@@ -254,7 +268,7 @@ def test_segment_boundaries_equals_full_height_trace(monkeypatch):
     def full_height(bscans, kind, band_lo, band_hi, smoothness, max_jump):
         columns = (bscans.shape[0], bscans.shape[2])
         return np.stack([
-            dp_trace(layers._cost_image(bscan.astype(np.float64), kind), lo, hi,
+            dp_trace(cost_image(bscan.astype(np.float64), kind), lo, hi,
                      smoothness, max_jump)
             for bscan, lo, hi in zip(bscans, np.broadcast_to(band_lo, columns),
                                      np.broadcast_to(band_hi, columns))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from oct_cascade.fileio import write_boundaries
-from oct_cascade.layers import DpConfig, segment_boundaries
+from oct_cascade.errors import ConfigError
+from oct_cascade.layers import DpConfig, segment_boundaries, trace_boundary
 from oct_cascade.model import BOUNDARY_NAMES, OctVolume
 from oct_cascade.phantom import generate
 from oct_cascade.pipeline import StageError, read_boundary_csv, read_config
@@ -92,3 +93,31 @@ def test_dp_config_validation(tmp_path):
     with pytest.raises(StageError, match=r"dp\.json': unknown DP config fields \['cost_kinds'\]") as err:
         read_config(str(path), DpConfig, "DP config")
     assert err.value.stage == "DP config"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("depths", [[0, 1, 2, 3], [0, 2, 4]], ids=["unit steps", "two-row steps"])
+def test_smoothness_overflowing_the_path_cost_is_a_config_error(depths):
+    """A path cost that overflows to +inf would read as an unreachable
+    state, and a feasible band as an infeasible one; with two-row steps
+    the step penalty itself overflows, with no warning."""
+    with pytest.raises(ConfigError, match=r"^smoothness 1e\+308 overflows"):
+        trace_boundary(np.zeros((6, len(depths))), depths, depths, smoothness=1e308, max_jump=2)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_staircase_band_traces_with_a_huge_smoothness():
+    depths = [0, 1, 2, 3]
+    assert trace_boundary(np.zeros((6, 4)), depths, depths, smoothness=1e300, max_jump=2).tolist() == depths
+
+
+def test_dp_config_refuses_a_smoothness_no_volume_can_trace():
+    with pytest.raises(ConfigError, match=r"DP config field 'smoothness' 1e\+308 overflows"):
+        DpConfig(smoothness=1e308)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_segment_boundaries_refuses_a_smoothness_overflowing_at_its_width():
+    volume = OctVolume(np.zeros((2, 96, 64), dtype=np.float32))
+    with pytest.raises(ConfigError, match=r"^smoothness 1e\+306 overflows .* over 64 columns"):
+        segment_boundaries(volume, DpConfig(smoothness=1e306))

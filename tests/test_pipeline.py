@@ -151,6 +151,32 @@ def test_wrong_dims_ground_truth_fails_before_boundary_segmentation(tmp_path, mo
     assert err.value.stage == "ground truth"
 
 
+@pytest.mark.parametrize("fault, message", [
+    ("dims", r"gt\.json'.*\(8, 96, 63\) != volume dims \(8, 96, 64\)"),
+    ("byte above 1", r"gt\.raw.*mask byte 2 at voxel \(0, 0, 0\)"),
+    ("short payload", r"gt.*payload"),
+])
+def test_run_to_files_refuses_a_ground_truth_before_boundary_segmentation(tmp_path, monkeypatch, fault, message):
+    """The ground truth is read only at scoring, but checked before the DP."""
+    volume, gt = generate(PhantomConfig.from_dict(PHANTOM))
+    write_volume(volume, str(tmp_path / "vol"))
+    dims = (8, 96, 63) if fault == "dims" else volume.dims
+    write_volume(VoxelMask(np.zeros(dims, dtype=bool)), str(tmp_path / "gt"))
+    raw = tmp_path / "gt.raw"
+    if fault == "byte above 1":
+        raw.write_bytes(b"\x02" + raw.read_bytes()[1:])
+    elif fault == "short payload":
+        raw.write_bytes(raw.read_bytes()[:-1])
+    cfg = PipelineConfig.from_dict({
+        "input": {"volume": str(tmp_path / "vol.json"), "ground_truth_mask": str(tmp_path / "gt.json")},
+        "output_dir": str(tmp_path / "out"),
+    })
+    monkeypatch.setattr(pipeline, "segment_boundaries", lambda *a: pytest.fail("DP ran"))
+    with pytest.raises(StageError, match=message) as err:
+        pipeline.run_to_files(cfg)
+    assert err.value.stage == "ground truth"
+
+
 def test_deeply_nested_json_is_a_stage_error(tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000)

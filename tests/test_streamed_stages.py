@@ -16,7 +16,7 @@ and the tests hold that infusion to the whole map's, and `_gray` to
 Traced allocation must stay within these multiples of the volume's
 bytes: run_cascade 2.75x, run_to_files 3.25x (a volume read from disk, with
 its ground truth and overlays, from classical or imported sources) and
-2.75x with classical sources and both priors, ablate 5x on one seed and
+2.75x and 2.25x with classical sources and both priors, ablate 5x on one seed and
 4x on two (of one seed's phantom, generated inside it), segment_boundaries
 1.3x, project_rpe 0.1x and generate 2x of its float32 volume; auc within
 1.25x the map's, and 0.1x on a map with 2% non-zero scores.
@@ -26,6 +26,7 @@ import csv
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -601,6 +602,41 @@ def test_classical_run_to_files_allocates_at_most_2_75x_volume(desk_phantom, tmp
     _, volume, gt = desk_phantom
     growth = _run_to_files_growth(tmp_path, volume, gt, imported=False)
     assert growth <= 2.75, f"run_to_files allocated {growth:.2f}x the volume's bytes"
+
+
+def test_classical_run_to_files_allocates_at_most_2_25x_volume(desk_phantom, tmp_path):
+    """No more than one whole-volume float array is live outside the DP:
+    the ground truth is not held through the cascade, the kept scores are
+    gathered before the volume is freed, and the infused map is allocated
+    only after; the peak is the volume next to the DP's table."""
+    _, volume, gt = desk_phantom
+    growth = _run_to_files_growth(tmp_path, volume, gt, imported=False)
+    assert growth <= 2.25, f"run_to_files allocated {growth:.2f}x the volume's bytes"
+
+
+@pytest.mark.parametrize("imported", [False, True], ids=["classical", "imported"])
+def test_infusion_source_is_freed_before_the_infused_map_is_allocated(desk_phantom, tmp_path,
+                                                                      monkeypatch, imported):
+    """`run_to_files` drops the volume, and an imported map, between
+    gathering the kept scores and placing them into the new map."""
+    _, volume, gt = desk_phantom
+    sources = []
+    read_typed, place = pipeline.read_typed, pipeline.place
+
+    def tracked(path, kind, stage):
+        grid = read_typed(path, kind, stage)
+        if kind in (OctVolume, ProbabilityMap3D):
+            sources.append(weakref.ref(grid.data))
+        return grid
+
+    def checked(kept):
+        assert [ref() for ref in sources] == [None] * len(sources), "a source is still live"
+        return place(kept)
+
+    monkeypatch.setattr(pipeline, "read_typed", tracked)
+    monkeypatch.setattr(pipeline, "place", checked)
+    _run_to_files_growth(tmp_path, volume, gt, imported=imported)
+    assert len(sources) == 1 + imported
 
 
 def test_run_to_files_with_imported_sources_allocates_at_most_3_25x_volume(desk_phantom, tmp_path):
