@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import functools
 import json
-import math
 import os
 import re
 from contextlib import contextmanager
@@ -280,19 +278,13 @@ def read_boundary_csv(path: str, volume: OctVolume) -> BoundarySet:
     return boundaries
 
 
-def _unpacked(bits: np.ndarray, dims: tuple[int, int, int]) -> VoxelMask:
-    """The voxel mask of `dims` whose voxels `np.packbits` packed into `bits`."""
-    return VoxelMask(np.unpackbits(bits, count=math.prod(dims)).reshape(dims).view(bool))
-
-
 def _prepare(cfg: PipelineConfig, imports: list | None = None) -> tuple[Prepared, OctVolume, Callable | None]:
     """Resolve the configured sources and run `prepare`: the prepared stages,
     the volume and a function that gives the ground-truth mask (None
     without one). Imports are read and checked before boundary
     segmentation runs, unless `imports` holds what `read_imports` already
-    gave. Only scoring reads the ground truth, so none is held whole
-    through the cascade: a phantom's is packed 8 voxels to a byte, and a
-    file's payload is dropped once checked and read again."""
+    gave. A ground-truth file's payload is dropped once checked; the
+    function reads it again, through the same checks."""
     truth = None
     if cfg.phantom is not None:
         with _stage("input"):
@@ -302,11 +294,11 @@ def _prepare(cfg: PipelineConfig, imports: list | None = None) -> tuple[Prepared
     gt_mask, shadow_mask, probability = imports or read_imports(
         volume.dims, cfg.gt_mask_path, cfg.shadow_import_path, cfg.backend.path
     )
-    gt = None
+    gt = None  # bound as defaults: a closure over `volume` would keep it live
     if truth is not None:
-        gt = functools.partial(_unpacked, np.packbits(truth.vessel_mask.data), volume.dims)
+        gt = lambda mask=truth.vessel_mask: mask
     elif gt_mask is not None:
-        gt = functools.partial(read_typed, cfg.gt_mask_path, VoxelMask, "ground truth")
+        gt = lambda dims=volume.dims, path=cfg.gt_mask_path: read_imports(dims, path)[0]
     del gt_mask, truth
 
     if cfg.boundary_source == "import":
@@ -373,14 +365,15 @@ def run_to_files(cfg: PipelineConfig) -> dict[str, str]:
 
     The output directory is made before any stage runs. With either
     prior, at most one whole-volume float array is live outside the
-    boundary DP: the ground truth is held packed until scoring, and the
-    volume's uint8 gray levels are taken for the overlays and the scores
-    the priors keep gathered before the volume and any imported map are
-    freed and the infused map is allocated. Without a prior, the raw map
-    is the infused map. The gray levels are freed once the overlays are
-    written. Each file is written new, and the report files of an
-    earlier run that this one does not write are removed. Returns a name
-    -> path map of everything written.
+    boundary DP: the volume's uint8 gray levels are taken for the
+    overlays and the scores the priors keep gathered before the volume
+    and any imported map are freed and the infused map is allocated.
+    Without a prior, the raw map is the infused map. A ground-truth file
+    is checked before the DP and read again, checked the same way, once
+    the mask is made and before any file is written. The gray levels are
+    freed once the overlays are written. Each file is written new, and
+    the report files of an earlier run that this one does not write are
+    removed. Returns a name -> path map of everything written.
     """
     out = cfg.output_dir
     with _output(out):
@@ -395,6 +388,7 @@ def run_to_files(cfg: PipelineConfig) -> dict[str, str]:
         probability = place(kept)
         del kept
         mask = binarize_and_label(probability, cfg.infusion)[0]
+    gt_mask = gt and gt()  # before the outputs, which it may name
     written: dict[str, str] = {}
 
     def path(name: str) -> str:
@@ -426,8 +420,8 @@ def run_to_files(cfg: PipelineConfig) -> dict[str, str]:
             written["montage"] = path("montage.pgm")
     del gray
 
-    if gt is not None:
-        report = score(_variant_label(cfg.infusion), mask, probability, gt())
+    if gt_mask is not None:
+        report = score(_variant_label(cfg.infusion), mask, probability, gt_mask)
         write_metrics_csv(path("metrics.csv"), [report])
         written["metrics"] = path("metrics.csv")
     with _output(out):

@@ -177,6 +177,30 @@ def test_run_to_files_refuses_a_ground_truth_before_boundary_segmentation(tmp_pa
     assert err.value.stage == "ground truth"
 
 
+def test_run_to_files_scores_against_an_earlier_runs_mask_in_its_output_dir(tmp_path):
+    """A ground truth at <output_dir>/mask.json is the earlier run's mask,
+    not the one this run writes over it."""
+    volume, _ = generate(PhantomConfig.from_dict(PHANTOM))
+    write_volume(volume, str(tmp_path / "vol"))
+    out = tmp_path / "out"
+
+    def config(infusion, gt=None):
+        return PipelineConfig.from_dict({
+            "input": {"volume": str(tmp_path / "vol.json"), **({"ground_truth_mask": gt} if gt else {})},
+            "infusion": infusion, "output_dir": str(out),
+        })
+
+    pipeline.run_to_files(config({"use_longitudinal": False, "use_transverse": False}))
+    earlier = read_volume(str(out / "mask"))
+    cfg = config({}, str(out / "mask.json"))
+    pipeline.run_to_files(cfg)
+    mask, probability = read_volume(str(out / "mask")), read_volume(str(out / "prob"))
+    assert not np.array_equal(mask.data, earlier.data)
+    want = tmp_path / "want.csv"
+    pipeline.write_metrics_csv(str(want), [score("+longitudinal+transverse", mask, probability, earlier)])
+    assert (out / "metrics.csv").read_text() == want.read_text()
+
+
 def test_deeply_nested_json_is_a_stage_error(tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000)
