@@ -1,5 +1,7 @@
 """Anatomy-guided 3D retinal vessel extraction from volumetric OCT."""
 
+import types
+
 from .model import (
     BOUNDARY_NAMES,
     BoundarySet,
@@ -43,50 +45,5 @@ from .fileio import read_boundaries, read_volume, write_boundaries, write_pgm, w
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BOUNDARY_NAMES",
-    "BoundarySet",
-    "CascadeResult",
-    "ConfusionCounts",
-    "DpConfig",
-    "EnFaceImage",
-    "InfusionConfig",
-    "MetricsReport",
-    "OctVolume",
-    "PhantomConfig",
-    "PhantomGroundTruth",
-    "PixelMask",
-    "Prepared",
-    "ProbabilityMap3D",
-    "ScheduleParams",
-    "ShadowConfig",
-    "VesselBackendConfig",
-    "VoxelMask",
-    "acc",
-    "auc",
-    "binarize_and_label",
-    "build_report",
-    "confusion",
-    "default_config",
-    "extract",
-    "generate",
-    "infuse",
-    "iou",
-    "longitudinal_mask",
-    "poly_lr",
-    "prepare",
-    "project_rpe",
-    "read_boundaries",
-    "read_volume",
-    "run_cascade",
-    "score",
-    "segment_boundaries",
-    "segment_shadows",
-    "sen",
-    "trace_boundary",
-    "transverse_mask",
-    "vessel_probability",
-    "write_boundaries",
-    "write_pgm",
-    "write_volume",
-]
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))

@@ -234,22 +234,43 @@ def _require_file(path: str, stage: str) -> None:
         raise StageError(stage, f"no such file {path!r}")
 
 
-def read_typed(path: str, kind: type, stage: str):
-    """The `kind` grid in `path`; a missing or corrupt file or another kind is `stage`'s StageError."""
+def _typed_header(path: str, kind: type, stage: str) -> tuple[int, ...]:
+    """The dims of the `kind` grid in `path`, from its header, refused as `read_typed` refuses it."""
     _require_file(path, stage)
     with _stage(stage):
-        if issubclass(grid_header(path)[0], kind):
-            return read_volume(path)
+        cls, dims = grid_header(path)
+    if issubclass(cls, kind):
+        return dims
     article = "an" if kind.__name__[0] in "AEIOU" else "a"
     raise StageError(stage, f"{path!r} does not contain {article} {kind.__name__}")
 
 
+def read_typed(path: str, kind: type, stage: str):
+    """The `kind` grid in `path`; a missing or corrupt file or another kind is `stage`'s StageError."""
+    _typed_header(path, kind, stage)
+    with _stage(stage):
+        return read_volume(path)
+
+
+@dataclass(frozen=True)
+class _MapFile:
+    """An imported probability map of checked header, whose payload `read` reads."""
+
+    path: str
+    dims: tuple[int, int, int]
+
+    def read(self) -> ProbabilityMap3D:
+        return read_imports(self.dims, backend_path=self.path)[2]
+
+
 def read_imports(dims: tuple[int, int, int], gt_path: str | None = None,
-                 shadow_path: str | None = None, backend_path: str | None = None) -> list:
+                 shadow_path: str | None = None, backend_path: str | None = None,
+                 map_header: bool = False) -> list:
     """The ground-truth mask, shadow mask and probability map at the paths
     given (None for each path not given), each read once and checked
     against a volume of `dims`; a refused file or a mismatch is its stage's
-    StageError."""
+    StageError. With `map_header`, only the map's header is read: it is
+    given as a `_MapFile`, whose `read` reads the payload through here."""
     n_slices, _, width = dims
     grids = []
     for stage, path, kind, expected, mismatch in (
@@ -258,7 +279,12 @@ def read_imports(dims: tuple[int, int, int], gt_path: str | None = None,
          "shadow mask shape {} != en-face shape {}"),
         ("backend", backend_path, ProbabilityMap3D, dims, "imported probability map vs volume: {} != {}"),
     ):
-        grid = None if path is None else read_typed(path, kind, stage)
+        if path is None:
+            grid = None
+        elif map_header and kind is ProbabilityMap3D:
+            grid = _MapFile(path, _typed_header(path, kind, stage))
+        else:
+            grid = read_typed(path, kind, stage)
         if grid is not None and grid.dims != expected:
             raise StageError(stage, f"{path!r}: " + mismatch.format(grid.dims, expected))
         grids.append(grid)
@@ -284,7 +310,8 @@ def _prepare(cfg: PipelineConfig, imports: list | None = None) -> tuple[Prepared
     without one). Imports are read and checked before boundary
     segmentation runs, unless `imports` holds what `read_imports` already
     gave. A ground-truth file's payload is dropped once checked; the
-    function reads it again, through the same checks."""
+    function reads it again, through the same checks. An imported map's
+    scores are its `_MapFile`, read by `_with_map` once they are needed."""
     truth = None
     if cfg.phantom is not None:
         with _stage("input"):
@@ -292,7 +319,7 @@ def _prepare(cfg: PipelineConfig, imports: list | None = None) -> tuple[Prepared
     else:
         volume = read_typed(cfg.volume_path, OctVolume, "input volume")
     gt_mask, shadow_mask, probability = imports or read_imports(
-        volume.dims, cfg.gt_mask_path, cfg.shadow_import_path, cfg.backend.path
+        volume.dims, cfg.gt_mask_path, cfg.shadow_import_path, cfg.backend.path, map_header=True
     )
     gt = None  # bound as defaults: a closure over `volume` would keep it live
     if truth is not None:
@@ -311,11 +338,18 @@ def _prepare(cfg: PipelineConfig, imports: list | None = None) -> tuple[Prepared
     return prepared, volume, gt
 
 
+def _with_map(prepared: Prepared) -> Prepared:
+    """`prepared` with an imported map's payload read in place of its `_MapFile`."""
+    if isinstance(prepared.scores, _MapFile):
+        return dataclasses.replace(prepared, scores=prepared.scores.read())
+    return prepared
+
+
 def execute(cfg: PipelineConfig) -> tuple[CascadeResult, OctVolume, VoxelMask | None]:
     """Resolve sources and run the cascade once. No files are written."""
     prepared, volume, gt = _prepare(cfg)
     with _stage("cascade"):
-        return extract(prepared, cfg.infusion), volume, gt and gt()
+        return extract(_with_map(prepared), cfg.infusion), volume, gt and gt()
 
 
 def _variant_label(inf: InfusionConfig) -> str:
@@ -366,24 +400,28 @@ def run_to_files(cfg: PipelineConfig) -> dict[str, str]:
     The output directory is made before any stage runs. With either
     prior, at most one whole-volume float array is live outside the
     boundary DP: the volume's uint8 gray levels are taken for the
-    overlays and the scores the priors keep gathered before the volume
-    and any imported map are freed and the infused map is allocated.
-    Without a prior, the raw map is the infused map. A ground-truth file
-    is checked before the DP and read again, checked the same way, once
-    the mask is made and before any file is written. The gray levels are
-    freed once the overlays are written. Each file is written new, and
-    the report files of an earlier run that this one does not write are
-    removed. Returns a name -> path map of everything written.
+    overlays and the volume freed before an imported map's payload is
+    read, and the scores the priors keep are gathered before their source
+    is freed and the infused map is allocated. Without a prior, the raw
+    map is the infused map. An imported map's header and a ground-truth
+    file are checked before the DP; the map's payload, and the ground
+    truth again once the mask is made, are read through the same checks
+    before any file is written. The gray levels are freed once the
+    overlays are written. Each file is written new, and the report files
+    of an earlier run that this one does not write are removed. Returns a
+    name -> path map of everything written.
     """
     out = cfg.output_dir
     with _output(out):
         os.makedirs(out, exist_ok=True)
     prepared, volume, gt = _prepare(cfg)
     gray = _gray(volume) if cfg.report.overlays or cfg.report.montage else None
+    del volume  # the classical scores still hold it; an imported map is read once it is freed
+    prepared = _with_map(prepared)
     with _stage("cascade"):
         kept = gather_priors(prepared, cfg.infusion)
     boundaries, enface, shadow_mask = prepared.boundaries, prepared.enface, prepared.shadow_mask
-    del prepared, volume  # the scores' source: the map is allocated only once it is freed
+    del prepared  # the scores' source: the map is allocated only once it is freed
     with _stage("cascade"):
         probability = place(kept)
         del kept

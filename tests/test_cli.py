@@ -170,6 +170,34 @@ def test_missing_backend_import_names_stage(tmp_path, capsys):
     assert "backend" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fault, message", [
+    ("value above 1", r"probability value np\.float32\(2\.0\) at voxel \(0, 0, 0\) outside \[0, 1\]"),
+    ("short payload", r"payload has \d+ elements"),
+])
+def test_run_refuses_a_bad_backend_map_payload_before_any_output(tmp_path, capsys, fault, message):
+    """With classical boundaries, an imported map's payload is read after the
+    DP, and a fault in it still stops `run` before it writes any file."""
+    rng = np.random.default_rng(0)
+    write_volume(ProbabilityMap3D(rng.random((8, 96, 64), dtype=np.float32)), str(tmp_path / "p"))
+    cfg_dict = json.loads(pipeline_config(tmp_path).read_text())
+    cfg_dict["backend"] = {"kind": "import", "path": str(tmp_path / "p.json")}
+    path = tmp_path / "pipeline2.json"
+    path.write_text(json.dumps(cfg_dict))
+    assert run_cli(["run", "--config", path]) == 0
+    earlier = file_hashes(tmp_path / "out")
+    raw = tmp_path / "p.raw"
+    if fault == "value above 1":
+        raw.write_bytes(np.float32(2.0).tobytes() + raw.read_bytes()[4:])
+    else:
+        raw.write_bytes(raw.read_bytes()[:-4])
+    capsys.readouterr()
+    assert run_cli(["run", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert re.fullmatch(rf"error: backend: {re.escape(repr(str(raw)))}: {message}.*\n", err), err
+    assert file_hashes(tmp_path / "out") == earlier
+
+
 def test_malformed_inputs_exit_2_without_traceback(tmp_path):
     """A config section that is not an object, a path that is not a string,
     a config field of the wrong type or unknown, a corrupt grid header for

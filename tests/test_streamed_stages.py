@@ -15,8 +15,9 @@ and the tests hold that infusion to the whole map's, and `_gray` to
 `gray_levels` per B-scan.
 Traced allocation must stay within these multiples of the volume's
 bytes: run_cascade 2.75x, run_to_files 3.25x (a volume read from disk, with
-its ground truth and overlays, from classical or imported sources) and
-2.75x and 2.25x with classical sources and both priors, ablate 5x on one seed and
+its ground truth and overlays, from classical or imported sources),
+2.75x and 2.25x with classical sources and both priors and 2x with
+imported sources, ablate 5x on one seed and
 4x on two (of one seed's phantom, generated inside it), segment_boundaries
 1.3x, project_rpe 0.1x and generate 2x of its float32 volume; auc within
 1.25x the map's, and 0.1x on a map with 2% non-zero scores.
@@ -644,6 +645,34 @@ def test_run_to_files_with_imported_sources_allocates_at_most_3_25x_volume(desk_
     _, volume, gt = desk_phantom
     growth = _run_to_files_growth(tmp_path, volume, gt, imported=True)
     assert growth <= 3.25, f"run_to_files allocated {growth:.2f}x the volume's bytes"
+
+
+def test_run_to_files_with_imported_sources_allocates_at_most_2x_volume(desk_phantom, tmp_path):
+    """An imported map's payload is read only once the volume is freed, so
+    the two are never live together."""
+    _, volume, gt = desk_phantom
+    growth = _run_to_files_growth(tmp_path, volume, gt, imported=True)
+    assert growth <= 2.0, f"run_to_files allocated {growth:.2f}x the volume's bytes"
+
+
+def test_volume_is_freed_before_an_imported_map_is_read(desk_phantom, tmp_path, monkeypatch):
+    """`run_to_files` reads an imported map's payload only after it has
+    taken the gray levels and dropped the volume."""
+    _, volume, gt = desk_phantom
+    volumes, live_at_map_read = [], []
+    read_typed = pipeline.read_typed
+
+    def tracked(path, kind, stage):
+        if kind is ProbabilityMap3D:
+            live_at_map_read.append([ref() is not None for ref in volumes])
+        grid = read_typed(path, kind, stage)
+        if kind is OctVolume:
+            volumes.append(weakref.ref(grid.data))
+        return grid
+
+    monkeypatch.setattr(pipeline, "read_typed", tracked)
+    _run_to_files_growth(tmp_path, volume, gt, imported=True)
+    assert live_at_map_read == [[False]]
 
 
 def test_ablate_allocates_at_most_5x_volume(tmp_path):
