@@ -20,6 +20,9 @@ scores only the voxels the priors keep. It does so in two halves:
 puts them into a new map, so a caller can free the source in between.
 `infuse` is the whole-volume product of the masks, the reference it
 reproduces.
+Every score source (a map, the classical scores, the `Gathered` kept
+scores) has one per-B-scan `read(s, rows, cols)`, through which
+`binarize_and_label`, `place`, `metrics.auc` and `write_volume` read it.
 """
 
 from __future__ import annotations
@@ -194,38 +197,28 @@ def vessel_probability(
     all) yields an all-zero map and a warning. Each B-scan is normalized
     in float64, so no whole-volume float64 copy is ever live.
     """
-    return _raw_map(_classical_scores(volume, boundaries, cfg))
-
-
-def _raw_map(scores: _ClassicalScores | ProbabilityMap3D) -> ProbabilityMap3D:
-    """The map of `scores` at every voxel: an imported map itself, or the
-    classical scores read one B-scan at a time."""
-    if isinstance(scores, ProbabilityMap3D):
-        return scores
-    out = np.empty(scores.dims, dtype=np.float32)
-    for s in range(scores.dims[0]):
-        out[s] = scores.read(s)
-    return ProbabilityMap3D(out)
-
-
-def _read(scores: _ClassicalScores | ProbabilityMap3D, s: int, rows, cols) -> np.ndarray:
-    """The scores of B-scan `s`'s `rows` in columns `cols`."""
-    if isinstance(scores, _ClassicalScores):
-        return scores.read(s, rows, cols)
-    return scores.data[s, rows][:, cols]
+    return place(_classical_scores(volume, boundaries, cfg))
 
 
 @dataclass(frozen=True)
 class Gathered:
     """The scores the priors keep, gathered out of their source: per B-scan,
     the first row read, the kept columns (an index array, or every column)
-    and the kept scores of the rows read in those columns, 0 where its
-    keep image is not set. It holds no reference to the source, so the
-    volume or map the scores came from can be freed before `place`
-    allocates the infused map."""
+    and the scores of the rows read in those columns, 0 where its keep
+    image is not set. Those scores are views of one array, `data`, every
+    B-scan's in turn. No reference to the source is held, so it can be
+    freed before the kept scores are read, a B-scan at a time."""
 
     dims: tuple[int, int, int]
     pieces: tuple[tuple[int, np.ndarray | slice, np.ndarray], ...]
+    data: np.ndarray
+
+    def read(self, s: int, rows=slice(None), cols=slice(None)) -> np.ndarray:
+        """B-scan `s`'s `rows` in columns `cols`: its kept scores on zeros."""
+        top, kept_cols, values = self.pieces[s]
+        bscan = np.zeros(self.dims[1:], dtype=np.float32)
+        bscan[top : top + len(values)][:, kept_cols] = values
+        return bscan[rows][:, cols]
 
 
 def _gather(scores: _ClassicalScores | ProbabilityMap3D, band, footprint: np.ndarray | None) -> Gathered:
@@ -243,25 +236,29 @@ def _gather(scores: _ClassicalScores | ProbabilityMap3D, band, footprint: np.nda
     for s in range(scores.dims[0]):
         cols = slice(None) if footprint is None else np.flatnonzero(footprint[s])
         if band is None:
-            pieces.append((0, cols, _read(scores, s, slice(None), cols)))
+            pieces.append((0, cols, scores.read(s, slice(None), cols)))
             continue
         lo, hi = band
         top, bottom = int(lo[s].min()), int(hi[s].max()) + 1
         z = np.arange(top, bottom)[:, None]
         keep = (z >= lo[s, cols]) & (z <= hi[s, cols])
-        pieces.append((top, cols, np.where(keep, _read(scores, s, slice(top, bottom), cols), np.float32(0))))
-    return Gathered(scores.dims, tuple(pieces))
+        pieces.append((top, cols, np.where(keep, scores.read(s, slice(top, bottom), cols), np.float32(0))))
+    data = np.concatenate([values.ravel() for _, _, values in pieces])
+    ends = np.cumsum([values.size for _, _, values in pieces])
+    return Gathered(scores.dims, tuple((top, cols, data[end - values.size : end].reshape(values.shape))
+                                      for (top, cols, values), end in zip(pieces, ends)), data)
 
 
-def place(kept: Gathered | ProbabilityMap3D) -> ProbabilityMap3D:
-    """The infused map of what `gather_priors` gave: a new map that starts at
-    zeros with each B-scan's gathered scores in place, or the raw map itself
-    when no prior was applied. Every voxel left out is +0.0."""
+def place(kept: Gathered | _ClassicalScores | ProbabilityMap3D) -> ProbabilityMap3D:
+    """The whole map of a score source: a map itself, else a new map read one
+    B-scan at a time. Of what `gather_priors` gave, its gathered scores on
+    zeros (every voxel left out is +0.0), or the raw map itself when no
+    prior was applied."""
     if isinstance(kept, ProbabilityMap3D):
         return kept
-    out = np.zeros(kept.dims, dtype=np.float32)
-    for s, (top, cols, values) in enumerate(kept.pieces):
-        out[s, top : top + len(values)][:, cols] = values
+    out = np.empty(kept.dims, dtype=np.float32)
+    for s in range(kept.dims[0]):
+        out[s] = kept.read(s)
     return ProbabilityMap3D(out)
 
 
@@ -284,10 +281,13 @@ def infuse(
     return p if out is p.data else ProbabilityMap3D(out)
 
 
-def binarize_and_label(p: ProbabilityMap3D, cfg: InfusionConfig) -> tuple[VoxelMask, int]:
-    """Threshold at cfg.binarize_threshold, then `keep_components`: the mask
-    of the components of at least cfg.min_component_vox voxels, and their count."""
-    binary = p.data > cfg.binarize_threshold
+def binarize_and_label(p: ProbabilityMap3D | Gathered, cfg: InfusionConfig) -> tuple[VoxelMask, int]:
+    """Threshold a score source at cfg.binarize_threshold, one B-scan at a
+    time, then `keep_components`: the mask of the components of at least
+    cfg.min_component_vox voxels, and their count."""
+    binary = np.empty(p.dims, dtype=bool)
+    for s in range(p.dims[0]):
+        np.greater(p.read(s), cfg.binarize_threshold, out=binary[s])
     n_components = keep_components(binary, cfg.connectivity, cfg.min_component_vox)
     return VoxelMask(binary), n_components  # VoxelMask freezes `binary`
 
@@ -310,7 +310,7 @@ class Prepared:
 
     @property
     def raw_probability(self) -> ProbabilityMap3D:
-        return _raw_map(self.scores)
+        return place(self.scores)
 
 
 @dataclass(frozen=True)

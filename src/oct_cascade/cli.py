@@ -63,8 +63,8 @@ def cmd_phantom_gen(args) -> int:
         with open_new(os.path.join(out, "gt_centerlines.csv"), newline="") as fh:
             fh.write("vessel,slice,depth,column\n")
             for v, line in enumerate(gt.centerlines):
-                for s in range(line.shape[0]):
-                    fh.write(f"{v},{s},{line[s, 0]!r},{line[s, 1]!r}\n")
+                for s, (depth, column) in enumerate(line.tolist()):  # Python floats: a repr is a number
+                    fh.write(f"{v},{s},{depth!r},{column!r}\n")
         with open_new(os.path.join(out, "phantom_config.json")) as fh:
             json.dump(cfg.to_dict(), fh, indent=1, sort_keys=True)
             fh.write("\n")

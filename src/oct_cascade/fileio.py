@@ -21,7 +21,7 @@ from typing import NoReturn
 import numpy as np
 
 from .errors import CorruptFileError, ValidationError
-from .model import BOUNDARY_NAMES, GRID_TYPES, BoundarySet, Grid, OctVolume
+from .model import BOUNDARY_NAMES, GRID_TYPES, BoundarySet, Grid, OctVolume, ProbabilityMap3D
 
 _FORMAT = "oct-cascade-grid"
 _VERSION = 1
@@ -63,36 +63,42 @@ def open_new(path: str, mode: str = "x", newline: str | None = None):
         raise
 
 
-def write_volume(value: Grid, path: str) -> None:
-    """Write a grid value as `<path>.json` + `<path>.raw`.
+def write_volume(value, path: str) -> None:
+    """Write a grid value as `<path>.json` + `<path>.raw`; a score source
+    (any other value with `dims` and a per-B-scan `read`) is written as its
+    probability map, a B-scan at a time.
 
     `path` may name either the base or the .json file; the .raw sibling is
     derived. The parent directory must already exist. A failure to write
     is the OSError naming the file.
     """
     base = _base_path(path)
-    if not isinstance(value, GRID_TYPES):
+    if isinstance(value, GRID_TYPES):
+        cls = type(value)
+        # No copy: a mask's bool buffer is its 0/1 bytes, and the float data
+        # already has the stored dtype and layout.
+        data = value.data.view(np.uint8) if value.kind == "mask" else value.data
+        payload = [np.ascontiguousarray(data, dtype=cls.stored_dtype())]
+    elif hasattr(value, "read"):
+        cls = ProbabilityMap3D
+        payload = (np.ascontiguousarray(value.read(s), dtype=cls.stored_dtype()) for s in range(value.dims[0]))
+    else:
         raise ValidationError(f"cannot serialize {type(value).__name__}")
-    stored = value.stored_dtype()
 
     header = {
         "format": _FORMAT,
         "version": _VERSION,
-        "kind": value.kind,
-        "dims": list(value.data.shape),
-        "dtype": stored.name,
+        "kind": cls.kind,
+        "dims": list(value.dims),
+        "dtype": cls.stored_dtype().name,
         "byte_order": "little",
         "spacing": list(value.spacing) if getattr(value, "spacing", None) else None,
     }
-    # No copy: a mask's bool buffer is its 0/1 bytes, and the float data
-    # already has the stored dtype and layout.
-    data = value.data.view(np.uint8) if value.kind == "mask" else value.data
-    payload = np.ascontiguousarray(data, dtype=stored)
     with open_new(base + ".json") as fh:
         json.dump(header, fh, indent=1, sort_keys=True)
         fh.write("\n")
     with open_new(base + ".raw", "xb") as fh:
-        fh.write(payload)
+        fh.writelines(payload)
 
 
 def _read_header(path: str) -> tuple[str, type[Grid], tuple[int, ...], list | None]:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import Checked, In
 from .errors import ConfigError, ShapeMismatchError, UndefinedAucError, ValidationError
-from .model import ProbabilityMap3D, VoxelMask, require_same_dims
+from .model import VoxelMask, require_same_dims
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ def build_report(method: str, c: ConfusionCounts, auc_value: float | None = None
     return MetricsReport(method=method, **values, auc=auc_value, flags=tuple(flags))
 
 
-def auc(scores: ProbabilityMap3D | np.ndarray, gt: VoxelMask | np.ndarray) -> float:
+def auc(scores, gt: VoxelMask | np.ndarray) -> float:
     """ROC area of the scores against a binary ground truth: the share of
     (positive, negative) voxel pairs the positive outscores, ties counted
     half, which is the trapezoidal area under the ROC curve.
@@ -112,19 +112,24 @@ def auc(scores: ProbabilityMap3D | np.ndarray, gt: VoxelMask | np.ndarray) -> fl
     Each positive's rank among the sorted scores, taken from the left and
     from the right, counts its wins twice and its ties once; the integer
     total is divided once. Only the non-zero scores are sorted: the zeros
-    enter each rank as one count. Raises UndefinedAucError when the ground
-    truth is single-class and ValidationError when a score is not finite.
+    enter each rank as one count. A score source (with `dims` and a
+    per-B-scan `read`) is read a B-scan at a time. Raises UndefinedAucError
+    when the ground truth is single-class and ValidationError when a score
+    is not finite.
     """
-    s = scores.data if isinstance(scores, ProbabilityMap3D) else np.asarray(scores)
     g = gt.data if isinstance(gt, VoxelMask) else np.asarray(gt, dtype=bool)
-    if s.shape != g.shape:
-        raise ShapeMismatchError(f"scores shape {s.shape} != ground truth shape {g.shape}")
-    # float32 widens to float64 exactly, so it is ranked as is; any other
-    # dtype is ranked as float64.
-    if s.dtype != np.float32:
-        s = s.astype(np.float64, copy=False)
-    s = s.ravel()
-    g = g.ravel()
+    if hasattr(scores, "read"):
+        shape, truth = tuple(scores.dims), g
+    else:
+        scores = np.asarray(scores)
+        shape = scores.shape
+        # float32 widens to float64 exactly, so it is ranked as is; any
+        # other dtype is ranked as float64.
+        if scores.dtype != np.float32:
+            scores = scores.astype(np.float64, copy=False)
+        scores, truth = scores.ravel(), _parts(g.ravel())
+    if shape != g.shape:
+        raise ShapeMismatchError(f"scores shape {shape} != ground truth shape {g.shape}")
 
     n_pos = int(np.count_nonzero(g))
     n_neg = g.size - n_pos
@@ -135,40 +140,50 @@ def auc(scores: ProbabilityMap3D | np.ndarray, gt: VoxelMask | np.ndarray) -> fl
 
     # Only the non-zero scores are sorted: the zeros, -0.0 among them, tie
     # each other and are counted. NaN sorts last and infinities sit at the ends.
-    nz = _sorted_nonzeros(s)
+    nz = _sorted_nonzeros(scores)
     if nz.size and not (np.isfinite(nz[0]) and np.isfinite(nz[-1])):
         raise ValidationError("ROC area needs finite scores")
-    n_zeros = s.size - nz.size
+    n_zeros = g.size - nz.size
     # Per positive, the scores below it plus those at or below it count each
     # win over a negative twice and each tie once; the positive-positive
     # pairs add exactly n_pos**2. The zeros lie below a positive score and
-    # at or below a non-negative one. int64 holds both sums for any map
-    # under ~3e9 voxels, 800x the paper volume.
-    pos = s[g]
-    below = int(np.searchsorted(nz, pos, "left").sum()) + n_zeros * int(np.count_nonzero(pos > 0))
-    at_or_below = int(np.searchsorted(nz, pos, "right").sum()) + n_zeros * int(np.count_nonzero(pos >= 0))
+    # at or below a non-negative one. int64 holds each part's sums for any
+    # map under ~3e9 voxels, 800x the paper volume.
+    below = at_or_below = 0
+    for part, positive in zip(_parts(scores), truth):
+        pos = part[positive]
+        below += int(np.searchsorted(nz, pos, "left").sum()) + n_zeros * int(np.count_nonzero(pos > 0))
+        at_or_below += int(np.searchsorted(nz, pos, "right").sum()) + n_zeros * int(np.count_nonzero(pos >= 0))
     # Python ints: one correctly rounded division, which lies in [0, 1]
     return (below + at_or_below - n_pos * n_pos) / (2 * n_pos * n_neg)
 
 
-def _sorted_nonzeros(s: np.ndarray, chunk: int = 1 << 16) -> np.ndarray:
-    """The non-zero values of the flat array `s`, sorted: counted, then
-    gathered into one array of that size a chunk at a time, and sorted in
-    place. No whole-array temporary is made."""
-    chunks = [slice(start, start + chunk) for start in range(0, s.size, chunk)]
-    nz = np.empty(sum(np.count_nonzero(s[c] != 0) for c in chunks), dtype=s.dtype)
+def _parts(scores, chunk: int = 1 << 16):
+    """A score source's B-scans, or a flat array's `chunk`-long runs."""
+    if isinstance(scores, np.ndarray):
+        return (scores[start : start + chunk] for start in range(0, scores.size, chunk))
+    return map(scores.read, range(scores.dims[0]))
+
+
+def _sorted_nonzeros(scores, chunk: int = 1 << 16) -> np.ndarray:
+    """The non-zero values of a score source or a flat array, sorted:
+    counted, then gathered into one array of that size part by part (see
+    `_parts`), and sorted in place. No whole-array temporary is made."""
+    dtype = scores.dtype if isinstance(scores, np.ndarray) else np.float32  # a source reads float32
+    nz = np.empty(sum(np.count_nonzero(part) for part in _parts(scores, chunk)), dtype=dtype)
     filled = 0
-    for c in chunks:
-        part = s[c][s[c] != 0]
+    for part in _parts(scores, chunk):
+        part = part[part != 0]
         nz[filled : filled + part.size] = part
         filled += part.size
     nz.sort()
     return nz
 
 
-def score(method: str, pred: VoxelMask, prob: ProbabilityMap3D | None, gt: VoxelMask) -> MetricsReport:
-    """The report of `pred` against `gt`, with the ROC area of `prob`; the
-    area is None without a probability map or for a single-class truth."""
+def score(method: str, pred: VoxelMask, prob, gt: VoxelMask) -> MetricsReport:
+    """The report of `pred` against `gt`, with the ROC area of `prob`, a
+    score source or None; the area is None without one or for a
+    single-class truth."""
     auc_value = None
     if prob is not None:
         try:

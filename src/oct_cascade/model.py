@@ -259,6 +259,10 @@ class ProbabilityMap3D(Grid):
     kind = "probability"
     noun = "probability map"
 
+    def read(self, s: int, rows=slice(None), cols=slice(None)) -> np.ndarray:
+        """The scores of B-scan `s`'s `rows` in columns `cols`."""
+        return self.data[s, rows][:, cols]
+
 
 #: Every grid type, each with its own stored kind and rank.
 GRID_TYPES = (OctVolume, EnFaceImage, ProbabilityMap3D, VoxelMask, PixelMask)

@@ -254,12 +254,12 @@ def read_typed(path: str, kind: type, stage: str):
 
 @dataclass(frozen=True)
 class _MapFile:
-    """An imported probability map of checked header, whose payload `read` reads."""
+    """An imported probability map of checked header, whose payload `load` reads."""
 
     path: str
     dims: tuple[int, int, int]
 
-    def read(self) -> ProbabilityMap3D:
+    def load(self) -> ProbabilityMap3D:
         return read_imports(self.dims, backend_path=self.path)[2]
 
 
@@ -270,7 +270,7 @@ def read_imports(dims: tuple[int, int, int], gt_path: str | None = None,
     given (None for each path not given), each read once and checked
     against a volume of `dims`; a refused file or a mismatch is its stage's
     StageError. With `map_header`, only the map's header is read: it is
-    given as a `_MapFile`, whose `read` reads the payload through here."""
+    given as a `_MapFile`, whose `load` reads the payload through here."""
     n_slices, _, width = dims
     grids = []
     for stage, path, kind, expected, mismatch in (
@@ -341,7 +341,7 @@ def _prepare(cfg: PipelineConfig, imports: list | None = None) -> tuple[Prepared
 def _with_map(prepared: Prepared) -> Prepared:
     """`prepared` with an imported map's payload read in place of its `_MapFile`."""
     if isinstance(prepared.scores, _MapFile):
-        return dataclasses.replace(prepared, scores=prepared.scores.read())
+        return dataclasses.replace(prepared, scores=prepared.scores.load())
     return prepared
 
 
@@ -399,17 +399,18 @@ def run_to_files(cfg: PipelineConfig) -> dict[str, str]:
 
     The output directory is made before any stage runs. With either
     prior, at most one whole-volume float array is live outside the
-    boundary DP: the volume's uint8 gray levels are taken for the
-    overlays and the volume freed before an imported map's payload is
-    read, and the scores the priors keep are gathered before their source
-    is freed and the infused map is allocated. Without a prior, the raw
-    map is the infused map. An imported map's header and a ground-truth
-    file are checked before the DP; the map's payload, and the ground
-    truth again once the mask is made, are read through the same checks
-    before any file is written. The gray levels are freed once the
-    overlays are written. Each file is written new, and the report files
-    of an earlier run that this one does not write are removed. Returns a
-    name -> path map of everything written.
+    boundary DP, and none is allocated once the scores' source is freed:
+    the volume's uint8 gray levels are taken for the overlays and the
+    volume freed before an imported map's payload is read, and the kept
+    scores are gathered before their source is freed. The mask, `prob.raw`
+    and the ROC area read them a B-scan at a time (the raw map, without a
+    prior). An imported map's header and a ground-truth file are checked
+    before the DP; the map's payload, and the ground truth again once the
+    mask is made, are read through the same checks before any file is
+    written. The gray levels are freed once the overlays are written.
+    Each file is written new, and the report files of an earlier run that
+    this one does not write are removed. Returns a name -> path map of
+    everything written.
     """
     out = cfg.output_dir
     with _output(out):
@@ -421,11 +422,9 @@ def run_to_files(cfg: PipelineConfig) -> dict[str, str]:
     with _stage("cascade"):
         kept = gather_priors(prepared, cfg.infusion)
     boundaries, enface, shadow_mask = prepared.boundaries, prepared.enface, prepared.shadow_mask
-    del prepared  # the scores' source: the map is allocated only once it is freed
+    del prepared  # the scores' source
     with _stage("cascade"):
-        probability = place(kept)
-        del kept
-        mask = binarize_and_label(probability, cfg.infusion)[0]
+        mask = binarize_and_label(kept, cfg.infusion)[0]
     gt_mask = gt and gt()  # before the outputs, which it may name
     written: dict[str, str] = {}
 
@@ -435,7 +434,7 @@ def run_to_files(cfg: PipelineConfig) -> dict[str, str]:
     with _output(out):
         write_volume(mask, path("mask"))
         written["mask"] = path("mask.json")
-        write_volume(probability, path("prob"))
+        write_volume(kept, path("prob"))
         written["prob"] = path("prob.json")
         write_boundaries(boundaries, path("boundaries.csv"))
         written["boundaries"] = path("boundaries.csv")
@@ -459,7 +458,7 @@ def run_to_files(cfg: PipelineConfig) -> dict[str, str]:
     del gray
 
     if gt_mask is not None:
-        report = score(_variant_label(cfg.infusion), mask, probability, gt_mask)
+        report = score(_variant_label(cfg.infusion), mask, kept, gt_mask)
         write_metrics_csv(path("metrics.csv"), [report])
         written["metrics"] = path("metrics.csv")
     with _output(out):
@@ -493,7 +492,7 @@ def ablate(cfg: PipelineConfig, seeds: list[int]) -> tuple[bool, list[tuple[str,
         prepared, volume, gt = _prepare(cfg.with_seed(seed), imports)
         with _stage("cascade"):
             # Every variant reads the raw map: built once, it frees the volume.
-            prepared = dataclasses.replace(prepared, scores=prepared.raw_probability)
+            prepared = dataclasses.replace(prepared, scores=place(prepared.scores))
             del volume
             gt_mask = gt()
             for label, infusion in infusions.items():

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -89,6 +90,21 @@ def test_phantom_gen_is_idempotent(tmp_path):
     run_cli(["phantom", "gen", "--seed", 7, "--out", out1])  # rerun: each file written new
     assert file_hashes(out1) == file_hashes(out2) == file_hashes(held)
     assert all(os.stat(out1 / name).st_ino != os.stat(held / name).st_ino for name in os.listdir(held))
+
+
+def test_phantom_gen_writes_the_centerlines_as_numbers_that_read_back_bit_for_bit(tmp_path):
+    """Each depth and column is a Python float's repr, which `float` reads
+    back as the same float: no numpy scalar's repr reaches the CSV."""
+    out = tmp_path / "d"
+    run_cli(["phantom", "gen", "--seed", 3, "--out", out])
+    with open(out / "gt_centerlines.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["vessel", "slice", "depth", "column"]
+    _, gt = generate(PhantomConfig.from_dict(json.loads((out / "phantom_config.json").read_text())))
+    want = [[v, s, *line[s].tolist()] for v, line in enumerate(gt.centerlines) for s in range(len(line))]
+    got = [[int(v), int(s), float(depth), float(column)] for v, s, depth, column in rows[1:]]
+    assert len(want) > 0
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_phantom_gen_zero_vessels(tmp_path):

@@ -6,7 +6,10 @@ checked on construction and on load."""
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import types
 import typing
 
@@ -23,6 +26,7 @@ from oct_cascade.layers import DpConfig
 from oct_cascade.metrics import ConfusionCounts, MetricsReport, ScheduleParams
 from oct_cascade.phantom import DEFAULT_LAYER_LEVELS, MAX_VOXELS, PhantomConfig
 from oct_cascade.pipeline import PipelineConfig, ReportConfig, StageError
+from test_cli import _limit_address_space
 
 #: The stage named by a fault in each section.
 STAGES = {"input": "input", "boundaries": "boundary source", "shadows": "shadow source",
@@ -401,3 +405,84 @@ def test_a_warm_class_constructs_without_reading_its_type_hints(monkeypatch):
 def test_a_nested_config_given_as_a_record_is_taken_as_it_is():
     dp = DpConfig(max_jump=3)
     assert PipelineConfig.from_dict({"input": {"phantom": {}}, "boundaries": {"dp": dp}}).dp is dp
+
+
+#: Runs each config in argv[1]'s JSON list in this process and prints, per
+#: config, `run`'s exit code (None where it raised) and what it wrote to stderr.
+_RUN_EACH = """
+import contextlib, io, json, sys, traceback
+from oct_cascade import cli
+with open(sys.argv[1]) as fh:
+    configs = json.load(fh)
+results = []
+for config in configs:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(["run", "--config", config])
+        except Exception:
+            traceback.print_exc()
+            code = None
+    results.append((code, err.getvalue()))
+json.dump(results, sys.stdout)
+"""
+
+
+def _extreme_cases():
+    """(case id, pipeline config) of each numeric field of each config
+    section at its declared finite ends, 10^3, 10^6, 10^12 and, for a
+    float, the largest float, on an 8x96x64 seed-3 phantom with 3 vessels."""
+    phantom = {"dims": [8, 96, 64], "seed": 3, "n_vessels": 3}
+    for cls, name, where, interval, number in (p.values for p in _declared()):
+        if cls not in SECTIONS:
+            continue
+        base = cls.from_dict(phantom) if cls is PhantomConfig else cls()
+        ends = [float(end) for end in interval[1:-1].split(",")]
+        values = [number(end) for end in ends if math.isfinite(end)] + [number(10**k) for k in (3, 6, 12)]
+        values += [sys.float_info.max] if number is float else []
+        for value in values:
+            d = {"input": {"phantom": dict(phantom)}}
+            (*path, key), _ = SECTIONS[cls]
+            node = d
+            for part in path:
+                node = node.setdefault(part, {})
+            node.setdefault(key, {})[name] = to_json(_replaced(getattr(base, name), where, value))
+            yield f"{cls.__name__}.{name}{list(where) if where else ''}={value!r}", d
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(sys.platform != "linux", reason="address-space limit via setrlimit")
+def test_every_numeric_config_value_runs_in_bounded_memory_or_is_refused(tmp_path):
+    """Under a 3 GiB address-space limit, with every warning shown, `run`
+    with any one numeric field at an extreme value exits 0 with nothing on
+    stderr, or exits 2 with `error: <stage>:` and no traceback. Two child
+    processes run half the cases each."""
+    cases = list(_extreme_cases())
+    configs = []
+    for i, (_, d) in enumerate(cases):
+        path = tmp_path / f"c{i}.json"
+        path.write_text(json.dumps({**d, "output_dir": str(tmp_path / f"out{i % 2}")}))
+        configs.append(str(path))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    children = []
+    for half in (0, 1):
+        (tmp_path / f"half{half}.json").write_text(json.dumps(configs[half::2]))
+        children.append(subprocess.Popen(
+            [sys.executable, "-W", "always", "-c", _RUN_EACH, str(tmp_path / f"half{half}.json")],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            preexec_fn=_limit_address_space,
+        ))
+    results = [None] * len(cases)
+    try:
+        for half, child in enumerate(children):
+            out, err = child.communicate(timeout=300)
+            assert child.returncode == 0, err
+            results[half::2] = json.loads(out)
+    finally:
+        for child in children:
+            child.kill()
+            child.wait()
+    faults = [(case_id, code, err) for (case_id, _), (code, err) in zip(cases, results)
+              if not (code == 0 and err == "" or code == 2 and re.match(r"error: [a-z -]+: ", err)
+                      and "Traceback" not in err)]
+    assert faults == []

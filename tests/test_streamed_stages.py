@@ -12,19 +12,25 @@ whole-volume bodies, and project_rpe's is the band mean's definition; the
 streamed stages must reproduce them bit for bit.
 The classical backend's scores are read only where the priors keep them,
 and the tests hold that infusion to the whole map's, and `_gray` to
-`gray_levels` per B-scan.
+`gray_levels` per B-scan. binarize_and_label, write_volume and auc read
+the gathered kept scores one B-scan at a time as they read place's map.
 Traced allocation must stay within these multiples of the volume's
 bytes: run_cascade 2.75x, run_to_files 3.25x (a volume read from disk, with
 its ground truth and overlays, from classical or imported sources),
 2.75x and 2.25x with classical sources and both priors and 2x with
-imported sources, ablate 5x on one seed and
+imported sources, and 0.01x above what is live once gather_priors returns,
+from either source, ablate 5x on one seed and
 4x on two (of one seed's phantom, generated inside it), segment_boundaries
 1.3x, project_rpe 0.1x and generate 2x of its float32 volume; auc within
 1.25x the map's, and 0.1x on a map with 2% non-zero scores.
 """
 
 import csv
+import dataclasses
 import math
+import os
+import pathlib
+import tempfile
 import tracemalloc
 import warnings
 import weakref
@@ -41,15 +47,17 @@ from oct_cascade.cascade import (
     Prepared,
     binarize_and_label,
     extract,
+    gather_priors,
     infuse,
     longitudinal_mask,
+    place,
     prepare,
     run_cascade,
     transverse_mask,
     vessel_probability,
 )
 from oct_cascade.enface import project_rpe
-from oct_cascade.errors import ShapeMismatchError, ValidationError
+from oct_cascade.errors import ShapeMismatchError, UndefinedAucError, ValidationError
 from oct_cascade.fileio import gray_levels, write_boundaries, write_pgm, write_volume
 from oct_cascade.layers import segment_boundaries
 from oct_cascade.metrics import auc
@@ -413,6 +421,61 @@ def test_extract_writes_every_dropped_voxel_as_positive_zero(case, seed, density
     assert got.tobytes() == np.where(keep, p, np.float32(0)).tobytes()
 
 
+def _auc_or_undefined(scores, gt):
+    try:
+        return auc(scores, gt)
+    except UndefinedAucError:
+        return None
+
+
+def _grid_bytes(value) -> bytes:
+    """The header and payload bytes `write_volume` writes of `value`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        write_volume(value, os.path.join(tmp, "grid"))
+        return b"".join(pathlib.Path(tmp, f"grid.{ext}").read_bytes() for ext in ("json", "raw"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(volumes_and_boundaries(), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+       st.integers(0, 2), st.booleans(), st.sampled_from([0.0, 0.3, 1.0]), st.booleans(), st.booleans(),
+       st.sampled_from([0.1, 0.5, 0.9, None]))
+def test_consumers_read_the_gathered_scores_as_their_placed_map(case, seed, density, dilation, imported,
+                                                                negative_zeros, use_l, use_t, threshold):
+    """`binarize_and_label`, `write_volume` and `auc` fed what `gather_priors`
+    gave, read one B-scan at a time, give what the whole-volume paths give
+    on `place`'s map of it: the labelling reference's mask and component
+    count, the bytes `write_volume` writes of the map and the ROC area of
+    its array, for classical and imported scores, -0.0 among the imported
+    ones, every flag pair and a threshold some kept score equals."""
+    volume, boundaries = case
+    n_slices, _, width = volume.dims
+    rng = np.random.default_rng(seed)
+    footprint = PixelMask(rng.random((n_slices, width)) < density)
+    if imported:
+        p = volume.data.copy()
+        p[rng.random(p.shape) < negative_zeros] = -0.0
+        prepared = prepare(volume, boundaries, footprint, probability=ProbabilityMap3D(p))
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a constant band scores all zeros
+            prepared = prepare(volume, boundaries, footprint)
+    cfg = InfusionConfig(use_longitudinal=use_l, use_transverse=use_t, transverse_dilation=dilation,
+                         min_component_vox=int(rng.integers(1, 4)))
+    kept = gather_priors(prepared, cfg)
+    placed = place(kept)
+    if threshold is None:  # a kept score, which the threshold must not keep
+        held = placed.data[(placed.data > 0) & (placed.data < 1)]
+        threshold = float(held[0]) if held.size else 0.5
+    cfg = dataclasses.replace(cfg, binarize_threshold=threshold)
+    gt = VoxelMask(rng.random(volume.dims) < 0.3)
+
+    mask, count = binarize_and_label(kept, cfg)
+    want_mask, want_count = binarize_and_label_reference(placed.data, cfg)
+    assert np.array_equal(mask.data, want_mask) and count == want_count
+    assert _grid_bytes(kept) == _grid_bytes(placed)
+    assert _auc_or_undefined(kept, gt) == _auc_or_undefined(placed.data, gt.data)
+
+
 def _degenerate_warnings(call, *args):
     """`call(*args)` and the number of degenerate-normalization warnings it gave."""
     with warnings.catch_warnings(record=True) as caught:
@@ -564,10 +627,10 @@ def test_run_cascade_allocates_at_most_2_75x_volume(desk_phantom):
     assert growth <= 2.75, f"run_cascade allocated {growth:.2f}x the volume's bytes"
 
 
-def _run_to_files_growth(tmp_path, volume, gt, imported: bool) -> float:
-    """run_to_files' traced growth over the volume's bytes, on `volume` read
-    from disk with its ground truth and overlays; with `imported`, the
-    boundaries and a noisy probability map are read from disk too."""
+def _run_to_files_config(tmp_path, volume, gt, imported: bool) -> pipeline.PipelineConfig:
+    """A run config on `volume` read from disk with its ground truth and
+    overlays; with `imported`, the boundaries and a noisy probability map
+    are read from disk too."""
     write_volume(volume, str(tmp_path / "volume"))
     write_volume(gt.vessel_mask, str(tmp_path / "gt"))
     d = {
@@ -583,7 +646,13 @@ def _run_to_files_growth(tmp_path, volume, gt, imported: bool) -> float:
         del noise, prob
         d["boundaries"] = {"source": "import", "path": str(tmp_path / "boundaries.csv")}
         d["backend"] = {"kind": "import", "path": str(tmp_path / "prob.json")}
-    cfg = pipeline.PipelineConfig.from_dict(d)
+    return pipeline.PipelineConfig.from_dict(d)
+
+
+def _run_to_files_growth(tmp_path, volume, gt, imported: bool) -> float:
+    """run_to_files' traced growth over the volume's bytes, on the config
+    `_run_to_files_config` writes."""
+    cfg = _run_to_files_config(tmp_path, volume, gt, imported)
     return _traced_growth(pipeline.run_to_files, cfg) / volume.data.nbytes
 
 
@@ -638,6 +707,38 @@ def test_infusion_source_is_freed_before_the_infused_map_is_allocated(desk_phant
     monkeypatch.setattr(pipeline, "place", checked)
     _run_to_files_growth(tmp_path, volume, gt, imported=imported)
     assert len(sources) == 1 + imported
+
+
+@pytest.mark.parametrize("imported", [False, True], ids=["classical", "imported"])
+def test_run_to_files_allocates_no_more_than_is_live_once_the_priors_are_gathered(desk_phantom, tmp_path,
+                                                                                  monkeypatch, imported):
+    """Once `gather_priors` returns, the scores' source is freed and no
+    whole-volume float array is allocated: the mask, `prob.raw` and the
+    ROC area read the gathered scores one B-scan at a time, so the traced
+    peak from then on stays within what was live at that moment, give or
+    take the interpreter's own few hundred bytes: 1% of the volume is a
+    third of a B-scan."""
+    _, volume, gt = desk_phantom
+    cfg = _run_to_files_config(tmp_path, volume, gt, imported)
+    live = []
+    gather = pipeline.gather_priors
+
+    def gathered(*args):
+        kept = gather(*args)
+        live.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return kept
+
+    monkeypatch.setattr(pipeline, "gather_priors", gathered)
+    tracemalloc.start()
+    try:
+        pipeline.run_to_files(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(live) == 1
+    over = (peak - live[0]) / volume.data.nbytes
+    assert over <= 0.01, f"run_to_files allocated {over:.3f}x the volume's bytes above the live set"
 
 
 def test_run_to_files_with_imported_sources_allocates_at_most_3_25x_volume(desk_phantom, tmp_path):
