@@ -21,7 +21,7 @@ from typing import NoReturn
 import numpy as np
 
 from .errors import CorruptFileError, ValidationError
-from .model import BOUNDARY_NAMES, GRID_TYPES, BoundarySet, Grid, OctVolume, ProbabilityMap3D
+from .model import BOUNDARY_NAMES, GRID_TYPES, BoundarySet, Grid, OctVolume, ProbabilityMap3D, is_score_source
 
 _FORMAT = "oct-cascade-grid"
 _VERSION = 1
@@ -64,9 +64,9 @@ def open_new(path: str, mode: str = "x", newline: str | None = None):
 
 
 def write_volume(value, path: str) -> None:
-    """Write a grid value as `<path>.json` + `<path>.raw`; a score source
-    (any other value with `dims` and a per-B-scan `read`) is written as its
-    probability map, a B-scan at a time.
+    """Write a grid value as `<path>.json` + `<path>.raw`; any other score
+    source (see `is_score_source`) is written as its probability map, a
+    B-scan at a time. Anything else is a ValidationError.
 
     `path` may name either the base or the .json file; the .raw sibling is
     derived. The parent directory must already exist. A failure to write
@@ -79,7 +79,7 @@ def write_volume(value, path: str) -> None:
         # already has the stored dtype and layout.
         data = value.data.view(np.uint8) if value.kind == "mask" else value.data
         payload = [np.ascontiguousarray(data, dtype=cls.stored_dtype())]
-    elif hasattr(value, "read"):
+    elif is_score_source(value):
         cls = ProbabilityMap3D
         payload = (np.ascontiguousarray(value.read(s), dtype=cls.stored_dtype()) for s in range(value.dims[0]))
     else:

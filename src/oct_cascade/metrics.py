@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import Checked, In
 from .errors import ConfigError, ShapeMismatchError, UndefinedAucError, ValidationError
-from .model import VoxelMask, require_same_dims
+from .model import VoxelMask, is_score_source, require_same_dims
 
 
 @dataclass(frozen=True)
@@ -112,22 +112,23 @@ def auc(scores, gt: VoxelMask | np.ndarray) -> float:
     Each positive's rank among the sorted scores, taken from the left and
     from the right, counts its wins twice and its ties once; the integer
     total is divided once. Only the non-zero scores are sorted: the zeros
-    enter each rank as one count. A score source (with `dims` and a
-    per-B-scan `read`) is read a B-scan at a time. Raises UndefinedAucError
-    when the ground truth is single-class and ValidationError when a score
-    is not finite.
+    enter each rank as one count. A score source (see `is_score_source`)
+    is read twice a B-scan at a time, an array a 64k-element run at a
+    time: to count the non-zeros and keep the positives' scores, then to
+    fill the non-zeros' sorted copy. Raises UndefinedAucError when the
+    ground truth is single-class and ValidationError when a score is not
+    finite.
     """
     g = gt.data if isinstance(gt, VoxelMask) else np.asarray(gt, dtype=bool)
-    if hasattr(scores, "read"):
+    if is_score_source(scores):
         shape, truth = tuple(scores.dims), g
     else:
         scores = np.asarray(scores)
         shape = scores.shape
         # float32 widens to float64 exactly, so it is ranked as is; any
         # other dtype is ranked as float64.
-        if scores.dtype != np.float32:
-            scores = scores.astype(np.float64, copy=False)
-        scores, truth = scores.ravel(), _parts(g.ravel())
+        scores = np.ravel(scores if scores.dtype == np.float32 else scores.astype(np.float64, copy=False))
+        truth = _parts(g.ravel())
     if shape != g.shape:
         raise ShapeMismatchError(f"scores shape {shape} != ground truth shape {g.shape}")
 
@@ -140,7 +141,12 @@ def auc(scores, gt: VoxelMask | np.ndarray) -> float:
 
     # Only the non-zero scores are sorted: the zeros, -0.0 among them, tie
     # each other and are counted. NaN sorts last and infinities sit at the ends.
-    nz = _sorted_nonzeros(scores)
+    n_nonzero, positives = 0, []
+    for part, positive in zip(_parts(scores), truth):
+        n_nonzero += int(np.count_nonzero(part))
+        positives.append(part[positive])
+        del part  # before the next B-scan is read
+    nz = _sorted_nonzeros(scores, n_nonzero=n_nonzero)
     if nz.size and not (np.isfinite(nz[0]) and np.isfinite(nz[-1])):
         raise ValidationError("ROC area needs finite scores")
     n_zeros = g.size - nz.size
@@ -150,8 +156,7 @@ def auc(scores, gt: VoxelMask | np.ndarray) -> float:
     # at or below a non-negative one. int64 holds each part's sums for any
     # map under ~3e9 voxels, 800x the paper volume.
     below = at_or_below = 0
-    for part, positive in zip(_parts(scores), truth):
-        pos = part[positive]
+    for pos in positives:
         below += int(np.searchsorted(nz, pos, "left").sum()) + n_zeros * int(np.count_nonzero(pos > 0))
         at_or_below += int(np.searchsorted(nz, pos, "right").sum()) + n_zeros * int(np.count_nonzero(pos >= 0))
     # Python ints: one correctly rounded division, which lies in [0, 1]
@@ -160,17 +165,20 @@ def auc(scores, gt: VoxelMask | np.ndarray) -> float:
 
 def _parts(scores, chunk: int = 1 << 16):
     """A score source's B-scans, or a flat array's `chunk`-long runs."""
-    if isinstance(scores, np.ndarray):
-        return (scores[start : start + chunk] for start in range(0, scores.size, chunk))
-    return map(scores.read, range(scores.dims[0]))
+    if is_score_source(scores):
+        return map(scores.read, range(scores.dims[0]))
+    return (scores[start : start + chunk] for start in range(0, scores.size, chunk))
 
 
-def _sorted_nonzeros(scores, chunk: int = 1 << 16) -> np.ndarray:
+def _sorted_nonzeros(scores, chunk: int = 1 << 16, n_nonzero: int | None = None) -> np.ndarray:
     """The non-zero values of a score source or a flat array, sorted:
-    counted, then gathered into one array of that size part by part (see
-    `_parts`), and sorted in place. No whole-array temporary is made."""
-    dtype = scores.dtype if isinstance(scores, np.ndarray) else np.float32  # a source reads float32
-    nz = np.empty(sum(np.count_nonzero(part) for part in _parts(scores, chunk)), dtype=dtype)
+    counted (unless `n_nonzero` gives their count), then gathered into one
+    array of that size part by part (see `_parts`), and sorted in place.
+    No whole-array temporary is made."""
+    if n_nonzero is None:
+        n_nonzero = sum(int(np.count_nonzero(part)) for part in _parts(scores, chunk))
+    dtype = np.float32 if is_score_source(scores) else scores.dtype  # a source reads float32
+    nz = np.empty(n_nonzero, dtype=dtype)
     filled = 0
     for part in _parts(scores, chunk):
         part = part[part != 0]

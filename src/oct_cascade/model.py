@@ -268,6 +268,12 @@ class ProbabilityMap3D(Grid):
 GRID_TYPES = (OctVolume, EnFaceImage, ProbabilityMap3D, VoxelMask, PixelMask)
 
 
+def is_score_source(value) -> bool:
+    """Whether `value` has `dims` and a per-B-scan `read(s, rows, cols)`,
+    as a map, the classical scores and the gathered kept scores do."""
+    return hasattr(value, "dims") and callable(getattr(value, "read", None))
+
+
 def require_same_dims(a: Grid, b: Grid, what: str = "arrays") -> None:
     """Raise ShapeMismatchError unless the two grids share dims."""
     if a.dims != b.dims:

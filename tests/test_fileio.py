@@ -82,6 +82,20 @@ def test_write_volume_writes_the_grid_s_own_buffer(tmp_path, grid):
     assert growth < value.data.nbytes / 4, f"writing the grid allocated {growth} bytes"
 
 
+@pytest.mark.parametrize("value", [lambda fh: fh, lambda fh: types.SimpleNamespace(read=fh.read),
+                                   lambda fh: types.SimpleNamespace(dims=(1, 2, 2), read=None),
+                                   lambda fh: np.zeros((1, 2, 2))],
+                         ids=["file", "read-without-dims", "dims-without-read", "array"])
+def test_write_volume_refuses_a_value_that_is_neither_grid_nor_score_source(tmp_path, value):
+    """Only a value with both `dims` and a callable `read` is written as a
+    score source: a file object, which has `read` alone, is refused like
+    any other value, and nothing is written."""
+    with open(tmp_path / "f.txt", "w+") as fh:
+        with pytest.raises(ValidationError, match="cannot serialize"):
+            write_volume(value(fh), str(tmp_path / "g"))
+    assert not (tmp_path / "g.json").exists() and not (tmp_path / "g.raw").exists()
+
+
 def test_truncated_payload_is_corrupt(tmp_path):
     v = OctVolume(np.zeros((2, 8, 8), dtype=np.float32))
     write_volume(v, str(tmp_path / "vol"))

@@ -9,10 +9,10 @@ directory, for these commands:
   and overlays;
 * `eval` of that run's mask and probability map against the ground truth.
 
-Each command runs --runs times (5 by default, at least 5), one child at a
-time, each `phantom gen` and `run` into a new output directory. A child's
-wall time is taken from its start to its exit, and its peak RSS is the
-`ru_maxrss` of its own rusage (`os.wait4`). The medians and minima of each
+Each command runs `RUNS` (5) times, one child at a time, each `phantom
+gen` and `run` into a new output directory. A child's wall time is taken
+from its start to its exit, and its peak RSS is the `ru_maxrss` of its own
+rusage (`os.wait4`). The medians and minima of each
 are printed as one JSON object, after the Python version:
 
     python3 tools/startup.py > BENCH_startup.json
@@ -33,6 +33,8 @@ import subprocess
 import sys
 import tempfile
 import time
+
+RUNS = 5
 
 
 def _measure(src: str, args: list[str]) -> tuple[float, float]:
@@ -65,10 +67,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=os.path.join(here, os.pardir, "src"),
                         help="package source directory (default: this checkout's src/)")
-    parser.add_argument("--runs", type=int, default=5, help="runs per command (at least 5)")
     args = parser.parse_args()
-    if args.runs < 5:
-        parser.error("--runs must be at least 5")
     src = os.path.abspath(args.src)
 
     results = {}
@@ -91,7 +90,7 @@ def main() -> None:
                                "--out", os.path.join(tmp, "eval")],
         }
         for name, argv in commands.items():  # in order: each reads what the one before wrote
-            results[name] = _summary([_measure(src, argv(i)) for i in range(args.runs)])
+            results[name] = _summary([_measure(src, argv(i)) for i in range(RUNS)])
     print(json.dumps({"python": platform.python_version(), "commands": results}, indent=1))
 
 
